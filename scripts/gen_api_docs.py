@@ -115,7 +115,11 @@ segment-train batching (`REPRO_TRAIN`, default on) moves contiguous
 frame bursts through the NIC/bus/network layers as one scheduled unit,
 and the event-queue backend (`REPRO_SCHEDULER=heap|calendar`, or
 `Environment(scheduler=...)`) selects between the binary heap and a
-self-resizing calendar queue that wins on deep pending queues.
+self-resizing calendar queue.  The heap is at least as fast end to end
+on every benchmark workload; the calendar wins only on a synthetic
+deep-queue microbench.  Whatever the backend, entries due at the
+current instant bypass it on a FIFO same-instant lane, and
+`schedule_call` entries carry no event object.
 `scripts/bench_compare.py` records events/sec, mean train size and the
 scheduler microbench into `benchmarks/results/BENCH_<rev>.json`.
 """

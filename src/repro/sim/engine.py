@@ -3,25 +3,38 @@
 Design notes
 ------------
 
-* The event queue stores ``(time, sequence, Event)`` tuples.  The
-  monotonically increasing sequence number guarantees FIFO ordering
-  among same-time events, so runs are bit-for-bit deterministic.  Two
-  interchangeable backends implement the queue: a binary heap (the
-  default) and a self-resizing :class:`CalendarQueue` (select with
+* The event queue holds ``(time, sequence, target, args)`` entries.  A
+  callback entry (:meth:`Environment.schedule_call`) carries the
+  function and its argument tuple and no :class:`Event` at all; an event
+  entry carries the event and ``None``.  The monotonically increasing
+  sequence number guarantees FIFO ordering among same-time entries, so
+  runs are bit-for-bit deterministic.
+* An entry due at the current instant skips the queue and goes on the
+  *same-instant lane*, a FIFO ``deque``.  Routing is on the computed
+  fire instant, not on ``delay == 0``: ``now + delay`` can round to
+  ``now``.  A queued entry due now was scheduled before the clock
+  reached now, so its sequence number is lower than every lane entry's;
+  dispatch therefore takes queued entries due now first and then the
+  lane in FIFO order, which is exact ``(time, sequence)`` order.  The
+  zero-delay hops of the train data path and ``Event.succeed()`` thus
+  cost a ``deque`` append and pop instead of a heap push and pop.
+* Two interchangeable backends hold the queued entries: a binary heap
+  (the default) and a self-resizing :class:`CalendarQueue` (select with
   ``REPRO_SCHEDULER=calendar`` or the ``scheduler=`` constructor
   argument).  Both pop in exact ``(time, sequence)`` order, so the
   backend choice never changes simulation results — only wall-clock
   speed.  :meth:`Environment.swap_scheduler` migrates still-pending
-  events between backends mid-run; the calendar queue requests an
-  automatic fallback to the heap when the event-time distribution
-  defeats its bucketing heuristics.
+  entries between backends mid-run (the lane is shared by both and
+  stays as it is); the calendar queue requests an automatic fallback to
+  the heap when the event-time distribution defeats its bucketing
+  heuristics.
 * Processes are plain Python generators.  A process yields an
   :class:`Event`; the engine registers the process as a callback and
   resumes it (``send``/``throw``) when the event fires.  This is the same
   execution model as SimPy's, reduced to the features the repro needs.
 * Following the profiling guidance in the HPC-Python guides the hot path
   (the dispatch loop inlined into ``Environment.run``) avoids attribute
-  lookups in the inner loop and allocates nothing beyond the events
+  lookups in the inner loop and allocates nothing beyond the entries
   themselves.  Internal model code can additionally use
   :meth:`Environment._fast_timeout`, which recycles processed
   :class:`Timeout` objects through a free pool instead of allocating a
@@ -33,6 +46,7 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from functools import partial
+from math import isnan
 from time import perf_counter
 from typing import Any, Callable, Deque, Generator, List, Optional, Tuple
 
@@ -58,8 +72,9 @@ class CalendarQueue:
     """Self-resizing bucketed event queue (a calendar queue).
 
     Drop-in replacement for the binary heap: :meth:`pop` returns pending
-    ``(time, seq, event)`` tuples in exact ascending ``(time, seq)``
-    order, so same-time FIFO determinism is bit-identical to the heap.
+    ``(time, seq, target, args)`` entries in exact ascending
+    ``(time, seq)`` order, so same-time FIFO determinism is
+    bit-identical to the heap.
 
     Structure: pending tuples live in per-epoch *buckets* (``dict``
     keyed by ``int(time / width)``) that stay unsorted until their epoch
@@ -67,9 +82,11 @@ class CalendarQueue:
     bucket directly, so there is no empty-bucket scanning even for
     sparse horizons (40 ms delayed-ACK timers next to nanosecond wire
     events).  The due bucket is sorted *descending* once (C ``sort``)
-    into a ready window popped from the end in O(1); same-time events
-    scheduled while draining are binary-insorted near the tail, which is
-    cheap because they are always the next-due entries.
+    into a ready window popped from the end in O(1); entries for the
+    bucket being drained are binary-insorted near the tail, which is
+    cheap because they are always among the next-due entries.  (Entries
+    due at the current instant never get here: they go on the
+    environment's same-instant lane.)
 
     The bucket ``width`` resizes itself toward a target mean occupancy
     (Brown's heuristic, simplified): too-full buckets pay insertion-sort
@@ -99,7 +116,7 @@ class CalendarQueue:
     def __init__(self, width: float = 1e-5):
         self._width = width
         self._inv_width = 1.0 / width
-        self._buckets: dict = {}   # bucket id -> unsorted [(t, seq, ev)]
+        self._buckets: dict = {}   # bucket id -> unsorted entries
         self._bids: List[int] = [] # min-heap of ids present in _buckets
         self._ready: List[tuple] = []  # descending; pop from the end
         self._ready_bid = -1       # highest bucket id merged into _ready
@@ -116,11 +133,11 @@ class CalendarQueue:
         return self._len
 
     def push(self, item: tuple) -> None:
-        """Insert a ``(time, seq, event)`` tuple."""
+        """Insert a ``(time, seq, target, args)`` entry."""
         bid = int(item[0] * self._inv_width)
         if bid <= self._ready_bid:
             # Belongs to the window already being drained: binary-insort
-            # into the descending ready list.  Same-time events land by
+            # into the descending ready list.  Entries due soon land by
             # the tail (they sort just above the already-drained point),
             # so the list shift is short.
             r = self._ready
@@ -142,7 +159,8 @@ class CalendarQueue:
         self._len += 1
 
     def pop(self) -> tuple:
-        """Remove and return the smallest ``(time, seq, event)`` tuple."""
+        """Remove and return the smallest ``(time, seq, target, args)``
+        entry."""
         r = self._ready
         while not r:
             self._refill()
@@ -151,7 +169,9 @@ class CalendarQueue:
         return r.pop()
 
     def peek_time(self) -> float:
-        """Time of the next event; ``inf`` when empty."""
+        """Time of the next entry; ``inf`` when empty.  Loads the due
+        bucket into the ready window, so afterwards every entry at that
+        time is in the window."""
         r = self._ready
         while not r:
             if not self._bids:
@@ -161,7 +181,7 @@ class CalendarQueue:
         return r[-1][0]
 
     def drain(self) -> List[tuple]:
-        """Remove and return every pending tuple (arbitrary order)."""
+        """Remove and return every pending entry (arbitrary order)."""
         items = list(self._ready)
         for bucket in self._buckets.values():
             items.extend(bucket)
@@ -217,21 +237,14 @@ def _noop(event: "Event") -> None:
     """Marker callback: registers interest in an event without acting."""
 
 
-def _run_call(event: "Event") -> None:
-    """Trampoline for :meth:`Environment.schedule_call` events: invokes
-    the stored ``fn(*args)``.  A shared module-level function, so
-    scheduling a call allocates no per-call closure."""
-    event.fn(*event.args)
-
-
 class PeriodicCall:
     """A cancellable fixed-interval callback (see :meth:`Environment.every`).
 
     The first call fires one ``interval`` after creation, then every
     ``interval`` thereafter until :meth:`cancel` — the primitive behind
     the hybrid mode's fluid coupling tick.  Each firing schedules the
-    next through the pooled callback path, so a periodic call costs one
-    recycled event per tick and never retains a fired event.
+    next through :meth:`Environment.schedule_call`, so a periodic call
+    costs one queue entry per tick and no event object.
 
     With ``while_pending=True`` the call re-arms only while *other*
     events are still pending after it fires, so a drain-mode
@@ -248,7 +261,7 @@ class PeriodicCall:
     def __init__(self, env: "Environment", interval: float,
                  fn: Callable[..., None], args: tuple,
                  while_pending: bool = False):
-        if interval <= 0:
+        if not interval > 0:  # also refuses NaN
             raise ScheduleInPastError(
                 f"periodic interval must be positive: {interval!r}")
         self.env = env
@@ -270,7 +283,7 @@ class PeriodicCall:
             self.env.schedule_call(self.interval, self._fire)
 
     def cancel(self) -> None:
-        """Stop firing; the pending event becomes a no-op."""
+        """Stop firing; the pending entry becomes a no-op."""
         self._active = False
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -335,10 +348,7 @@ class Event:
         self._triggered = True
         self._ok = True
         self._value = value
-        if delay == 0.0:  # reprolint: disable=RPR008 -- exact-zero sentinel: "this instant", not a computed float
-            self.env._schedule_at(self, self.env._now)
-        else:
-            self.env._schedule(self, delay)
+        self.env._schedule(self, delay)
         return self
 
     def fail(self, exception: BaseException, delay: float = 0.0) -> "Event":
@@ -350,10 +360,7 @@ class Event:
         self._triggered = True
         self._ok = False
         self._value = exception
-        if delay == 0.0:  # reprolint: disable=RPR008 -- exact-zero sentinel: "this instant", not a computed float
-            self.env._schedule_at(self, self.env._now)
-        else:
-            self.env._schedule(self, delay)
+        self.env._schedule(self, delay)
         return self
 
     def add_callback(self, fn: Callable[["Event"], None]) -> None:
@@ -377,17 +384,13 @@ class Event:
 
 
 class Timeout(Event):
-    """An event that fires automatically ``delay`` seconds from creation.
+    """An event that fires automatically ``delay`` seconds from creation."""
 
-    The ``fn``/``args`` slots are used only when the object carries a
-    :meth:`Environment.schedule_call` callback (the pool recycles one
-    object shape through both roles)."""
-
-    __slots__ = ("delay", "fn", "args")
+    __slots__ = ("delay",)
 
     def __init__(self, env: "Environment", delay: float, value: Any = None):
-        if delay < 0:
-            raise ScheduleInPastError(f"negative timeout: {delay!r}")
+        if not delay >= 0:  # also refuses NaN
+            raise ScheduleInPastError(f"invalid timeout delay: {delay!r}")
         # Inlined Event.__init__ + scheduling: Timeouts are the single
         # most-allocated object in a simulation, so skip the extra calls.
         self.env = env
@@ -399,7 +402,12 @@ class Timeout(Event):
         self.delay = delay
         self._pooled = False
         env._seq += 1
-        env._push((env._now + delay, env._seq, self))
+        now = env._now
+        at = now + delay
+        if at <= now:  # due this instant (delay zero or absorbed)
+            env._lane.append((self, None))
+        else:
+            env._push((at, env._seq, self, None))
 
 
 class Process(Event):
@@ -497,13 +505,31 @@ class Process(Event):
         return f"<Process {self.name!r} alive={self.is_alive}>"
 
 
+def _label(fn: Callable[..., Any]) -> str:
+    """Profiler row of a callback that is not a process: the qualified
+    name of the function or bound method (``TenGigAdapter._rx_charge``)."""
+    return getattr(fn, "__qualname__", None) or type(fn).__qualname__
+
+
+def _bad_horizon(horizon: float, now: float) -> SimulationError:
+    """The error for a ``run(until=horizon)`` that is not at or after
+    ``now``: a NaN is not a time at all, anything else is in the past."""
+    if isnan(horizon):
+        return SimulationError(f"run(until={horizon!r}) is not a time")
+    return ScheduleInPastError(
+        f"run(until={horizon!r}) is before now={now!r}")
+
+
 class Environment:
     """The simulation clock and event queue."""
 
     def __init__(self, initial_time: float = 0.0,
                  scheduler: Optional[str] = None):
         self._now = float(initial_time)
-        self._queue: List[Tuple[float, int, Event]] = []
+        self._queue: List[Tuple[float, int, Any, Optional[tuple]]] = []
+        #: entries due at ``_now``, in FIFO (= sequence) order, as
+        #: ``(target, args)`` pairs
+        self._lane: Deque[Tuple[Any, Optional[tuple]]] = deque()
         self._seq = 0
         self._crashes: Deque[Tuple[Process, BaseException]] = deque()
         self._timeout_pool: List[Timeout] = []
@@ -529,7 +555,7 @@ class Environment:
             # Timeout hot path (no bound-method dispatch).
             self._push = partial(_heappush, self._queue)
         # Chaos first: a non-empty fault plan schedules its arm/fire/
-        # recover events before anything else can, so they win (time,
+        # recover entries before anything else can, so they win (time,
         # seq) ties against frame deliveries on every scheduler/data
         # path; with no plan this is a single is-None test.
         _attach_chaos(self)
@@ -552,36 +578,36 @@ class Environment:
 
     @property
     def events_scheduled(self) -> int:
-        """Total events ever scheduled — the events-simulated counter
-        used for events/sec reporting (every scheduled event is
+        """Total entries ever scheduled — the events-simulated counter
+        used for events/sec reporting (every scheduled entry is
         eventually dispatched in a drained run)."""
         return self._seq
 
     def pending_count(self) -> int:
-        """Number of not-yet-dispatched events."""
-        return len(self._queue) if self._cal is None else len(self._cal)
+        """Number of not-yet-dispatched entries (lane included)."""
+        queued = len(self._queue) if self._cal is None else len(self._cal)
+        return queued + len(self._lane)
 
     def swap_scheduler(self, kind: str) -> None:
-        """Switch the pending-event backend mid-run.
+        """Switch the backend of queued entries mid-run.
 
-        Only *still-pending* events migrate: an event whose callbacks
+        Only *still-pending* entries migrate: an event whose callbacks
         already ran (``callbacks is None``) is filtered out, so a
         ``run(until=...)`` re-entered after the swap can never
         re-deliver an already-processed event.  Relative ``(time, seq)``
-        order of the survivors is preserved exactly, so the swap is
-        invisible to simulation results.
+        order of the survivors is preserved exactly, and the same-instant
+        lane is shared by both backends and stays as it is, so the swap
+        is invisible to simulation results.
         """
         if kind not in _SCHEDULERS:
             raise SimulationError(
                 f"unknown scheduler {kind!r}; expected one of {_SCHEDULERS}")
         if kind == self.scheduler:
             return
-        if self._cal is None:
-            pending = [entry for entry in self._queue
-                       if entry[2].callbacks is not None]
-        else:
-            pending = [entry for entry in self._cal.drain()
-                       if entry[2].callbacks is not None]
+        entries = self._queue if self._cal is None else self._cal.drain()
+        pending = [entry for entry in entries
+                   if entry[3] is not None or entry[2].callbacks is not None]
+        if self._cal is not None:
             self._fallback_resizes = self._cal.resizes
         self._scheduler_swaps += 1
         if kind == "heap":
@@ -597,6 +623,9 @@ class Environment:
                     "engine.calendar_resizes")
             for entry in pending:
                 cal.push(entry)
+            # Load the due bucket: dispatch looks for queued entries due
+            # now (ahead of the lane) in the ready window only.
+            cal.peek_time()
             self._queue = []
             self._cal = cal
             self._push = cal.push
@@ -636,8 +665,8 @@ class Environment:
         holding one would observe the object being reused for a later,
         unrelated timeout.
         """
-        if delay < 0:
-            raise ScheduleInPastError(f"negative timeout: {delay!r}")
+        if not delay >= 0:  # also refuses NaN
+            raise ScheduleInPastError(f"invalid timeout delay: {delay!r}")
         pool = self._timeout_pool
         if pool:
             ev = pool.pop()
@@ -647,7 +676,12 @@ class Environment:
             ev._processed = False
             ev.delay = delay
             self._seq += 1
-            self._push((self._now + delay, self._seq, ev))
+            now = self._now
+            at = now + delay
+            if at <= now:  # due this instant (delay zero or absorbed)
+                self._lane.append((ev, None))
+            else:
+                self._push((at, self._seq, ev, None))
             return ev
         ev = Timeout(self, delay, value)
         ev._pooled = True
@@ -658,60 +692,41 @@ class Environment:
         """Start running ``generator`` as a process."""
         return Process(self, generator, name=name)
 
-    def _call_event(self, fn: Callable[..., None], args: tuple) -> Timeout:
-        """A pooled, already-triggered event carrying a callback.
-
-        Like :meth:`_fast_timeout` the object is recycled once processed,
-        so the returned event must not be retained after it fires."""
-        pool = self._timeout_pool
-        if pool:
-            ev = pool.pop()
-            ev._value = None
-            ev._ok = True
-            ev._processed = False
-        else:
-            ev = Timeout.__new__(Timeout)
-            ev.env = self
-            ev._value = None
-            ev._ok = True
-            ev._processed = False
-            ev.delay = 0.0
-            ev._pooled = True
-        ev._triggered = True
-        ev.callbacks = [_run_call]
-        ev.fn = fn
-        ev.args = args
-        return ev
-
     def schedule_call(self, delay: float, fn: Callable[..., None],
-                      *args: Any) -> Event:
+                      *args: Any) -> None:
         """Call ``fn(*args)`` after ``delay`` (plain callback, no process).
 
-        The returned event is recycled through the timeout pool once it
-        has fired; callers must not hold a reference past that point."""
-        if delay < 0:
-            raise ScheduleInPastError(f"negative timeout: {delay!r}")
-        ev = self._call_event(fn, args)
+        The queue entry carries ``fn`` and ``args`` directly — no event
+        object — so there is nothing to wait on or cancel; callers that
+        need a handle use :meth:`timeout` or :meth:`every`."""
+        if not delay >= 0:  # also refuses NaN
+            raise ScheduleInPastError(f"invalid call delay: {delay!r}")
         self._seq += 1
-        self._push((self._now + delay, self._seq, ev))
-        return ev
+        now = self._now
+        at = now + delay
+        if at <= now:  # due this instant (delay zero or absorbed)
+            self._lane.append((fn, args))
+        else:
+            self._push((at, self._seq, fn, args))
 
     def schedule_call_at(self, at_time: float, fn: Callable[..., None],
-                         *args: Any) -> Event:
+                         *args: Any) -> None:
         """Call ``fn(*args)`` at the absolute instant ``at_time``.
 
         Unlike ``schedule_call(at_time - now, ...)`` the target is used
         verbatim — no ``now + delay`` round trip — so batched data paths
         can reproduce a legacy event chain's fire times bit-exactly.
-        The returned event is pool-recycled like :meth:`schedule_call`'s.
+        Like :meth:`schedule_call` it returns nothing.
         """
-        if at_time < self._now:
+        now = self._now
+        if not at_time >= now:  # also refuses NaN
             raise ScheduleInPastError(
-                f"cannot schedule call at {at_time!r} < now {self._now!r}")
-        ev = self._call_event(fn, args)
+                f"cannot schedule call at {at_time!r} < now {now!r}")
         self._seq += 1
-        self._push((at_time, self._seq, ev))
-        return ev
+        if at_time <= now:  # due this instant
+            self._lane.append((fn, args))
+        else:
+            self._push((at_time, self._seq, fn, args))
 
     def every(self, interval: float, fn: Callable[..., None],
               *args: Any, while_pending: bool = False) -> PeriodicCall:
@@ -727,18 +742,26 @@ class Environment:
 
     # -- engine internals ---------------------------------------------------
     def _schedule(self, event: Event, delay: float) -> None:
-        if delay < 0:
+        if not delay >= 0:  # also refuses NaN
             raise ScheduleInPastError(
                 f"cannot schedule event {delay!r}s in the past")
         self._seq += 1
-        self._push((self._now + delay, self._seq, event))
+        now = self._now
+        at = now + delay
+        if at <= now:  # due this instant (delay zero or absorbed)
+            self._lane.append((event, None))
+        else:
+            self._push((at, self._seq, event, None))
 
     def _schedule_at(self, event: Event, at_time: float) -> None:
         """Fast-path scheduling at an absolute time for trusted internal
-        callers: skips the negative-delay validation of :meth:`_schedule`
-        (the caller guarantees ``at_time >= now``)."""
+        callers: skips the validation of :meth:`_schedule` (the caller
+        guarantees ``at_time >= now``)."""
         self._seq += 1
-        self._push((at_time, self._seq, event))
+        if at_time <= self._now:  # due this instant
+            self._lane.append((event, None))
+        else:
+            self._push((at_time, self._seq, event, None))
 
     def _record_crash(self, process: Process, exc: BaseException) -> None:
         self._crashes.append((process, exc))
@@ -748,46 +771,67 @@ class Environment:
         raise SimulationError(
             f"process {process.name!r} crashed: {exc!r}") from exc
 
+    def _pop(self) -> Tuple[Any, Optional[tuple]]:
+        """Remove the next entry in ``(time, seq)`` order, advance the
+        clock to it and return its ``(target, args)``: queued entries
+        due now, then the lane, then the earliest queued entry."""
+        cal = self._cal
+        if self._lane:
+            if cal is None:
+                queue = self._queue
+                if queue and queue[0][0] <= self._now:
+                    return _heappop(queue)[2:]
+            else:
+                ready = cal._ready
+                if ready and ready[-1][0] <= self._now:
+                    return cal.pop()[2:]
+            return self._lane.popleft()
+        if not (self._queue if cal is None else cal._len):
+            raise SimulationError("step() on an empty event queue")
+        entry = _heappop(self._queue) if cal is None else cal.pop()
+        self._now = entry[0]
+        return entry[2:]
+
     # -- execution -------------------------------------------------------------
     def peek(self) -> float:
-        """Time of the next event, or ``float('inf')`` if none."""
+        """Time of the next entry, or ``float('inf')`` if none."""
+        if self._lane:
+            return self._now
         if self._cal is not None:
             return self._cal.peek_time()
         return self._queue[0][0] if self._queue else float("inf")
 
     def step(self) -> None:
-        """Process exactly one event."""
-        if self._cal is not None:
-            if not self._cal:
-                raise SimulationError("step() on an empty event queue")
-            self._now, _, event = self._cal.pop()
-        elif not self._queue:
-            raise SimulationError("step() on an empty event queue")
+        """Process exactly one entry."""
+        target, args = self._pop()
+        if args is not None:
+            target(*args)
         else:
-            self._now, _, event = _heappop(self._queue)
-        callbacks = event.callbacks
-        event.callbacks = None
-        event._processed = True
-        if callbacks:
-            for fn in callbacks:
-                fn(event)
-        if event._pooled:
-            self._timeout_pool.append(event)
+            callbacks = target.callbacks
+            target.callbacks = None
+            target._processed = True
+            if callbacks:
+                for fn in callbacks:
+                    fn(target)
+            if target._pooled:
+                self._timeout_pool.append(target)
         if self._crashes:
             self._raise_crash()
 
     def run(self, until: Any = None) -> Any:
-        """Run events until the queue empties, ``until`` fires or time passes.
+        """Run entries until none are left, ``until`` fires or time passes.
 
         ``until`` may be ``None`` (drain the queue), a number (stop when the
         clock reaches it) or an :class:`Event` (stop when it fires; its
         value is returned — an exception value is raised).
 
         The dispatch loop is :meth:`step` inlined three ways (drain /
-        until-event / horizon): per-event dispatch is the simulator's
+        until-event / horizon): per-entry dispatch is the simulator's
         single hottest path, and the method-call + attribute-lookup
         overhead of delegating to ``step()`` is measurable at millions
-        of events per run.  When engine self-profiling is enabled the
+        of entries per run.  Each loop takes queued entries due now,
+        then the same-instant lane, and only then advances the clock to
+        the next queued entry.  When engine self-profiling is enabled the
         whole call is handed to :meth:`_run_profiled` instead, keeping
         this loop free of instrumentation.
         """
@@ -796,22 +840,34 @@ class Environment:
         if self._cal is not None:
             return self._run_calendar(until)
         queue = self._queue
+        lane = self._lane
+        popleft = lane.popleft
         pool = self._timeout_pool
         crashes = self._crashes
         if until is None:
-            while queue:
-                self._now, _, event = _heappop(queue)
-                callbacks = event.callbacks
-                event.callbacks = None
-                event._processed = True
-                if callbacks:
-                    for fn in callbacks:
-                        fn(event)
-                if event._pooled:
-                    pool.append(event)
+            while True:
+                if lane:
+                    if queue and queue[0][0] <= self._now:
+                        _, _, target, args = _heappop(queue)
+                    else:
+                        target, args = popleft()
+                elif queue:
+                    self._now, _, target, args = _heappop(queue)
+                else:
+                    return None
+                if args is not None:
+                    target(*args)
+                else:
+                    callbacks = target.callbacks
+                    target.callbacks = None
+                    target._processed = True
+                    if callbacks:
+                        for fn in callbacks:
+                            fn(target)
+                    if target._pooled:
+                        pool.append(target)
                 if crashes:
                     self._raise_crash()
-            return None
         if isinstance(until, Event):
             # `callbacks` flips to None exactly when the event is
             # processed — that is the loop condition.  The no-op marks
@@ -820,37 +876,56 @@ class Environment:
             if until.callbacks is not None:
                 until.callbacks.append(_noop)
             while until.callbacks is not None:
-                if not queue:
+                if lane:
+                    if queue and queue[0][0] <= self._now:
+                        _, _, target, args = _heappop(queue)
+                    else:
+                        target, args = popleft()
+                elif queue:
+                    self._now, _, target, args = _heappop(queue)
+                else:
                     raise SimulationError(
                         "event queue drained before `until` event fired")
-                self._now, _, event = _heappop(queue)
-                callbacks = event.callbacks
-                event.callbacks = None
-                event._processed = True
-                if callbacks:
-                    for fn in callbacks:
-                        fn(event)
-                if event._pooled:
-                    pool.append(event)
+                if args is not None:
+                    target(*args)
+                else:
+                    callbacks = target.callbacks
+                    target.callbacks = None
+                    target._processed = True
+                    if callbacks:
+                        for fn in callbacks:
+                            fn(target)
+                    if target._pooled:
+                        pool.append(target)
                 if crashes:
                     self._raise_crash()
             if not until._ok:
                 raise until._value from None
             return until._value
         horizon = float(until)
-        if horizon < self._now:
-            raise ScheduleInPastError(
-                f"run(until={horizon!r}) is before now={self._now!r}")
-        while queue and queue[0][0] <= horizon:
-            self._now, _, event = _heappop(queue)
-            callbacks = event.callbacks
-            event.callbacks = None
-            event._processed = True
-            if callbacks:
-                for fn in callbacks:
-                    fn(event)
-            if event._pooled:
-                pool.append(event)
+        if not horizon >= self._now:
+            raise _bad_horizon(horizon, self._now)
+        while True:
+            if lane:
+                if queue and queue[0][0] <= self._now:
+                    _, _, target, args = _heappop(queue)
+                else:
+                    target, args = popleft()
+            elif queue and queue[0][0] <= horizon:
+                self._now, _, target, args = _heappop(queue)
+            else:
+                break
+            if args is not None:
+                target(*args)
+            else:
+                callbacks = target.callbacks
+                target.callbacks = None
+                target._processed = True
+                if callbacks:
+                    for fn in callbacks:
+                        fn(target)
+                if target._pooled:
+                    pool.append(target)
             if crashes:
                 self._raise_crash()
         self._now = horizon
@@ -859,82 +934,117 @@ class Environment:
     def _run_calendar(self, until: Any = None) -> Any:
         """:meth:`run` against the calendar-queue backend (same three
         modes, same semantics).  The ready-window pop is inlined like
-        the heap loops; when the queue requests a heap fallback the
-        pending set migrates and the run continues there seamlessly."""
+        the heap loops; queued entries due now are always in the ready
+        window, so the check ahead of the lane looks only there.  When
+        the queue requests a heap fallback the pending set migrates and
+        the run continues there seamlessly."""
         cal = self._cal
+        lane = self._lane
+        popleft = lane.popleft
         pool = self._timeout_pool
         crashes = self._crashes
         if until is None:
-            while cal._len:
+            while True:
                 ready = cal._ready
-                while not ready:
-                    cal._refill()
-                    if cal.fallback_requested:
-                        self.swap_scheduler("heap")
-                        return self.run(until)
-                    ready = cal._ready
-                cal._len -= 1
-                self._now, _, event = ready.pop()
-                callbacks = event.callbacks
-                event.callbacks = None
-                event._processed = True
-                if callbacks:
-                    for fn in callbacks:
-                        fn(event)
-                if event._pooled:
-                    pool.append(event)
+                if lane:
+                    if ready and ready[-1][0] <= self._now:
+                        cal._len -= 1
+                        _, _, target, args = ready.pop()
+                    else:
+                        target, args = popleft()
+                elif cal._len:
+                    while not ready:
+                        cal._refill()
+                        if cal.fallback_requested:
+                            self.swap_scheduler("heap")
+                            return self.run(until)
+                        ready = cal._ready
+                    cal._len -= 1
+                    self._now, _, target, args = ready.pop()
+                else:
+                    return None
+                if args is not None:
+                    target(*args)
+                else:
+                    callbacks = target.callbacks
+                    target.callbacks = None
+                    target._processed = True
+                    if callbacks:
+                        for fn in callbacks:
+                            fn(target)
+                    if target._pooled:
+                        pool.append(target)
                 if crashes:
                     self._raise_crash()
-            return None
         if isinstance(until, Event):
             if until.callbacks is not None:
                 until.callbacks.append(_noop)
             while until.callbacks is not None:
-                if not cal._len:
+                ready = cal._ready
+                if lane:
+                    if ready and ready[-1][0] <= self._now:
+                        cal._len -= 1
+                        _, _, target, args = ready.pop()
+                    else:
+                        target, args = popleft()
+                elif cal._len:
+                    while not ready:
+                        cal._refill()
+                        if cal.fallback_requested:
+                            self.swap_scheduler("heap")
+                            return self.run(until)
+                        ready = cal._ready
+                    cal._len -= 1
+                    self._now, _, target, args = ready.pop()
+                else:
                     raise SimulationError(
                         "event queue drained before `until` event fired")
-                ready = cal._ready
-                while not ready:
-                    cal._refill()
-                    if cal.fallback_requested:
-                        self.swap_scheduler("heap")
-                        return self.run(until)
-                    ready = cal._ready
-                cal._len -= 1
-                self._now, _, event = ready.pop()
-                callbacks = event.callbacks
-                event.callbacks = None
-                event._processed = True
-                if callbacks:
-                    for fn in callbacks:
-                        fn(event)
-                if event._pooled:
-                    pool.append(event)
+                if args is not None:
+                    target(*args)
+                else:
+                    callbacks = target.callbacks
+                    target.callbacks = None
+                    target._processed = True
+                    if callbacks:
+                        for fn in callbacks:
+                            fn(target)
+                    if target._pooled:
+                        pool.append(target)
                 if crashes:
                     self._raise_crash()
             if not until._ok:
                 raise until._value from None
             return until._value
         horizon = float(until)
-        if horizon < self._now:
-            raise ScheduleInPastError(
-                f"run(until={horizon!r}) is before now={self._now!r}")
-        while cal._len:
-            if cal.peek_time() > horizon:
+        if not horizon >= self._now:
+            raise _bad_horizon(horizon, self._now)
+        while True:
+            if lane:
+                ready = cal._ready
+                if ready and ready[-1][0] <= self._now:
+                    cal._len -= 1
+                    _, _, target, args = ready.pop()
+                else:
+                    target, args = popleft()
+            elif cal._len and cal.peek_time() <= horizon:
+                if cal.fallback_requested:
+                    self.swap_scheduler("heap")
+                    return self.run(horizon)
+                cal._len -= 1
+                self._now, _, target, args = cal._ready.pop()
+            else:
                 break
-            if cal.fallback_requested:
-                self.swap_scheduler("heap")
-                return self.run(horizon)
-            cal._len -= 1
-            self._now, _, event = cal._ready.pop()
-            callbacks = event.callbacks
-            event.callbacks = None
-            event._processed = True
-            if callbacks:
-                for fn in callbacks:
-                    fn(event)
-            if event._pooled:
-                pool.append(event)
+            if args is not None:
+                target(*args)
+            else:
+                callbacks = target.callbacks
+                target.callbacks = None
+                target._processed = True
+                if callbacks:
+                    for fn in callbacks:
+                        fn(target)
+                if target._pooled:
+                    pool.append(target)
             if crashes:
                 self._raise_crash()
         self._now = horizon
@@ -942,39 +1052,40 @@ class Environment:
 
     # -- self-profiling -------------------------------------------------------
     def _step_profiled(self, prof: Any) -> None:
-        """One :meth:`step` with event/heap accounting and wall-clock
-        attribution of each callback to its owning component."""
-        cal = self._cal
-        depth = len(self._queue) if cal is None else len(cal)
+        """One :meth:`step` with event/queue accounting and wall-clock
+        attribution of each callback: a process callback to its owning
+        component, any other to its function's qualified name."""
+        depth = self.pending_count()
         if depth > prof.heap_hwm:
             prof.heap_hwm = depth
-        if cal is None:
-            self._now, _, event = _heappop(self._queue)
-        else:
-            self._now, _, event = cal.pop()
-        tname = type(event).__name__
-        counts = prof.event_counts
-        counts[tname] = counts.get(tname, 0) + 1
+        target, args = self._pop()
         prof.events_total += 1
-        callbacks = event.callbacks
-        event.callbacks = None
-        event._processed = True
-        if callbacks:
-            cb_counts = prof.callback_counts
-            cb_time = prof.callback_time_s
-            for fn in callbacks:
+        counts = prof.event_counts
+        if args is not None:
+            counts["Call"] = counts.get("Call", 0) + 1
+            calls = [(_label(target), target, args)]
+        else:
+            tname = type(target).__name__
+            counts[tname] = counts.get(tname, 0) + 1
+            callbacks = target.callbacks
+            target.callbacks = None
+            target._processed = True
+            calls = []
+            for fn in callbacks or ():
                 owner = getattr(fn, "__self__", None)
-                if isinstance(owner, Process):
-                    label = _component_of(owner.name)
-                else:
-                    label = "(callback)"
-                start = perf_counter()  # reprolint: disable=RPR002 -- profiler wall-clock accounting; never feeds back into sim state
-                fn(event)
-                elapsed = perf_counter() - start  # reprolint: disable=RPR002 -- profiler wall-clock accounting; never feeds back into sim state
-                cb_counts[label] = cb_counts.get(label, 0) + 1
-                cb_time[label] = cb_time.get(label, 0.0) + elapsed
-        if event._pooled:
-            self._timeout_pool.append(event)
+                label = (_component_of(owner.name)
+                         if isinstance(owner, Process) else _label(fn))
+                calls.append((label, fn, (target,)))
+        cb_counts = prof.callback_counts
+        cb_time = prof.callback_time_s
+        for label, fn, fn_args in calls:
+            start = perf_counter()  # reprolint: disable=RPR002 -- profiler wall-clock accounting; never feeds back into sim state
+            fn(*fn_args)
+            elapsed = perf_counter() - start  # reprolint: disable=RPR002 -- profiler wall-clock accounting; never feeds back into sim state
+            cb_counts[label] = cb_counts.get(label, 0) + 1
+            cb_time[label] = cb_time.get(label, 0.0) + elapsed
+        if args is None and target._pooled:
+            self._timeout_pool.append(target)
         if self._crashes:
             self._raise_crash()
 
@@ -1000,9 +1111,8 @@ class Environment:
                     raise until._value from None
                 return until._value
             horizon = float(until)
-            if horizon < self._now:
-                raise ScheduleInPastError(
-                    f"run(until={horizon!r}) is before now={self._now!r}")
+            if not horizon >= self._now:
+                raise _bad_horizon(horizon, self._now)
             while self.pending_count() and self.peek() <= horizon:
                 self._step_profiled(prof)
             self._now = horizon

@@ -4,12 +4,15 @@ An :class:`EngineProfiler` attaches to an :class:`~repro.sim.engine.
 Environment` (via ``Environment.enable_profiling``) and records, per
 processed event:
 
-* event counts by event type (``Timeout``, ``Event``, ``Process``),
+* event counts by event type (``Timeout``, ``Event``, ``Process``, and
+  ``Call`` for :meth:`~repro.sim.engine.Environment.schedule_call`
+  entries, which carry no event),
 * callback counts and wall-clock seconds attributed to the *component*
-  that ran — derived from the process name by stripping the instance
-  prefix (``hostA.tcp.pump`` → ``tcp.pump``) so all hosts' senders
-  aggregate into one row,
-* the heap-depth high-water mark (pending events at dispatch).
+  that ran.  A process callback is named after the process with the
+  instance prefix stripped (``hostA.tcp.pump`` → ``tcp.pump``) so all
+  hosts' senders aggregate into one row; any other callback after its
+  function's qualified name (``TenGigAdapter._rx_charge``),
+* the queue-depth high-water mark (pending entries at dispatch).
 
 Profiling uses a separate dispatch loop in the engine, so a simulation
 that never enables it pays exactly one ``is None`` check per ``run()``
@@ -95,9 +98,10 @@ class EngineProfiler:
             lines.append("wall-clock by component:")
             rows = sorted(self.callback_time_s.items(),
                           key=lambda kv: (-kv[1], kv[0]))
+            width = max(24, *(len(key) for key, _ in rows))
             for key, t in rows:
                 n = self.callback_counts.get(key, 0)
-                lines.append(f"  {key:<24s} {t * 1e3:8.2f} ms "
+                lines.append(f"  {key:<{width}s} {t * 1e3:8.2f} ms "
                              f"{100.0 * t / total_t:5.1f}%  "
                              f"({n} callbacks)")
         return "\n".join(lines)

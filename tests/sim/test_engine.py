@@ -392,3 +392,151 @@ class TestPeriodicCall:
             env.every(0.0, lambda: None)
         with pytest.raises(ScheduleInPastError):
             env.every(-1.0, lambda: None)
+
+
+NAN = float("nan")
+
+
+class TestNanRejected:
+    """A NaN compares false with everything, so it must be refused at
+    the door: in the queue it would fire out of order."""
+
+    def test_timeout(self):
+        with pytest.raises(ScheduleInPastError):
+            Environment().timeout(NAN)
+
+    def test_fast_timeout_fresh_and_pooled(self):
+        env = Environment()
+        with pytest.raises(ScheduleInPastError):
+            env._fast_timeout(NAN)
+
+        def proc():
+            yield env._fast_timeout(1.0)  # returns to the pool
+
+        env.process(proc())
+        env.run()
+        assert env._timeout_pool
+        with pytest.raises(ScheduleInPastError):
+            env._fast_timeout(NAN)
+
+    def test_schedule_call(self):
+        env = Environment()
+        fired = []
+        for delay in (3.0, 1.0):
+            env.schedule_call(delay, fired.append, delay)
+        with pytest.raises(ScheduleInPastError):
+            env.schedule_call(NAN, fired.append, NAN)
+        for delay in (2.0, 0.5):
+            env.schedule_call(delay, fired.append, delay)
+        env.run()
+        assert fired == [0.5, 1.0, 2.0, 3.0]
+
+    def test_schedule_call_at(self):
+        with pytest.raises(ScheduleInPastError):
+            Environment().schedule_call_at(NAN, lambda: None)
+
+    def test_every(self):
+        with pytest.raises(ScheduleInPastError):
+            Environment().every(NAN, lambda: None)
+
+    def test_succeed_and_fail_delay(self):
+        env = Environment()
+        with pytest.raises(ScheduleInPastError):
+            env.event().succeed(delay=NAN)
+        with pytest.raises(ScheduleInPastError):
+            env.event().fail(ValueError("x"), delay=NAN)
+
+    def test_run_until(self):
+        env = Environment()
+        env.schedule_call(1.0, lambda: None)
+        with pytest.raises(SimulationError, match="not a time") as info:
+            env.run(until=NAN)
+        assert not isinstance(info.value, ScheduleInPastError)
+        assert env.now == 0.0
+        assert env.pending_count() == 1
+
+
+class TestSameInstantLane:
+    """Entries due at the current instant bypass the queue; dispatch
+    order must still be exact (time, seq)."""
+
+    def test_schedule_calls_return_none(self):
+        env = Environment()
+        assert env.schedule_call(0.0, lambda: None) is None
+        assert env.schedule_call(1.0, lambda: None) is None
+        assert env.schedule_call_at(2.0, lambda: None) is None
+        assert env.schedule_call_at(0.0, lambda: None) is None
+
+    @pytest.mark.parametrize("scheduler", ["heap", "calendar"])
+    def test_queued_entries_due_now_run_before_the_lane(self, scheduler):
+        env = Environment(scheduler=scheduler)
+        order = []
+
+        def first():
+            order.append("first")
+            env.schedule_call(0.0, order.append, "lane")
+
+        env.schedule_call(1.0, first)
+        env.schedule_call(1.0, order.append, "queued")
+        env.run()
+        assert order == ["first", "queued", "lane"]
+
+    @pytest.mark.parametrize("scheduler", ["heap", "calendar"])
+    def test_absorbed_delay_is_due_now(self, scheduler):
+        env = Environment(initial_time=1.0, scheduler=scheduler)
+        order = []
+        env.schedule_call(1e-30, order.append, "absorbed")  # 1.0 + 1e-30 == 1.0
+        env.schedule_call(0.0, order.append, "zero")
+        env.timeout(1e-30).add_callback(lambda _e: order.append("timeout"))
+        assert env.peek() == 1.0
+        env.run()
+        assert order == ["absorbed", "zero", "timeout"]
+        assert env.now == 1.0
+
+    @pytest.mark.parametrize("start,target",
+                             [("heap", "calendar"), ("calendar", "heap")])
+    def test_lane_survives_a_swap(self, start, target):
+        env = Environment(scheduler=start)
+        order = []
+
+        def first():
+            order.append("first")
+            env.schedule_call(0.0, order.append, "lane")
+            env.event().succeed().add_callback(
+                lambda _e: order.append("succeed"))
+
+        env.schedule_call(1.0, first)
+        env.schedule_call(1.0, order.append, "queued")
+        env.schedule_call(2.0, order.append, "later")
+        env.step()
+        assert env.pending_count() == 4  # queued, later + two in the lane
+        env.swap_scheduler(target)
+        assert env.pending_count() == 4
+        env.run()
+        assert order == ["first", "queued", "lane", "succeed", "later"]
+
+    def test_events_scheduled_counts_lane_entries(self):
+        env = Environment()
+        env.schedule_call(0.0, lambda: None)
+        env.event().succeed()
+        env.timeout(0.0)
+        env.schedule_call(1.0, lambda: None)
+        assert env.events_scheduled == 4
+        assert env.pending_count() == 4
+        env.run()
+        assert env.pending_count() == 0
+
+    def test_crash_leaves_the_lane_resumable(self):
+        env = Environment()
+        order = []
+
+        def boom():
+            env.schedule_call(0.0, order.append, "after")
+            raise RuntimeError("boom")
+
+        env.schedule_call(1.0, boom)
+        with pytest.raises(RuntimeError):
+            env.run()
+        assert env.pending_count() == 1
+        env.run()
+        assert order == ["after"] and env.now == 1.0

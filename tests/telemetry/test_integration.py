@@ -20,6 +20,7 @@ from repro.tcp.connection import TcpConnection
 from repro.telemetry.points import CATALOG
 from repro.telemetry.profiling import EngineProfiler, component_of
 from repro.telemetry.session import telemetry_session
+from repro.tools.nttcp import nttcp_run
 
 
 def _stream(env, conn, payload, count):
@@ -121,6 +122,21 @@ class TestEngineProfiling:
         table = prof.render_table()
         assert "Engine profile" in table
         assert "wall-clock by component" in table
+
+    def test_fig3_point_labels_every_callback(self):
+        """Callback entries are labelled by their function, so a Fig. 3
+        transfer (train path, almost all callbacks) has no anonymous row."""
+        with telemetry_session(metrics=False, profile=True) as session:
+            env = Environment()
+            bb = BackToBack.create(env, TuningConfig.stock(1500))
+            conn = TcpConnection(env, bb.a, bb.b)
+            nttcp_run(env, conn, 8192, 32)
+        prof = session.profile
+        assert "(callback)" not in prof.callback_counts
+        assert prof.event_counts["Call"] > 0
+        assert sum(prof.event_counts.values()) == prof.events_total
+        assert any(key.startswith("TenGigAdapter.")
+                   for key in prof.callback_counts)
 
     def test_component_of_strips_instances(self):
         assert component_of("hostA.tcp.pump") == "tcp.pump"
