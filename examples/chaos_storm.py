@@ -15,7 +15,7 @@ acts:
 3. **packet-level DES** — arm a declarative :class:`FaultPlan` (a loss
    burst on the bottleneck OC-48) against the scaled WAN testbed and
    read the injector's per-fault scorecard.  Per seed, the outcome is
-   bit-identical across heap/calendar schedulers and train on/off.
+   bit-identical with train batching on and off.
 
 Run:  python examples/chaos_storm.py
 """

@@ -40,11 +40,8 @@ metrics into the archived JSON (under ``repro_metrics``):
 
 - events-simulated/sec and the mean transmit-train size on the
   reference nttcp workload,
-- a deep-queue scheduler microbench gating that the calendar-queue
-  backend beats the binary heap by at least ``--scheduler-threshold``
-  (default 15%) at ~20k pending timers,
 - with ``--figure-sweep``, the Fig. 3 MTU sweep + WAN benchmark wall
-  times for legacy+heap vs batched+calendar, their speedup, and a
+  times for the legacy vs the batched data path, their speedup, and a
   bit-identical cross-check of the experiment data.
 
 Finally, ``--lint-clean`` runs reprolint (``python -m repro.lint``, see
@@ -60,7 +57,7 @@ Usage::
     python scripts/bench_compare.py --baseline benchmarks/results/BENCH_abc1234.json
     python scripts/bench_compare.py --threshold 0.10
     python scripts/bench_compare.py --trace-overhead-only
-    python scripts/bench_compare.py --figure-sweep  # + train/scheduler bench
+    python scripts/bench_compare.py --figure-sweep  # + data-path bench
     python scripts/bench_compare.py --lint-clean    # reprolint gate + stamp
 """
 
@@ -184,65 +181,6 @@ def measure_engine_metrics() -> Dict[str, float]:
     }
 
 
-def measure_scheduler_microbench(depth: int = 100_000, rounds: int = 5,
-                                 repeats: int = 3) -> Dict[str, float]:
-    """Deep-pending-queue scheduler shootout: heap vs calendar.
-
-    Keeps ~``depth`` timers pending while churning ``depth * rounds``
-    schedule/dispatch pairs — the regime where the heap pays
-    O(log depth) per operation and the calendar queue pays O(1).
-    Returns best-of-``repeats`` wall time per backend (interleaved so
-    machine drift hits both alike).
-    """
-    sys.path.insert(0, str(ROOT / "src"))
-    from time import perf_counter
-
-    from repro.sim.engine import Environment
-
-    def run(kind: str) -> float:
-        env = Environment(scheduler=kind)
-        horizon = depth * 1e-6
-
-        def rearm(remaining: int) -> None:
-            if remaining:
-                env.schedule_call(horizon, rearm, remaining - 1)
-
-        for i in range(depth):
-            env.schedule_call((i + 1) * 1e-6, rearm, rounds)
-        start = perf_counter()
-        env.run()
-        return perf_counter() - start
-
-    best = {"heap": float("inf"), "calendar": float("inf")}
-    for _ in range(repeats):
-        for kind in ("heap", "calendar"):
-            best[kind] = min(best[kind], run(kind))
-    return best
-
-
-def check_scheduler_microbench(threshold: float,
-                               repeats: int) -> tuple:
-    """Gate: the calendar queue must beat the heap by ``threshold``.
-
-    Returns ``(ok, times)`` where ``times`` holds the best wall time per
-    backend plus the measured speedup.
-    """
-    print(f"\nscheduler deep-queue microbench (best of {repeats}, "
-          f"~100000 pending timers):")
-    times = measure_scheduler_microbench(repeats=repeats)
-    speedup = times["heap"] / times["calendar"]
-    times["calendar_speedup"] = speedup
-    for kind in ("heap", "calendar"):
-        print(f"  {kind:<9}  {times[kind]:>10.6f} s")
-    if speedup < 1.0 + threshold:
-        print(f"\nFAIL: calendar queue is only {speedup:.2f}x the heap on "
-              f"the deep-queue microbench (needs >= {1.0 + threshold:.2f}x).")
-        return False, times
-    print(f"OK: calendar queue is {speedup:.2f}x the heap "
-          f"(gate {1.0 + threshold:.2f}x).")
-    return True, times
-
-
 _SWEEP_DRIVER = r"""
 import hashlib, json, sys, time
 from repro.analysis.experiments import run_experiment
@@ -258,23 +196,22 @@ json.dump({"wall": wall,
 
 
 def measure_figure_sweep(repeats: int = 2) -> Dict[str, object]:
-    """Figure-sweep speedup: batched+calendar vs legacy+heap.
+    """Figure-sweep speedup: batched vs legacy data path.
 
-    Runs the Fig. 3 MTU sweep and the WAN benchmark (quick mode) under
-    both data paths — train batching off on the binary heap (the PR 2
-    path) vs batching on under the calendar queue — and reports wall
+    Runs the Fig. 3 MTU sweep and the WAN benchmark (quick mode) with
+    train batching off (the per-segment path) and on, and reports wall
     times, the speedup, and whether the two variants produced
     bit-identical experiment data (the determinism contract: batching
-    and the scheduler backend are pure performance knobs).
+    is a pure performance knob).
 
-    Each run happens in a fresh subprocess (both knobs are captured at
+    Each run happens in a fresh subprocess (the knob is captured at
     component construction, and a cold interpreter is how experiments
     actually run); variants are interleaved best-of-``repeats`` so
     machine drift hits both alike.
     """
     variants = {
-        "legacy": {"REPRO_TRAIN": "0", "REPRO_SCHEDULER": "heap"},
-        "batched": {"REPRO_TRAIN": "1", "REPRO_SCHEDULER": "calendar"},
+        "legacy": {"REPRO_TRAIN": "0"},
+        "batched": {"REPRO_TRAIN": "1"},
     }
     experiments = ("fig3", "wan")
 
@@ -807,17 +744,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="run only the stream-overhead bench")
     parser.add_argument("--skip-stream-overhead", action="store_true",
                         help="skip the stream-overhead bench")
-    parser.add_argument("--scheduler-threshold", type=float, default=0.15,
-                        help="minimum calendar-vs-heap advantage on the "
-                             "deep-queue microbench (default 0.15 = 15%%)")
-    parser.add_argument("--scheduler-repeats", type=int, default=3,
-                        help="repeats for the scheduler microbench "
-                             "(best-of; default 3)")
-    parser.add_argument("--skip-scheduler-bench", action="store_true",
-                        help="skip the deep-queue scheduler microbench")
     parser.add_argument("--figure-sweep", action="store_true",
                         help="also run the fig3+wan figure-sweep speedup "
-                             "bench (batched+calendar vs legacy+heap; "
+                             "bench (batched vs legacy data path; "
                              "adds minutes)")
     parser.add_argument("--fabric-threshold", type=float, default=0.05,
                         help="maximum tolerated hybrid-vs-DES aggregate "
@@ -917,11 +846,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     print(f"  events/sec         {metrics['events_per_sec']:>12,.0f}")
     print(f"  mean train size    {metrics['mean_train_size']:>12.2f}")
 
-    sched_ok = True
-    if not args.skip_scheduler_bench:
-        sched_ok, sched_times = check_scheduler_microbench(
-            args.scheduler_threshold, args.scheduler_repeats)
-        extra["scheduler_microbench"] = sched_times
     chaos_ok = True
     if not args.skip_chaos_overhead:
         chaos_ok, chaos_times = check_chaos_overhead(
@@ -944,8 +868,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.figure_sweep:
         sweep = measure_figure_sweep()
         extra["figure_sweep"] = sweep
-        print(f"\nfigure-sweep bench (quick): batched+calendar vs "
-              f"legacy+heap")
+        print("\nfigure-sweep bench (quick): batched vs legacy data path")
         for exp in ("fig3", "wan"):
             s = sweep[exp]
             ident = "bit-identical" if s["bit_identical"] else \
@@ -960,8 +883,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             record_extra_metrics(out_path, extra)
             return 1
     record_extra_metrics(out_path, extra)
-    if (not sched_ok or not chaos_ok or not stream_ok or not fabric_ok
-            or not cache_ok):
+    if not chaos_ok or not stream_ok or not fabric_ok or not cache_ok:
         return 1
     if not args.skip_trace_overhead:
         if not check_trace_overhead(args.trace_threshold, args.trace_repeats):

@@ -96,10 +96,9 @@ bursts, reordering, corruption, duplicates, switch-buffer degradation,
 NIC stalls/resets, CPU contention — described by a JSON `FaultPlan`
 and armed with `chaos_session(plan)`, the `--chaos PLAN.json` CLI flag
 or `REPRO_CHAOS=plan.json`.  Outcomes are deterministic per plan seed
-across both schedulers and both data paths; the empty plan is
-byte-identical to chaos off, and the active plan's fingerprint is
-folded into every result-cache key so chaotic and clean results never
-alias.  `repro.chaos.analyze_goodput` + `render_scorecard` score each
+across both data paths; the empty plan is byte-identical to chaos off,
+and the active plan's fingerprint is folded into every result-cache
+key so chaotic and clean results never alias.  `repro.chaos.analyze_goodput` + `render_scorecard` score each
 fault's goodput trough, time-to-recover, lost bits and retransmission
 storm (the paper's §5 "one loss costs ~1.5 hours" arithmetic:
 `repro.analysis.resilience.wan_loss_report`, demo in
@@ -109,19 +108,14 @@ storm (the paper's §5 "one loss costs ~1.5 hours" arithmetic:
 
 ## Engine performance
 
-Two engine-level switches trade event count for speed with
-**bit-identical** simulation results (see `docs/PERFORMANCE.md`):
-segment-train batching (`REPRO_TRAIN`, default on) moves contiguous
-frame bursts through the NIC/bus/network layers as one scheduled unit,
-and the event-queue backend (`REPRO_SCHEDULER=heap|calendar`, or
-`Environment(scheduler=...)`) selects between the binary heap and a
-self-resizing calendar queue.  The heap is at least as fast end to end
-on every benchmark workload; the calendar wins only on a synthetic
-deep-queue microbench.  Whatever the backend, entries due at the
-current instant bypass it on a FIFO same-instant lane, and
-`schedule_call` entries carry no event object.
-`scripts/bench_compare.py` records events/sec, mean train size and the
-scheduler microbench into `benchmarks/results/BENCH_<rev>.json`.
+Segment-train batching (`REPRO_TRAIN`, default on) trades event count
+for speed with **bit-identical** simulation results (see
+`docs/PERFORMANCE.md`): it moves contiguous frame bursts through the
+NIC/bus/network layers as one scheduled unit.  The event queue is a
+binary heap; entries due at the current instant bypass it on a FIFO
+same-instant lane, and `schedule_call` entries carry no event object.
+`scripts/bench_compare.py` records events/sec and mean train size into
+`benchmarks/results/BENCH_<rev>.json`.
 """
 
 

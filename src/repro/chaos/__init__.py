@@ -11,7 +11,7 @@ stack's recovery with :func:`analyze_goodput`.  See
 
 Guarantees: a run with no plan (or an empty plan) is bit-identical to a
 build without chaos, and a seeded plan produces identical results across
-the heap/calendar schedulers and the segment-train on/off data paths.
+the segment-train on/off data paths.
 
 This module is import-light on purpose — ``sim/engine.py`` and
 ``cache.py`` import :mod:`repro.chaos.hooks` on their own hot import

@@ -8,8 +8,8 @@ the lowest sequence numbers at their instants and win FIFO ties against
 any frame delivery scheduled later.  Consequences:
 
 * a frame delivered exactly at a window's opening instant is faulted,
-  one at the closing instant is not — on both schedulers and both data
-  paths, because tie-breaks are by ``(time, seq)`` everywhere;
+  one at the closing instant is not — on both data paths, because
+  tie-breaks are by ``(time, seq)`` everywhere;
 * an empty plan schedules nothing and registers nothing, so the run is
   byte-identical to chaos-off (sequence numbers included);
 * per-fault randomness comes from named :class:`~repro.sim.rng.

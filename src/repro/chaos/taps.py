@@ -3,9 +3,8 @@
 Two families live here:
 
 * the **deterministic index taps** (:class:`LossTap`,
-  :class:`DuplicateTap`, :class:`ReorderTap`) — moved from the original
-  ``repro.net.faults`` module (which now re-exports them with a
-  deprecation warning).  They perturb specific per-kind arrival indices
+  :class:`DuplicateTap`, :class:`ReorderTap`).  They perturb specific
+  per-kind arrival indices
   so a failing case replays exactly; property tests drive TCP's
   recovery machinery through them.
 * the **time-gated** :class:`SinkTap` used by the

@@ -256,11 +256,6 @@ _register_env(
                 "per-segment path is bit-identical by contract, so the "
                 "toggle is speed-only.")
 _register_env(
-    "REPRO_SCHEDULER", None, _parse_optional_str,
-    affects_results=False, keyed_via="none",
-    description="Event-queue backend (heap/calendar); both orderings "
-                "are bit-identical by contract.")
-_register_env(
     "REPRO_JOBS", None, _parse_optional_str,
     affects_results=False, keyed_via="none",
     description="Default sweep parallelism ('auto' = one per core); "

@@ -3,9 +3,9 @@
 Every figure this repository regenerates rests on one invariant: a
 simulation result is a pure function of (tuning configuration, topology/
 workload parameters, code) — bit-identical across serial/parallel runs,
-heap/calendar schedulers, train batching on/off, chaos on/off and warm/
-cold caches.  Runtime parity tests police that invariant *after* the
-fact and at full simulation cost; reprolint polices it *statically*, on
+train batching on/off, chaos on/off and warm/cold caches.  Runtime
+parity tests police that invariant *after* the fact and at full
+simulation cost; reprolint polices it *statically*, on
 every PR, by scanning the source for the bug classes that break it:
 
 * unseeded randomness (RPR001) and wall-clock reads (RPR002),

@@ -3,12 +3,12 @@
 Design notes
 ------------
 
-* The event queue holds ``(time, sequence, target, args)`` entries.  A
-  callback entry (:meth:`Environment.schedule_call`) carries the
-  function and its argument tuple and no :class:`Event` at all; an event
-  entry carries the event and ``None``.  The monotonically increasing
-  sequence number guarantees FIFO ordering among same-time entries, so
-  runs are bit-for-bit deterministic.
+* The event queue, a binary heap, holds ``(time, sequence, target,
+  args)`` entries.  A callback entry (:meth:`Environment.schedule_call`)
+  carries the function and its argument tuple and no :class:`Event` at
+  all; an event entry carries the event and ``None``.  The
+  monotonically increasing sequence number guarantees FIFO ordering
+  among same-time entries, so runs are bit-for-bit deterministic.
 * An entry due at the current instant skips the queue and goes on the
   *same-instant lane*, a FIFO ``deque``.  Routing is on the computed
   fire instant, not on ``delay == 0``: ``now + delay`` can round to
@@ -18,16 +18,6 @@ Design notes
   lane in FIFO order, which is exact ``(time, sequence)`` order.  The
   zero-delay hops of the train data path and ``Event.succeed()`` thus
   cost a ``deque`` append and pop instead of a heap push and pop.
-* Two interchangeable backends hold the queued entries: a binary heap
-  (the default) and a self-resizing :class:`CalendarQueue` (select with
-  ``REPRO_SCHEDULER=calendar`` or the ``scheduler=`` constructor
-  argument).  Both pop in exact ``(time, sequence)`` order, so the
-  backend choice never changes simulation results — only wall-clock
-  speed.  :meth:`Environment.swap_scheduler` migrates still-pending
-  entries between backends mid-run (the lane is shared by both and
-  stays as it is); the calendar queue requests an automatic fallback to
-  the heap when the event-time distribution defeats its bucketing
-  heuristics.
 * Processes are plain Python generators.  A process yields an
   :class:`Event`; the engine registers the process as a callback and
   resumes it (``send``/``throw``) when the event fires.  This is the same
@@ -53,184 +43,13 @@ from typing import Any, Callable, Deque, Generator, List, Optional, Tuple
 from repro.chaos.hooks import attach_environment as _attach_chaos
 from repro.errors import ScheduleInPastError, SimulationError
 from repro.telemetry.profiling import component_of as _component_of
-from repro.telemetry.session import active_metrics as _active_metrics
 from repro.telemetry.session import attach_environment as _attach_environment
 
 __all__ = ["Environment", "Event", "Timeout", "Process", "Interrupt",
-           "CalendarQueue", "PeriodicCall"]
+           "PeriodicCall"]
 
 _heappush = heapq.heappush
 _heappop = heapq.heappop
-_heapify = heapq.heapify
-
-#: environment variable selecting the event-queue backend
-SCHEDULER_ENV = "REPRO_SCHEDULER"
-_SCHEDULERS = ("heap", "calendar")
-
-
-class CalendarQueue:
-    """Self-resizing bucketed event queue (a calendar queue).
-
-    Drop-in replacement for the binary heap: :meth:`pop` returns pending
-    ``(time, seq, target, args)`` entries in exact ascending
-    ``(time, seq)`` order, so same-time FIFO determinism is
-    bit-identical to the heap.
-
-    Structure: pending tuples live in per-epoch *buckets* (``dict``
-    keyed by ``int(time / width)``) that stay unsorted until their epoch
-    comes up; a small min-heap of bucket ids yields the next non-empty
-    bucket directly, so there is no empty-bucket scanning even for
-    sparse horizons (40 ms delayed-ACK timers next to nanosecond wire
-    events).  The due bucket is sorted *descending* once (C ``sort``)
-    into a ready window popped from the end in O(1); entries for the
-    bucket being drained are binary-insorted near the tail, which is
-    cheap because they are always among the next-due entries.  (Entries
-    due at the current instant never get here: they go on the
-    environment's same-instant lane.)
-
-    The bucket ``width`` resizes itself toward a target mean occupancy
-    (Brown's heuristic, simplified): too-full buckets pay insertion-sort
-    churn, too-sparse buckets degenerate into a slower heap.  When the
-    distribution keeps defeating the heuristic (``resizes`` exhausts its
-    budget) the queue sets ``fallback_requested`` and the environment
-    swaps back to the binary heap mid-run.
-    """
-
-    __slots__ = ("_buckets", "_bids", "_ready", "_ready_bid", "_width",
-                 "_inv_width", "_len", "_loads", "_loaded", "resizes",
-                 "fallback_requested", "resize_counter")
-
-    #: mean bucket occupancy the resize heuristic steers toward
-    TARGET_OCCUPANCY = 16
-    #: relative occupancy band outside which a resize fires
-    HIGH_FACTOR = 8.0
-    LOW_FACTOR = 0.125
-    #: bucket loads between occupancy checks
-    CHECK_EVERY = 64
-    #: resize budget before requesting the heap fallback
-    MAX_RESIZES = 8
-    #: width clamp (seconds per bucket)
-    MIN_WIDTH = 1e-9
-    MAX_WIDTH = 10.0
-
-    def __init__(self, width: float = 1e-5):
-        self._width = width
-        self._inv_width = 1.0 / width
-        self._buckets: dict = {}   # bucket id -> unsorted entries
-        self._bids: List[int] = [] # min-heap of ids present in _buckets
-        self._ready: List[tuple] = []  # descending; pop from the end
-        self._ready_bid = -1       # highest bucket id merged into _ready
-        self._len = 0
-        self._loads = 0
-        self._loaded = 0
-        self.resizes = 0
-        self.fallback_requested = False
-        #: optional telemetry Counter mirroring ``resizes`` (the
-        #: ``engine.calendar_resizes`` instrumentation point)
-        self.resize_counter: Optional[Any] = None
-
-    def __len__(self) -> int:
-        return self._len
-
-    def push(self, item: tuple) -> None:
-        """Insert a ``(time, seq, target, args)`` entry."""
-        bid = int(item[0] * self._inv_width)
-        if bid <= self._ready_bid:
-            # Belongs to the window already being drained: binary-insort
-            # into the descending ready list.  Entries due soon land by
-            # the tail (they sort just above the already-drained point),
-            # so the list shift is short.
-            r = self._ready
-            lo, hi = 0, len(r)
-            while lo < hi:
-                mid = (lo + hi) >> 1
-                if r[mid] > item:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            r.insert(lo, item)
-        else:
-            bucket = self._buckets.get(bid)
-            if bucket is None:
-                self._buckets[bid] = [item]
-                _heappush(self._bids, bid)
-            else:
-                bucket.append(item)
-        self._len += 1
-
-    def pop(self) -> tuple:
-        """Remove and return the smallest ``(time, seq, target, args)``
-        entry."""
-        r = self._ready
-        while not r:
-            self._refill()
-            r = self._ready
-        self._len -= 1
-        return r.pop()
-
-    def peek_time(self) -> float:
-        """Time of the next entry; ``inf`` when empty.  Loads the due
-        bucket into the ready window, so afterwards every entry at that
-        time is in the window."""
-        r = self._ready
-        while not r:
-            if not self._bids:
-                return float("inf")
-            self._refill()
-            r = self._ready
-        return r[-1][0]
-
-    def drain(self) -> List[tuple]:
-        """Remove and return every pending entry (arbitrary order)."""
-        items = list(self._ready)
-        for bucket in self._buckets.values():
-            items.extend(bucket)
-        self._ready = []
-        self._buckets = {}
-        self._bids = []
-        self._ready_bid = -1
-        self._len = 0
-        return items
-
-    # -- internals ---------------------------------------------------------
-    def _refill(self) -> None:
-        if not self._bids:
-            raise SimulationError("pop from an empty calendar queue")
-        bid = _heappop(self._bids)
-        items = self._buckets.pop(bid)
-        self._ready_bid = bid
-        items.sort(reverse=True)
-        self._ready = items
-        self._loads += 1
-        self._loaded += len(items)
-        if self._loads >= self.CHECK_EVERY:
-            self._maybe_resize()
-
-    def _maybe_resize(self) -> None:
-        mean = self._loaded / self._loads
-        self._loads = 0
-        self._loaded = 0
-        target = self.TARGET_OCCUPANCY
-        too_full = mean > target * self.HIGH_FACTOR
-        too_sparse = (mean < target * self.LOW_FACTOR
-                      and self._len > 4 * target)
-        if not (too_full or too_sparse):
-            return
-        if self.resizes >= self.MAX_RESIZES:
-            self.fallback_requested = True
-            return
-        self._rebuild(self._width * target / max(mean, 0.01))
-
-    def _rebuild(self, new_width: float) -> None:
-        items = self.drain()
-        self._width = min(max(new_width, self.MIN_WIDTH), self.MAX_WIDTH)
-        self._inv_width = 1.0 / self._width
-        self.resizes += 1
-        if self.resize_counter is not None:
-            self.resize_counter.inc()
-        push = self.push
-        for item in items:
-            push(item)
 
 
 def _noop(event: "Event") -> None:
@@ -523,8 +342,7 @@ def _bad_horizon(horizon: float, now: float) -> SimulationError:
 class Environment:
     """The simulation clock and event queue."""
 
-    def __init__(self, initial_time: float = 0.0,
-                 scheduler: Optional[str] = None):
+    def __init__(self, initial_time: float = 0.0):
         self._now = float(initial_time)
         self._queue: List[Tuple[float, int, Any, Optional[tuple]]] = []
         #: entries due at ``_now``, in FIFO (= sequence) order, as
@@ -534,47 +352,15 @@ class Environment:
         self._crashes: Deque[Tuple[Process, BaseException]] = deque()
         self._timeout_pool: List[Timeout] = []
         self._profiler: Optional[Any] = None
-        self._cal: Optional[CalendarQueue] = None
-        self._scheduler_swaps = 0
-        if scheduler is None:
-            from repro.core.knobs import env_value  # lazy: core imports sim
-            scheduler = env_value(SCHEDULER_ENV) or "heap"
-        if scheduler not in _SCHEDULERS:
-            raise SimulationError(
-                f"unknown scheduler {scheduler!r}; expected one of "
-                f"{_SCHEDULERS}")
-        if scheduler == "calendar":
-            self._cal = CalendarQueue()
-            self._push: Callable[[tuple], None] = self._cal.push
-            metrics = _active_metrics()
-            if metrics is not None:
-                self._cal.resize_counter = metrics.counter(
-                    "engine.calendar_resizes")
-        else:
-            # partial() keeps the heap push a single C call from the
-            # Timeout hot path (no bound-method dispatch).
-            self._push = partial(_heappush, self._queue)
+        # partial() keeps the heap push a single C call from the
+        # Timeout hot path (no bound-method dispatch).
+        self._push: Callable[[tuple], None] = partial(_heappush, self._queue)
         # Chaos first: a non-empty fault plan schedules its arm/fire/
         # recover entries before anything else can, so they win (time,
-        # seq) ties against frame deliveries on every scheduler/data
-        # path; with no plan this is a single is-None test.
+        # seq) ties against frame deliveries on either data path; with no
+        # plan this is a single is-None test.
         _attach_chaos(self)
         _attach_environment(self)
-
-    # -- scheduler backend ---------------------------------------------------
-    @property
-    def scheduler(self) -> str:
-        """Name of the active event-queue backend."""
-        return "heap" if self._cal is None else "calendar"
-
-    @property
-    def calendar_resizes(self) -> int:
-        """Bucket-width resizes performed by the calendar backend (0 for
-        the heap; survives a fallback swap for telemetry)."""
-        cal = self._cal
-        return cal.resizes if cal is not None else self._fallback_resizes
-
-    _fallback_resizes = 0
 
     @property
     def events_scheduled(self) -> int:
@@ -585,50 +371,7 @@ class Environment:
 
     def pending_count(self) -> int:
         """Number of not-yet-dispatched entries (lane included)."""
-        queued = len(self._queue) if self._cal is None else len(self._cal)
-        return queued + len(self._lane)
-
-    def swap_scheduler(self, kind: str) -> None:
-        """Switch the backend of queued entries mid-run.
-
-        Only *still-pending* entries migrate: an event whose callbacks
-        already ran (``callbacks is None``) is filtered out, so a
-        ``run(until=...)`` re-entered after the swap can never
-        re-deliver an already-processed event.  Relative ``(time, seq)``
-        order of the survivors is preserved exactly, and the same-instant
-        lane is shared by both backends and stays as it is, so the swap
-        is invisible to simulation results.
-        """
-        if kind not in _SCHEDULERS:
-            raise SimulationError(
-                f"unknown scheduler {kind!r}; expected one of {_SCHEDULERS}")
-        if kind == self.scheduler:
-            return
-        entries = self._queue if self._cal is None else self._cal.drain()
-        pending = [entry for entry in entries
-                   if entry[3] is not None or entry[2].callbacks is not None]
-        if self._cal is not None:
-            self._fallback_resizes = self._cal.resizes
-        self._scheduler_swaps += 1
-        if kind == "heap":
-            self._cal = None
-            _heapify(pending)
-            self._queue = pending
-            self._push = partial(_heappush, self._queue)
-        else:
-            cal = CalendarQueue()
-            metrics = _active_metrics()
-            if metrics is not None:
-                cal.resize_counter = metrics.counter(
-                    "engine.calendar_resizes")
-            for entry in pending:
-                cal.push(entry)
-            # Load the due bucket: dispatch looks for queued entries due
-            # now (ahead of the lane) in the ready window only.
-            cal.peek_time()
-            self._queue = []
-            self._cal = cal
-            self._push = cal.push
+        return len(self._queue) + len(self._lane)
 
     def enable_profiling(self, profiler: Any) -> None:
         """Route dispatch through the self-profiling loop.
@@ -775,20 +518,14 @@ class Environment:
         """Remove the next entry in ``(time, seq)`` order, advance the
         clock to it and return its ``(target, args)``: queued entries
         due now, then the lane, then the earliest queued entry."""
-        cal = self._cal
+        queue = self._queue
         if self._lane:
-            if cal is None:
-                queue = self._queue
-                if queue and queue[0][0] <= self._now:
-                    return _heappop(queue)[2:]
-            else:
-                ready = cal._ready
-                if ready and ready[-1][0] <= self._now:
-                    return cal.pop()[2:]
+            if queue and queue[0][0] <= self._now:
+                return _heappop(queue)[2:]
             return self._lane.popleft()
-        if not (self._queue if cal is None else cal._len):
+        if not queue:
             raise SimulationError("step() on an empty event queue")
-        entry = _heappop(self._queue) if cal is None else cal.pop()
+        entry = _heappop(queue)
         self._now = entry[0]
         return entry[2:]
 
@@ -797,8 +534,6 @@ class Environment:
         """Time of the next entry, or ``float('inf')`` if none."""
         if self._lane:
             return self._now
-        if self._cal is not None:
-            return self._cal.peek_time()
         return self._queue[0][0] if self._queue else float("inf")
 
     def step(self) -> None:
@@ -837,8 +572,6 @@ class Environment:
         """
         if self._profiler is not None:
             return self._run_profiled(until)
-        if self._cal is not None:
-            return self._run_calendar(until)
         queue = self._queue
         lane = self._lane
         popleft = lane.popleft
@@ -931,125 +664,6 @@ class Environment:
         self._now = horizon
         return None
 
-    def _run_calendar(self, until: Any = None) -> Any:
-        """:meth:`run` against the calendar-queue backend (same three
-        modes, same semantics).  The ready-window pop is inlined like
-        the heap loops; queued entries due now are always in the ready
-        window, so the check ahead of the lane looks only there.  When
-        the queue requests a heap fallback the pending set migrates and
-        the run continues there seamlessly."""
-        cal = self._cal
-        lane = self._lane
-        popleft = lane.popleft
-        pool = self._timeout_pool
-        crashes = self._crashes
-        if until is None:
-            while True:
-                ready = cal._ready
-                if lane:
-                    if ready and ready[-1][0] <= self._now:
-                        cal._len -= 1
-                        _, _, target, args = ready.pop()
-                    else:
-                        target, args = popleft()
-                elif cal._len:
-                    while not ready:
-                        cal._refill()
-                        if cal.fallback_requested:
-                            self.swap_scheduler("heap")
-                            return self.run(until)
-                        ready = cal._ready
-                    cal._len -= 1
-                    self._now, _, target, args = ready.pop()
-                else:
-                    return None
-                if args is not None:
-                    target(*args)
-                else:
-                    callbacks = target.callbacks
-                    target.callbacks = None
-                    target._processed = True
-                    if callbacks:
-                        for fn in callbacks:
-                            fn(target)
-                    if target._pooled:
-                        pool.append(target)
-                if crashes:
-                    self._raise_crash()
-        if isinstance(until, Event):
-            if until.callbacks is not None:
-                until.callbacks.append(_noop)
-            while until.callbacks is not None:
-                ready = cal._ready
-                if lane:
-                    if ready and ready[-1][0] <= self._now:
-                        cal._len -= 1
-                        _, _, target, args = ready.pop()
-                    else:
-                        target, args = popleft()
-                elif cal._len:
-                    while not ready:
-                        cal._refill()
-                        if cal.fallback_requested:
-                            self.swap_scheduler("heap")
-                            return self.run(until)
-                        ready = cal._ready
-                    cal._len -= 1
-                    self._now, _, target, args = ready.pop()
-                else:
-                    raise SimulationError(
-                        "event queue drained before `until` event fired")
-                if args is not None:
-                    target(*args)
-                else:
-                    callbacks = target.callbacks
-                    target.callbacks = None
-                    target._processed = True
-                    if callbacks:
-                        for fn in callbacks:
-                            fn(target)
-                    if target._pooled:
-                        pool.append(target)
-                if crashes:
-                    self._raise_crash()
-            if not until._ok:
-                raise until._value from None
-            return until._value
-        horizon = float(until)
-        if not horizon >= self._now:
-            raise _bad_horizon(horizon, self._now)
-        while True:
-            if lane:
-                ready = cal._ready
-                if ready and ready[-1][0] <= self._now:
-                    cal._len -= 1
-                    _, _, target, args = ready.pop()
-                else:
-                    target, args = popleft()
-            elif cal._len and cal.peek_time() <= horizon:
-                if cal.fallback_requested:
-                    self.swap_scheduler("heap")
-                    return self.run(horizon)
-                cal._len -= 1
-                self._now, _, target, args = cal._ready.pop()
-            else:
-                break
-            if args is not None:
-                target(*args)
-            else:
-                callbacks = target.callbacks
-                target.callbacks = None
-                target._processed = True
-                if callbacks:
-                    for fn in callbacks:
-                        fn(target)
-                if target._pooled:
-                    pool.append(target)
-            if crashes:
-                self._raise_crash()
-        self._now = horizon
-        return None
-
     # -- self-profiling -------------------------------------------------------
     def _step_profiled(self, prof: Any) -> None:
         """One :meth:`step` with event/queue accounting and wall-clock
@@ -1122,5 +736,4 @@ class Environment:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<Environment now={self._now:.9f} "
-                f"pending={self.pending_count()} "
-                f"scheduler={self.scheduler}>")
+                f"pending={self.pending_count()}>")

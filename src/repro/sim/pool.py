@@ -13,9 +13,9 @@ What makes the warm pool safe to share:
   fork time; a *persistent* worker forked during sweep #1 would run
   sweep #50 under stale knobs.  Every batch therefore carries a capsule
   of the ambient state that can influence results — the ``REPRO_*``
-  environment knobs (train batching, scheduler backend, chaos plan
-  path...) and the explicitly-activated chaos fault plan — which the
-  worker applies before running the batch.  Results are bit-identical
+  environment knobs (train batching, hybrid mode, chaos plan path...)
+  and the explicitly-activated chaos fault plan — which the worker
+  applies before running the batch.  Results are bit-identical
   to a per-sweep pool by construction.
 * **Fingerprint shipped, not recomputed.**  The pool initializer
   exports the parent's :func:`~repro.cache.code_fingerprint` into each

@@ -18,7 +18,7 @@ from repro.errors import ConfigError
 
 def test_registry_covers_the_runtime_switches():
     expected = {
-        "REPRO_TRAIN", "REPRO_SCHEDULER", "REPRO_JOBS",
+        "REPRO_TRAIN", "REPRO_JOBS",
         "REPRO_POOL_PERSIST", "REPRO_POOL_CHUNK", "REPRO_CACHE",
         "REPRO_CACHE_DIR", "REPRO_CACHE_MAX_BYTES",
         "REPRO_CACHE_HOT_ENTRIES", "REPRO_CACHE_HOT_BYTES",

@@ -7,20 +7,13 @@ ids are skipped unless ``REPRO_PARITY_FULL=1`` so the default suite
 stays fast; CI can opt into the exhaustive sweep.
 """
 
-import os
-
 import pytest
 
 from repro.analysis.experiments import experiment_ids, run_experiment
 from repro.cache import ResultCache, cache_context
 from repro.config import TuningConfig
 from repro.core.casestudy import CaseStudy
-from tests.support import assert_bit_identical
-
-#: Experiments that take multiple seconds each even in quick mode.
-HEAVY = {"anecdotal", "fig3", "fig4", "fig5", "opt_steps", "wan"}
-
-_FULL = os.environ.get("REPRO_PARITY_FULL", "").strip() == "1"
+from tests.support import HEAVY, PARITY_FULL, assert_bit_identical
 
 PAYLOADS = [1024, 8192]  # two cheap points for sweep-level cache tests
 
@@ -28,7 +21,7 @@ PAYLOADS = [1024, 8192]  # two cheap points for sweep-level cache tests
 @pytest.mark.parametrize("name", experiment_ids())
 def test_experiment_parity_serial_vs_parallel(name):
     """jobs=1 and jobs=4 must agree bit-for-bit, data and text."""
-    if name in HEAVY and not _FULL:
+    if name in HEAVY and not PARITY_FULL:
         pytest.skip("heavy experiment; set REPRO_PARITY_FULL=1 to run")
     with cache_context(False):
         serial = run_experiment(name, quick=True, jobs=1)

@@ -99,17 +99,6 @@ def test_reorder_tap_negative_delay_rejected():
         ReorderTap(env, link, holds={0}, delay_s=-1.0)
 
 
-def test_legacy_import_path_warns_and_aliases():
-    """repro.net.faults still works, with a deprecation pointer at the
-    chaos subsystem — and serves the very same classes."""
-    import repro.net.faults as legacy
-
-    for name, cls in (("LossTap", LossTap), ("DuplicateTap", DuplicateTap),
-                      ("ReorderTap", ReorderTap)):
-        with pytest.warns(DeprecationWarning, match="repro.chaos"):
-            assert getattr(legacy, name) is cls
-
-
 def _lossy_transfer(batched, drops):
     """A TCP transfer through a LossTap with train batching forced."""
     saved = os.environ.get(TRAIN_ENV)

@@ -3,9 +3,8 @@
 Two guarantees, the load-bearing ones from docs/RESILIENCE.md:
 
 1. A seeded ``(plan, seed)`` pair produces bit-identical outcomes across
-   the event-queue backends (``REPRO_SCHEDULER=heap|calendar``) and the
-   data paths (``REPRO_TRAIN=0|1``) — fault injection composes with
-   every performance knob without perturbing determinism.
+   the data paths (``REPRO_TRAIN=0|1``) — fault injection composes with
+   the batched data path without perturbing determinism.
 2. The empty plan is a true no-op: a run under it is byte-identical to
    a run with chaos off entirely, down to the engine's event sequence
    counter.
@@ -29,13 +28,13 @@ MTU = 9000
 COUNT = 16
 
 
-def _run_transfer(scheduler, batched, plan):
+def _run_transfer(batched, plan):
     """One nttcp transfer under ``plan``; returns a full-state tuple."""
     saved = os.environ.get(TRAIN_ENV)
     os.environ[TRAIN_ENV] = "1" if batched else "0"
     try:
         with chaos_session(plan) as session:
-            env = Environment(scheduler=scheduler)
+            env = Environment()
             bb = BackToBack.create(env, TuningConfig.oversized_windows(MTU))
             conn = TcpConnection(env, bb.a, bb.b)
             result = nttcp_run(env, conn, payload=conn.mss, count=COUNT)
@@ -53,12 +52,12 @@ def _run_transfer(scheduler, batched, plan):
     return result, env.now, rows
 
 
-def _run_clean(scheduler, batched):
+def _run_clean(batched):
     """The same transfer with no chaos machinery active at all."""
     saved = os.environ.get(TRAIN_ENV)
     os.environ[TRAIN_ENV] = "1" if batched else "0"
     try:
-        env = Environment(scheduler=scheduler)
+        env = Environment()
         bb = BackToBack.create(env, TuningConfig.oversized_windows(MTU))
         conn = TcpConnection(env, bb.a, bb.b)
         result = nttcp_run(env, conn, payload=conn.mss, count=COUNT)
@@ -79,8 +78,7 @@ start_grid = st.integers(min_value=0, max_value=8).map(lambda n: n * 2.5e-5)
        probability=st.sampled_from([0.25, 0.5, 1.0]),
        start_s=start_grid)
 @settings(max_examples=6, deadline=None)
-def test_plan_outcome_identical_across_schedulers_and_data_paths(
-        seed, probability, start_s):
+def test_plan_outcome_identical_across_data_paths(seed, probability, start_s):
     plan = FaultPlan(name="prop", seed=seed, faults=(
         FaultSpec(kind="loss_burst", target="link:xover.fwd",
                   start_s=start_s, duration_s=1e-4,
@@ -89,12 +87,9 @@ def test_plan_outcome_identical_across_schedulers_and_data_paths(
                   start_s=start_s, duration_s=5e-5, delay_s=4e-5,
                   probability=0.5, kinds=("ack",)),
     ))
-    hashes = {
-        stable_key(_run_transfer(scheduler, batched, plan))
-        for scheduler in ("heap", "calendar")
-        for batched in (False, True)
-    }
-    assert len(hashes) == 1  # one outcome, four engine configurations
+    hashes = {stable_key(_run_transfer(batched, plan))
+              for batched in (False, True)}
+    assert len(hashes) == 1  # one outcome on both data paths
 
 
 @given(seed=st.integers(min_value=0, max_value=2**16))
@@ -103,30 +98,29 @@ def test_seed_changes_draws_but_not_determinism(seed):
     plan = FaultPlan(name="prop", seed=seed, faults=(
         FaultSpec(kind="loss_burst", target="link:xover.fwd",
                   start_s=0.0, duration_s=1e-3, probability=0.5),))
-    first = _run_transfer("heap", True, plan)
-    second = _run_transfer("heap", True, plan)
+    first = _run_transfer(True, plan)
+    second = _run_transfer(True, plan)
     assert stable_key(first) == stable_key(second)
 
 
 def test_empty_plan_byte_identical_to_chaos_off():
-    for scheduler in ("heap", "calendar"):
-        for batched in (False, True):
-            clean = _run_clean(scheduler, batched)
-            saved = os.environ.get(TRAIN_ENV)
-            os.environ[TRAIN_ENV] = "1" if batched else "0"
-            try:
-                with chaos_session(FaultPlan()):
-                    env = Environment(scheduler=scheduler)
-                    bb = BackToBack.create(
-                        env, TuningConfig.oversized_windows(MTU))
-                    conn = TcpConnection(env, bb.a, bb.b)
-                    result = nttcp_run(env, conn, payload=conn.mss,
-                                       count=COUNT)
-            finally:
-                if saved is None:
-                    del os.environ[TRAIN_ENV]
-                else:
-                    os.environ[TRAIN_ENV] = saved
-            # Identical down to the engine's event sequence counter: the
-            # empty plan scheduled nothing and wrapped nothing.
-            assert (result, env.now, env.events_scheduled) == clean
+    for batched in (False, True):
+        clean = _run_clean(batched)
+        saved = os.environ.get(TRAIN_ENV)
+        os.environ[TRAIN_ENV] = "1" if batched else "0"
+        try:
+            with chaos_session(FaultPlan()):
+                env = Environment()
+                bb = BackToBack.create(
+                    env, TuningConfig.oversized_windows(MTU))
+                conn = TcpConnection(env, bb.a, bb.b)
+                result = nttcp_run(env, conn, payload=conn.mss,
+                                   count=COUNT)
+        finally:
+            if saved is None:
+                del os.environ[TRAIN_ENV]
+            else:
+                os.environ[TRAIN_ENV] = saved
+        # Identical down to the engine's event sequence counter: the
+        # empty plan scheduled nothing and wrapped nothing.
+        assert (result, env.now, env.events_scheduled) == clean

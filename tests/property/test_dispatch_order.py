@@ -5,12 +5,11 @@ Each generated schedule labels every entry it makes with the instant
 it was scheduled for (computed exactly as the engine computes it) and
 its sequence number (``events_scheduled`` right after the call), runs
 the environment through a random mix of ``step()``, ``run(until=t)``,
-``run(until=event)``, backend swaps and crashes, then drains it.  The
-firing log must equal the sorted list of labels, and every entry must
-fire with the clock at its label's instant.
+``run(until=event)`` and crashes, then drains it.  The firing log must
+equal the sorted list of labels, and every entry must fire with the
+clock at its label's instant.
 """
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -35,7 +34,6 @@ ACTIONS = st.lists(st.one_of(
     st.just(("step",)),
     st.tuples(st.just("until_time"), DELAYS),
     st.tuples(st.just("until_event"), DELAYS),
-    st.just(("swap",)),
 ), max_size=10)
 
 
@@ -127,12 +125,9 @@ def run_schedule(env, roots, actions):
                 _guarded(env.step)
         elif kind == "until_time":
             _guarded(lambda: env.run(until=env.now + action[1]))
-        elif kind == "until_event":
+        else:  # until_event
             stop = sched.timeout(action[1])
             _guarded(lambda: env.run(until=stop))
-        else:
-            env.swap_scheduler(
-                "calendar" if env.scheduler == "heap" else "heap")
     while True:
         try:
             env.run()
@@ -143,13 +138,12 @@ def run_schedule(env, roots, actions):
     return sched
 
 
-@pytest.mark.parametrize("scheduler", ["heap", "calendar"])
 @given(start=st.sampled_from([0.0, 1.0]),
        roots=st.lists(OPS, min_size=1, max_size=6),
        actions=ACTIONS)
 @settings(max_examples=150, deadline=None)
-def test_dispatch_follows_time_seq_order(scheduler, start, roots, actions):
-    env = Environment(initial_time=start, scheduler=scheduler)
+def test_dispatch_follows_time_seq_order(start, roots, actions):
+    env = Environment(initial_time=start)
     sched = run_schedule(env, roots, actions)
     assert [(at, seq) for at, seq, _ in sched.fired] == sorted(sched.labels)
     assert all(now == at for at, _, now in sched.fired)

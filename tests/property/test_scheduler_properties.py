@@ -1,21 +1,17 @@
-"""Property-based determinism contracts for the event-queue backends
-and the train-batched data path.
+"""Property-based determinism contracts for the event queue and the
+train-batched data path.
 
-Three guarantees, each exercised over randomized inputs:
+Two guarantees, each exercised over randomized inputs:
 
 1. Same-time FIFO: events scheduled for the same instant fire in
-   insertion order, on the heap *and* the calendar queue.
-2. Backend equivalence: an identical workload produces a bit-identical
-   firing sequence (times compared with ``==`` on the floats, no
-   tolerance) under ``scheduler="heap"`` and ``scheduler="calendar"``.
-3. Data-path equivalence: a full TCP transfer produces bit-identical
+   insertion order.
+2. Data-path equivalence: a full TCP transfer produces bit-identical
    results with segment-train batching on and off (``REPRO_TRAIN``) —
    batching is a pure performance knob.
 """
 
 import os
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,40 +23,16 @@ from repro.tcp.connection import TcpConnection
 from repro.tools.nttcp import nttcp_run
 
 # Delays quantized to a coarse grid so same-time collisions are common
-# (the interesting case for FIFO ordering), plus exact sub-bucket
-# offsets to land several distinct times inside one calendar bucket.
+# (the interesting case for FIFO ordering).
 delay_grid = st.integers(min_value=0, max_value=40).map(lambda n: n * 2.5e-6)
 delay_lists = st.lists(delay_grid, min_size=1, max_size=80)
 
 
-def _record_workload(env, delays):
-    """Schedule a two-level workload; return the firing log.
-
-    Each top-level call re-schedules a child at a derived delay, so the
-    backends are also compared on events *inserted while draining* (the
-    calendar's ready-window insort path).
-    """
-    log = []
-
-    def child(tag):
-        log.append((env.now, "child", tag))
-
-    def fire(tag, delay):
-        log.append((env.now, "fire", tag))
-        env.schedule_call(delay / 2.0, child, tag)
-
-    for i, d in enumerate(delays):
-        env.schedule_call(d, fire, i, d)
-    env.run()
-    return log
-
-
 class TestSameTimeFifo:
-    @pytest.mark.parametrize("scheduler", ["heap", "calendar"])
     @given(ds=delay_lists)
     @settings(max_examples=50, deadline=None)
-    def test_equal_times_fire_in_insertion_order(self, scheduler, ds):
-        env = Environment(scheduler=scheduler)
+    def test_equal_times_fire_in_insertion_order(self, ds):
+        env = Environment()
         fired = []
         for i, d in enumerate(ds):
             env.schedule_call(d, fired.append, (d, i))
@@ -69,15 +41,6 @@ class TestSameTimeFifo:
         for t in {d for d, _ in fired}:
             indices = [i for d, i in fired if d == t]
             assert indices == sorted(indices)
-
-
-class TestBackendEquivalence:
-    @given(ds=delay_lists)
-    @settings(max_examples=50, deadline=None)
-    def test_heap_and_calendar_fire_identically(self, ds):
-        log_heap = _record_workload(Environment(scheduler="heap"), ds)
-        log_cal = _record_workload(Environment(scheduler="calendar"), ds)
-        assert log_heap == log_cal  # floats compared exactly
 
 
 def _run_transfer(batched, mtu, count):

@@ -5,8 +5,7 @@ Each scenario runs a small simulation through the public API and hashes
 the exact ``repr`` of every float it reports, plus the event counters.
 Any change to the order in which the engine dispatches same-instant
 entries, to the fire instants it computes, or to the number of entries
-it schedules changes a digest.  Every scenario runs on both event-queue
-backends and must give the same digest on each.
+it schedules changes a digest.
 """
 
 import dataclasses
@@ -23,7 +22,6 @@ from repro.net.hybrid import HYBRID_TICK_ENV, FabricSimulation, incast_pairs
 from repro.net.topology import BackToBack, ThroughSwitch
 from repro.net.train import TRAIN_ENV
 from repro.sim import Environment
-from repro.sim.engine import SCHEDULER_ENV
 from repro.tcp.connection import TcpConnection
 from repro.tools.netpipe import netpipe_latency
 from repro.tools.nttcp import nttcp_run
@@ -139,11 +137,9 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("scheduler", ["heap", "calendar"])
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
-def test_golden_digest(name, scheduler, monkeypatch):
+def test_golden_digest(name, monkeypatch):
     # The digests include event counts, which the data-path knobs change.
-    monkeypatch.setenv(SCHEDULER_ENV, scheduler)
     monkeypatch.delenv(TRAIN_ENV, raising=False)
     monkeypatch.delenv(HYBRID_TICK_ENV, raising=False)
     assert digest(SCENARIOS[name]()) == GOLDEN[name]

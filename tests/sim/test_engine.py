@@ -467,9 +467,8 @@ class TestSameInstantLane:
         assert env.schedule_call_at(2.0, lambda: None) is None
         assert env.schedule_call_at(0.0, lambda: None) is None
 
-    @pytest.mark.parametrize("scheduler", ["heap", "calendar"])
-    def test_queued_entries_due_now_run_before_the_lane(self, scheduler):
-        env = Environment(scheduler=scheduler)
+    def test_queued_entries_due_now_run_before_the_lane(self):
+        env = Environment()
         order = []
 
         def first():
@@ -481,9 +480,8 @@ class TestSameInstantLane:
         env.run()
         assert order == ["first", "queued", "lane"]
 
-    @pytest.mark.parametrize("scheduler", ["heap", "calendar"])
-    def test_absorbed_delay_is_due_now(self, scheduler):
-        env = Environment(initial_time=1.0, scheduler=scheduler)
+    def test_absorbed_delay_is_due_now(self):
+        env = Environment(initial_time=1.0)
         order = []
         env.schedule_call(1e-30, order.append, "absorbed")  # 1.0 + 1e-30 == 1.0
         env.schedule_call(0.0, order.append, "zero")
@@ -492,28 +490,6 @@ class TestSameInstantLane:
         env.run()
         assert order == ["absorbed", "zero", "timeout"]
         assert env.now == 1.0
-
-    @pytest.mark.parametrize("start,target",
-                             [("heap", "calendar"), ("calendar", "heap")])
-    def test_lane_survives_a_swap(self, start, target):
-        env = Environment(scheduler=start)
-        order = []
-
-        def first():
-            order.append("first")
-            env.schedule_call(0.0, order.append, "lane")
-            env.event().succeed().add_callback(
-                lambda _e: order.append("succeed"))
-
-        env.schedule_call(1.0, first)
-        env.schedule_call(1.0, order.append, "queued")
-        env.schedule_call(2.0, order.append, "later")
-        env.step()
-        assert env.pending_count() == 4  # queued, later + two in the lane
-        env.swap_scheduler(target)
-        assert env.pending_count() == 4
-        env.run()
-        assert order == ["first", "queued", "lane", "succeed", "later"]
 
     def test_events_scheduled_counts_lane_entries(self):
         env = Environment()

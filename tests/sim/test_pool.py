@@ -65,8 +65,13 @@ class TestPersistence:
     def test_workers_reused_not_respawned(self):
         runner = SweepRunner(2)
         first = set(runner.map(_pid_point, list(range(8))))
+        created = pool.pool_stats()["pools_created"]
         second = set(runner.map(_pid_point, list(range(8))))
-        assert first == second            # same worker processes
+        # The executor need not hand every worker a chunk in each sweep,
+        # so only "no new process" is guaranteed: a respawn brings a PID
+        # the first sweep never saw.
+        assert second <= first
+        assert pool.pool_stats()["pools_created"] == created
         assert os.getpid() not in first   # and not the parent
 
     def test_resize_recycles_pool(self):

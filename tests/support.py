@@ -6,12 +6,22 @@ equality — float bit patterns, numpy dtype/shape/bytes, dataclass
 fields — without requiring pickle-byte equality (pickle's internal
 memo structure differs between objects that crossed a process boundary
 and objects that never left, even when every value is identical).
+``value_digest`` hashes a value through the same walk, so a committed
+sha256 can stand in for the second value.
 """
 
 import dataclasses
+import hashlib
+import os
 import struct
 
 import numpy as np
+
+#: Experiments that take multiple seconds each even in quick mode; the
+#: parity and golden-digest tests run them only under ``REPRO_PARITY_FULL=1``.
+HEAVY = {"anecdotal", "fig3", "fig4", "fig5", "opt_steps", "wan"}
+
+PARITY_FULL = os.environ.get("REPRO_PARITY_FULL", "").strip() == "1"
 
 
 def assert_bit_identical(a, b, path="value"):
@@ -41,3 +51,47 @@ def assert_bit_identical(a, b, path="value"):
             assert_bit_identical(vars(a)[k], vars(b)[k], f"{path}.{k}")
     else:
         assert a == b, f"{path}: {a!r} != {b!r}"
+
+
+def value_digest(value):
+    """sha256 of ``value`` walked as :func:`assert_bit_identical` compares
+    it: type names, float bits, ndarray dtype/shape/bytes, dataclass
+    fields and ``vars()`` of plain objects.  Sets hash order-free, so the
+    digest does not depend on ``PYTHONHASHSEED``."""
+    h = hashlib.sha256()
+    _feed(h, value)
+    return h.hexdigest()
+
+
+def _feed(h, a):
+    t = type(a)
+    h.update(f"<{t.__module__}.{t.__qualname__}>".encode())
+    if isinstance(a, dict):
+        h.update(b"%d:" % len(a))
+        for k, v in a.items():
+            _feed(h, k)
+            _feed(h, v)
+    elif isinstance(a, (list, tuple)):
+        h.update(b"%d:" % len(a))
+        for x in a:
+            _feed(h, x)
+    elif isinstance(a, (set, frozenset)):
+        h.update(" ".join(sorted(value_digest(x) for x in a)).encode())
+    elif isinstance(a, np.ndarray):
+        h.update(f"{a.dtype.str}{a.shape}".encode())
+        h.update(a.tobytes())
+    elif isinstance(a, float):
+        h.update(struct.pack("<d", a))
+    elif dataclasses.is_dataclass(a) and not isinstance(a, type):
+        for f in dataclasses.fields(a):
+            h.update(f.name.encode())
+            _feed(h, getattr(a, f.name))
+    elif hasattr(a, "__dict__") and not isinstance(a, type):
+        for k, v in vars(a).items():
+            h.update(k.encode())
+            _feed(h, v)
+    else:
+        text = repr(a)
+        if " at 0x" in text:
+            raise TypeError(f"{text} has no stable digest (memory address)")
+        h.update(text.encode())

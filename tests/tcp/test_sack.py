@@ -2,8 +2,8 @@
 
 import pytest
 
+from repro.chaos import LossTap
 from repro.config import TuningConfig
-from repro.net.faults import LossTap
 from repro.net.topology import BackToBack
 from repro.sim import Environment
 from repro.tcp.connection import TcpConnection

@@ -179,24 +179,6 @@ class TestPerfCounterPoints:
             assert counter.value >= 64
             assert nic.mean_train_size() > 1.0
 
-    def test_calendar_resizes_counter_published(self):
-        with telemetry_session(metrics=True) as session:
-            env = Environment(scheduler="calendar")
-            # ~250 events per 10us bucket forces width rebuilds
-            for i in range(20_000):
-                env.schedule_call(i * 4e-8, lambda: None)
-            env.run()
-        assert env.calendar_resizes >= 1
-        counter = session.registry.counter("engine.calendar_resizes")
-        assert counter.value == env.calendar_resizes
-
-    def test_counters_silent_without_session(self):
-        env = Environment(scheduler="calendar")
-        for i in range(20_000):
-            env.schedule_call(i * 4e-8, lambda: None)
-        env.run()  # no registry attached: resizes still tracked locally
-        assert env.calendar_resizes >= 1
-
 
 def _sweep_point(task):
     """Module-level worker (pickled into pool processes)."""
