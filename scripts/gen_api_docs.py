@@ -114,8 +114,9 @@ for speed with **bit-identical** simulation results (see
 NIC/bus/network layers as one scheduled unit.  The event queue is a
 binary heap; entries due at the current instant bypass it on a FIFO
 same-instant lane, and `schedule_call` entries carry no event object.
-`scripts/bench_compare.py` records events/sec and mean train size into
-`benchmarks/results/BENCH_<rev>.json`.
+`python3 perfbench/run.py --trace 1` reports events, ns/event and mean
+train size per workload; `scripts/bench_compare.py` gates the engine
+microbenchmarks and the hook overheads (see `docs/PERFORMANCE.md`).
 """
 
 

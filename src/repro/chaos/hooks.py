@@ -46,7 +46,8 @@ _ACTIVE: Optional[Any] = None
 _ENV_SESSIONS: Dict[str, Any] = {}
 
 #: Benchmark escape hatch: ``True`` turns every hook into a no-op so
-#: ``scripts/bench_compare.py`` can measure the pre-chaos baseline.
+#: the ``chaos-overhead`` gate of ``scripts/bench_compare.py`` can
+#: measure the pre-chaos baseline.
 _BYPASS = False
 
 #: Memoized :func:`repro.core.knobs.env_value` — bound on first hook

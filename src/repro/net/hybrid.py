@@ -23,7 +23,7 @@ not.  This module splits the work accordingly:
 With an empty background set, hybrid mode builds exactly the pure-DES
 simulation — bit-identical events, bit-identical results.  For small
 fabrics the hybrid aggregate goodput stays within a few percent of the
-all-DES run (gated by ``scripts/bench_compare.py --fabric-only``); for
+all-DES run (gated by ``scripts/bench_compare.py --only fabric``); for
 O(1000)-flow fabrics the hybrid run completes in seconds where the
 all-DES run is intractable.
 

@@ -25,6 +25,9 @@ What makes the warm pool safe to share:
   chunk, not per point), amortizing pickling and future bookkeeping on
   wide sweeps; chunking preserves task order, so results are identical
   at any chunk size (``REPRO_POOL_CHUNK`` forces a size).
+* **A dead worker costs one sweep.**  On ``BrokenProcessPool``, at
+  submit or at collect, the warm pool is dropped before re-raising, so
+  the next sweep forks a fresh one.
 * **Cache probe before submit.**  When a result cache is active every
   key is probed first and only misses are dispatched — a fully-warm
   sweep never touches the pool (or creates it) at all.
@@ -41,6 +44,7 @@ import atexit
 import contextlib
 import os
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.cache import active_cache, code_fingerprint, stable_key
@@ -226,6 +230,15 @@ def _count(point: str, amount: int = 1) -> None:
         metrics.counter(point).inc(amount)
 
 
+def _drop_broken(executor: ProcessPoolExecutor) -> None:
+    """Discard an executor a dead worker broke: it never recovers, so
+    the warm pool is dropped and the next sweep builds a fresh one."""
+    if executor is _POOL:
+        shutdown_pool(wait=False)
+    else:
+        executor.shutdown(wait=False)
+
+
 class SweepHandle:
     """An in-flight sweep: probe results now, computed points later.
 
@@ -273,6 +286,9 @@ class SweepHandle:
                 for indices, future in self._chunks:
                     for i, value in zip(indices, future.result()):
                         self._finish(i, value)
+        except BrokenProcessPool:
+            _drop_broken(self._executor)
+            raise
         finally:
             if self._ephemeral and self._executor is not None:
                 self._executor.shutdown()
@@ -342,15 +358,20 @@ def submit(fn: Callable[[Any], Any], tasks: Sequence[Any], *,
     ambient = _capture_ambient()
     chunk = resolve_chunk(len(pending), workers)
     chunks: List[Tuple[List[int], Any]] = []
-    for start in range(0, len(pending), chunk):
-        indices = pending[start:start + chunk]
-        batch = [tasks[i] for i in indices]
-        if session is not None:
-            payload: Tuple = (fn, batch, ambient, spec)
-            future = executor.submit(_run_batch_telemetry, payload)
-        else:
-            future = executor.submit(_run_batch, (fn, batch, ambient))
-        chunks.append((indices, future))
+    try:
+        for start in range(0, len(pending), chunk):
+            indices = pending[start:start + chunk]
+            batch = [tasks[i] for i in indices]
+            if session is not None:
+                payload: Tuple = (fn, batch, ambient, spec)
+                future = executor.submit(_run_batch_telemetry, payload)
+            else:
+                future = executor.submit(_run_batch, (fn, batch, ambient))
+            chunks.append((indices, future))
+    except BrokenProcessPool:
+        # a worker died while later chunks were still being submitted
+        _drop_broken(executor)
+        raise
     _STATS["tasks_dispatched"] += len(pending)
     _STATS["batches_dispatched"] += len(chunks)
     _count("pool.tasks_dispatched", len(pending))

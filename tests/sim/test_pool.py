@@ -1,6 +1,7 @@
 """Unit tests for the persistent warm worker pool (repro.sim.pool)."""
 
 import os
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -15,6 +16,10 @@ def _square(task):
 
 def _pid_point(task):
     return os.getpid()
+
+
+def _die(task):
+    os._exit(1)
 
 
 def _read_knob(task):
@@ -65,12 +70,14 @@ class TestPersistence:
     def test_workers_reused_not_respawned(self):
         runner = SweepRunner(2)
         first = set(runner.map(_pid_point, list(range(8))))
+        workers = set(pool._POOL._processes)
         created = pool.pool_stats()["pools_created"]
         second = set(runner.map(_pid_point, list(range(8))))
         # The executor need not hand every worker a chunk in each sweep,
-        # so only "no new process" is guaranteed: a respawn brings a PID
-        # the first sweep never saw.
-        assert second <= first
+        # so a worker idle in the first sweep may serve the second; only
+        # "no new process" is guaranteed: a respawn brings a PID outside
+        # the pool the first sweep left behind.
+        assert first | second <= workers
         assert pool.pool_stats()["pools_created"] == created
         assert os.getpid() not in first   # and not the parent
 
@@ -78,6 +85,16 @@ class TestPersistence:
         SweepRunner(2).map(_square, list(range(4)))
         before = pool.pool_stats()["pools_created"]
         SweepRunner(3).map(_square, list(range(6)))
+        assert pool.pool_stats()["pools_created"] == before + 1
+
+    def test_dead_worker_does_not_break_later_sweeps(self):
+        SweepRunner(2).map(_square, list(range(4)))   # warm the pool
+        with pytest.raises(BrokenProcessPool):
+            pool.dispatch(_die, [0, 1], jobs=2)
+        before = pool.pool_stats()["pools_created"]
+        assert pool.dispatch(_square, list(range(6)), jobs=2) == \
+            [t * t for t in range(6)]
+        assert pool.dispatch(_square, [7, 8], jobs=2) == [49, 64]
         assert pool.pool_stats()["pools_created"] == before + 1
 
     def test_shutdown_is_idempotent(self):
