@@ -56,9 +56,8 @@ orthogonal mechanisms exploit that:
   through the persistent warm worker pool (`repro.sim.pool`) and
   collects them in submission order, so results are **bit-identical at
   any job count**.  One long-lived pool is shared across sweeps and
-  experiments (`REPRO_POOL_PERSIST=0` reverts to a pool per sweep);
-  points travel in order-preserving batches (`REPRO_POOL_CHUNK`
-  overrides the size).  Select the worker count with
+  experiments; points travel in order-preserving batches
+  (`REPRO_POOL_CHUNK` overrides the size).  Select the worker count with
   `run_experiment(name, jobs=4)`, the `--jobs/-j` CLI flag (`auto` =
   one per core) or the `REPRO_JOBS` environment variable; the default
   is serial.
@@ -95,8 +94,8 @@ table is identical at any job count.  See `docs/OBSERVABILITY.md`.
 bursts, reordering, corruption, duplicates, switch-buffer degradation,
 NIC stalls/resets, CPU contention — described by a JSON `FaultPlan`
 and armed with `chaos_session(plan)`, the `--chaos PLAN.json` CLI flag
-or `REPRO_CHAOS=plan.json`.  Outcomes are deterministic per plan seed
-across both data paths; the empty plan is byte-identical to chaos off,
+or `REPRO_CHAOS=plan.json`.  Outcomes are deterministic per plan seed,
+run to run; the empty plan is byte-identical to chaos off,
 and the active plan's fingerprint is folded into every result-cache
 key so chaotic and clean results never alias.  `repro.chaos.analyze_goodput` + `render_scorecard` score each
 fault's goodput trough, time-to-recover, lost bits and retransmission
@@ -108,12 +107,12 @@ storm (the paper's §5 "one loss costs ~1.5 hours" arithmetic:
 
 ## Engine performance
 
-Segment-train batching (`REPRO_TRAIN`, default on) trades event count
-for speed with **bit-identical** simulation results (see
-`docs/PERFORMANCE.md`): it moves contiguous frame bursts through the
-NIC/bus/network layers as one scheduled unit.  The event queue is a
-binary heap; entries due at the current instant bypass it on a FIFO
-same-instant lane, and `schedule_call` entries carry no event object.
+Segment trains, the one data path, trade event count for speed
+without approximating any simulated number (see `docs/PERFORMANCE.md`):
+contiguous frame bursts move through the NIC/bus/network layers as one
+callback chain, and the golden digests in `tests/golden` pin the
+output.  The event queue is a binary heap; entries due at the current
+instant bypass it on a FIFO same-instant lane, and `schedule_call` entries carry no event object.
 `python3 perfbench/run.py --trace 1` reports events, ns/event and mean
 train size per workload; `scripts/bench_compare.py` gates the engine
 microbenchmarks and the hook overheads (see `docs/PERFORMANCE.md`).

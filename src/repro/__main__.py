@@ -14,10 +14,9 @@ Each named experiment prints the same rows/series the paper reports
 Independent simulation points fan out over ``--jobs`` worker processes
 (default: ``REPRO_JOBS`` or serial; results are bit-identical either
 way) drawn from one persistent warm pool shared by every experiment in
-the invocation (``REPRO_POOL_PERSIST=0`` reverts to a pool per sweep),
-and completed work is memoized under ``.repro-cache/`` so warm reruns
-are near-instant (``--no-cache`` forces recomputation; see
-docs/CACHING.md for the store layout and sizing knobs).
+the invocation, and completed work is memoized under ``.repro-cache/``
+so warm reruns are near-instant (``--no-cache`` forces recomputation;
+see docs/CACHING.md for the store layout and sizing knobs).
 
 Chaos (see docs/RESILIENCE.md): ``--chaos PLAN.json`` (or the
 ``REPRO_CHAOS`` environment variable) arms a declarative fault plan for

@@ -8,8 +8,8 @@ the lowest sequence numbers at their instants and win FIFO ties against
 any frame delivery scheduled later.  Consequences:
 
 * a frame delivered exactly at a window's opening instant is faulted,
-  one at the closing instant is not — on both data paths, because
-  tie-breaks are by ``(time, seq)`` everywhere;
+  one at the closing instant is not, because tie-breaks are by
+  ``(time, seq)`` everywhere;
 * an empty plan schedules nothing and registers nothing, so the run is
   byte-identical to chaos-off (sequence numbers included);
 * per-fault randomness comes from named :class:`~repro.sim.rng.
@@ -212,8 +212,8 @@ class ChaosInjector:
         tap = self._taps.get(id(nic))
         if tap is None:
             # Capture the original bound method, then shadow it with an
-            # instance attribute — both data paths look the attribute up
-            # per frame, so they see the wrapper identically.
+            # instance attribute — links look the attribute up per
+            # frame, so every delivery sees the wrapper.
             tap = SinkTap(self, "nic", name, nic.receive_frame)
             nic.receive_frame = tap.receive_frame
             self._taps[id(nic)] = tap

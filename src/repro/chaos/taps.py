@@ -12,15 +12,13 @@ Two families live here:
   simulation time zero (before any frame is in flight) and switched on
   and off purely by fault windows.
 
-The install-at-t=0 rule is what keeps plans deterministic across the
-batched and legacy data paths: the legacy per-frame path captures a
-link's sink *when serialization ends*, while the segment-train path
-reads it *at delivery* — swapping a sink mid-run would therefore
-diverge for frames already in propagation.  A wrapper that is always
-present but only acts inside its windows sidesteps the hazard entirely;
-and because both paths deliver frames one-by-one at bit-identical
-instants, in-flight segment trains are split at fault boundaries
-exactly like legacy per-frame delivery.
+The install-at-t=0 rule keeps a plan's outcome independent of what is
+in flight when a window opens: a link reads its sink *at delivery*, so
+swapping a sink mid-run would also catch frames already in propagation.
+A wrapper that is always present but only acts inside its windows
+sidesteps the hazard entirely; and because links deliver frames
+one-by-one at their own instants, an in-flight segment train is split
+at a fault boundary exactly where per-frame delivery would split it.
 """
 
 from __future__ import annotations

@@ -159,7 +159,7 @@ def knob(name: str) -> Knob:
 #: only), so it must stay out of keys to keep them stable.
 _KEYED_VIA = ("none", "ambient", "chaos-fingerprint")
 
-#: Values meaning "off" for default-on flags (train batching, hybrid).
+#: Values meaning "off" for default-on flags (hybrid mode).
 _OFF_VALUES = ("0", "off", "false", "no")
 #: Values meaning "on" for default-off flags (cache activation).
 _TRUTHY_VALUES = ("1", "true", "yes", "on")
@@ -205,7 +205,7 @@ class EnvKnob:
     Attributes
     ----------
     name:
-        The environment variable, e.g. ``"REPRO_TRAIN"``.
+        The environment variable, e.g. ``"REPRO_HYBRID"``.
     default:
         The *parsed* value when the variable is unset.
     parse:
@@ -250,22 +250,11 @@ def _register_env(name: str, default: Any,
 
 
 _register_env(
-    "REPRO_TRAIN", True, parse_on_flag,
-    affects_results=False, keyed_via="none",
-    description="Train-batched data path (default on); the legacy "
-                "per-segment path is bit-identical by contract, so the "
-                "toggle is speed-only.")
-_register_env(
     "REPRO_JOBS", None, _parse_optional_str,
     affects_results=False, keyed_via="none",
     description="Default sweep parallelism ('auto' = one per core); "
                 "serial and parallel runs are bit-identical by "
                 "contract.")
-_register_env(
-    "REPRO_POOL_PERSIST", True, parse_on_flag,
-    affects_results=False, keyed_via="none",
-    description="Keep one warm worker pool across sweeps (default on); "
-                "ambient-state capsules make reuse result-neutral.")
 _register_env(
     "REPRO_POOL_CHUNK", None, _parse_optional_int,
     affects_results=False, keyed_via="none",

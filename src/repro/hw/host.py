@@ -16,7 +16,6 @@ from typing import Any, Callable, Dict, List, Optional
 
 from repro.config import TuningConfig
 from repro.errors import TopologyError
-from repro.net.train import train_batching_enabled
 from repro.hw.calibration import Calibration, CostModel, DEFAULT_CALIBRATION
 from repro.hw.cpu import CpuComplex
 from repro.hw.pcix import PciXBus
@@ -73,7 +72,6 @@ class Host:
         self.adapters: List[Any] = []
         self._handlers: Dict[Any, RxHandler] = {}
         self._default_handler: Optional[RxHandler] = None
-        self._batched = train_batching_enabled()
 
     # -- construction ---------------------------------------------------------
     def new_pcix_bus(self) -> PciXBus:
@@ -113,27 +111,19 @@ class Host:
     # -- receive dispatch -----------------------------------------------------------
     def deliver_rx(self, adapter: Any, batch: List[SkBuff]) -> None:
         """Interrupt-context delivery of a batch of frames."""
-        if self._batched:
-            # One zero-delay hop (the legacy process-spawn hop), then an
-            # arithmetic CPU charge chained into the dispatch loop.
-            self.env.schedule_call(0.0, self._rx_charge, batch)
-            return
-        self.env.process(self._rx_dispatch(batch),
-                         name=f"{self.name}.rxirq")
+        # One zero-delay hop (the goldens pin its tie order), then an
+        # arithmetic CPU charge chained into the dispatch loop.
+        self.env.schedule_call(0.0, self._rx_charge, batch)
 
     def _rx_charge(self, batch: List[SkBuff]) -> None:
+        # One interrupt services the whole batch; per-frame protocol
+        # costs are charged by the handlers themselves.
         env = self.env
         end = self.cpu.charge(self.costs.rx_irq_s())
         if end <= env._now:
             self._dispatch_batch(batch)
         else:
             env.schedule_call(end - env._now, self._dispatch_batch, batch)
-
-    def _rx_dispatch(self, batch: List[SkBuff]):
-        # One interrupt services the whole batch; per-frame protocol
-        # costs are charged by the handlers themselves.
-        yield from self.cpu.run(self.costs.rx_irq_s())
-        self._dispatch_batch(batch)
 
     def _dispatch_batch(self, batch: List[SkBuff]) -> None:
         n = len(batch)

@@ -20,11 +20,10 @@ from typing import Callable, Deque, List, Optional, Tuple
 
 from repro.chaos.hooks import register_target as register_chaos_target
 from repro.errors import LinkError, TopologyError
-from repro.net.train import BacklogView, SegmentTrain, train_batching_enabled
+from repro.net.train import BacklogView, SegmentTrain
 from repro.oskernel.skbuff import SkBuff
 from repro.sim.engine import Environment, Event
 from repro.sim.monitor import CounterMonitor
-from repro.sim.resources import Store
 from repro.telemetry.session import active_metrics
 from repro.units import Gbps, us
 
@@ -83,19 +82,14 @@ class TenGigAdapter:
             self._c_tx = self._c_txdrop = self._c_rx = None
             self._c_rxdrop = self._c_irq = self._c_tso = None
             self._c_train = self._h_batch = self._h_train = None
-        self._batched = train_batching_enabled()
-        if self._batched:
-            # Train-batched transmit engine: a plain backlog deque
-            # drained by a callback chain (see _tx_service).
-            self._backlog: Deque[SkBuff] = deque()
-            self._space_waiters: Deque[Tuple[Event, SkBuff]] = deque()
-            self._tx_busy = False
-            self._tx_kick_pending = False
-            self._train: Optional[SegmentTrain] = None
-            self.txq = BacklogView(self._backlog, cfg.txqueuelen)
-        else:
-            self.txq = Store(env, capacity=cfg.txqueuelen,
-                             name=f"{self.name}.txq")
+        # Train-batched transmit engine: a plain backlog deque drained
+        # by a callback chain (see _tx_service).
+        self._backlog: Deque[SkBuff] = deque()
+        self._space_waiters: Deque[Tuple[Event, SkBuff]] = deque()
+        self._tx_busy = False
+        self._tx_kick_pending = False
+        self._train: Optional[SegmentTrain] = None
+        self.txq = BacklogView(self._backlog, cfg.txqueuelen)
         self.tx_drops = CounterMonitor(env, name=f"{self.name}.txdrop")
         self.rx_drops = CounterMonitor(env, name=f"{self.name}.rxdrop")
         self.tx_frames = CounterMonitor(env, name=f"{self.name}.tx")
@@ -110,8 +104,6 @@ class TenGigAdapter:
         self.moderator = InterruptModerator(
             base_delay_s=cfg.interrupt_coalescing_us * 1e-6,
             adaptive=cfg.adaptive_coalescing)
-        if not self._batched:
-            env.process(self._tx_loop(), name=f"{self.name}.txloop")
         register_chaos_target("nic", self.name, self)
         host.register_adapter(self)
 
@@ -145,11 +137,8 @@ class TenGigAdapter:
                 trace.post(self.env.now, "nic.tx.drop", skb.ident,
                            qlen=self.txq.level)
             return False
-        if self._batched:
-            self._backlog.append(skb)
-            self._tx_kick()
-        else:
-            self.txq.put(skb)
+        self._backlog.append(skb)
+        self._tx_kick()
         trace = self.trace
         if trace.enabled:
             trace.post(self.env.now, "nic.tx.queue", skb.ident,
@@ -167,27 +156,24 @@ class TenGigAdapter:
         if trace.enabled:
             trace.post(self.env.now, "nic.tx.queue", skb.ident,
                        kind=skb.kind, qlen=self.txq.level)
-        if not self._batched:
-            return self.txq.put(skb)
         ev = Event(self.env)
         if len(self._backlog) < self.txq.capacity:
             self._backlog.append(skb)
             # Succeed before kicking so the enqueuer wakes ahead of the
-            # engine's first service step, matching the Store's
-            # putter-before-getter settle order.
+            # engine's first service step (the goldens pin this order).
             ev.succeed()
             self._tx_kick()
         else:
             self._space_waiters.append((ev, skb))
         return ev
 
-    # -- transmit engine (train-batched path) ------------------------------------
+    # -- transmit engine ----------------------------------------------------------
     def _tx_kick(self) -> None:
         """Arrange for the engine to start servicing the backlog.
 
-        The start is deferred one zero-delay event — the same hop the
-        legacy transmit loop's ``Store.get`` wakeup takes — so queue
-        levels and same-instant orderings match the legacy path.
+        The start is deferred one zero-delay event: queue levels and
+        same-instant orderings depend on that hop, and the goldens pin
+        them.
         """
         if self._tx_busy or self._tx_kick_pending or not self._backlog:
             return
@@ -212,9 +198,9 @@ class TenGigAdapter:
         env = self.env
         mmrbc = self.host.config.mmrbc
         _, end = self.pcix.charge_transfer(skb.frame_bytes, mmrbc)
-        # Replicate the legacy chain's float arithmetic exactly: the DMA
-        # timeout fires at now + (end - now), the traverse timeout at
-        # that instant plus the traverse cost.
+        # Keep this float arithmetic exactly: the DMA completes at
+        # now + (end - now), the traverse at that instant plus the
+        # traverse cost.  The goldens pin the rounding.
         dma_fire = env._now + (end - env._now)
         env.schedule_call_at(dma_fire + self.host.costs.nic_traverse_s,
                              self._tx_dma_done, skb, mmrbc)
@@ -266,30 +252,6 @@ class TenGigAdapter:
             return 0.0
         return self.tx_train_frames.total / self.tx_trains.events
 
-    def _tx_loop(self):
-        cfg = self.host.config
-        while True:
-            skb = yield self.txq.get()
-            # DMA the frame (or super-segment) across PCI-X.
-            yield from self.pcix.dma(skb.frame_bytes, cfg.mmrbc)
-            yield self.env._fast_timeout(self.host.costs.nic_traverse_s)
-            frames = self._wire_frames(skb)
-            trace = self.trace
-            if len(frames) > 1:
-                if self._c_tso is not None:
-                    self._c_tso.inc()
-                if trace.enabled:
-                    trace.post(self.env.now, "nic.tso.split", skb.ident,
-                               frames=len(frames), payload=skb.payload)
-            for frame in frames:
-                self._egress.transmit(frame)
-                self.tx_frames.add()
-                if self._c_tx is not None:
-                    self._c_tx.inc()
-                if trace.enabled:
-                    trace.post(self.env.now, "nic.tx.wire", frame.ident,
-                               nbytes=frame.frame_bytes)
-
     def _wire_frames(self, skb: SkBuff) -> List[SkBuff]:
         """Re-segment a TSO super-segment into wire frames; ordinary
         frames pass through untouched."""
@@ -328,20 +290,17 @@ class TenGigAdapter:
         if trace.enabled:
             trace.post(self.env.now, "nic.rx.frame", skb.ident,
                        nbytes=skb.frame_bytes)
-        if self._batched:
-            # Deferred one zero-delay event (the hop the legacy process
-            # spawn takes) so same-instant DMA charges keep their order.
-            self.env.schedule_call(0.0, self._rx_charge, skb)
-        else:
-            self.env.process(self._rx_dma(skb), name=f"{self.name}.rxdma")
+        # Deferred one zero-delay event so same-instant DMA charges keep
+        # the order the goldens pin.
+        self.env.schedule_call(0.0, self._rx_charge, skb)
 
     def _rx_charge(self, skb: SkBuff) -> None:
         env = self.env
         mmrbc = self.host.config.mmrbc
         _, end = self.pcix.charge_transfer(skb.frame_bytes, mmrbc)
         costs = self.host.costs
-        # Same float chain as the legacy _rx_dma process: DMA fire, then
-        # one timeout of (traverse + pad).
+        # Keep this float chain exactly: DMA completion, then one delay
+        # of (traverse + pad).  The goldens pin the rounding.
         dma_fire = env._now + (end - env._now)
         env.schedule_call_at(
             dma_fire + (costs.nic_traverse_s + costs.rx_fixed_pad_s),
@@ -349,19 +308,6 @@ class TenGigAdapter:
 
     def _rx_posted(self, skb: SkBuff, mmrbc: int) -> None:
         self.pcix.account(skb.frame_bytes, mmrbc)
-        trace = self.trace
-        if trace.enabled:
-            trace.post(self.env.now, "nic.rx.dma", skb.ident,
-                       nbytes=skb.frame_bytes)
-        self._rx_pending.append(skb)
-        self.moderator.note_arrival(self.env.now)
-        self._arm_interrupt()
-
-    def _rx_dma(self, skb: SkBuff):
-        # DMA into host memory, then post toward the interrupt unit.
-        yield from self.pcix.dma(skb.frame_bytes, self.host.config.mmrbc)
-        yield self.env._fast_timeout(self.host.costs.nic_traverse_s
-                               + self.host.costs.rx_fixed_pad_s)
         trace = self.trace
         if trace.enabled:
             trace.post(self.env.now, "nic.rx.dma", skb.ident,

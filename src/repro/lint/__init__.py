@@ -3,7 +3,7 @@
 Every figure this repository regenerates rests on one invariant: a
 simulation result is a pure function of (tuning configuration, topology/
 workload parameters, code) — bit-identical across serial/parallel runs,
-train batching on/off, chaos on/off and warm/cold caches.  Runtime
+chaos on/off and warm/cold caches.  Runtime
 parity tests police that invariant *after* the fact and at full
 simulation cost; reprolint polices it *statically*, on
 every PR, by scanning the source for the bug classes that break it:

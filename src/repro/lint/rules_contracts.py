@@ -30,7 +30,7 @@ _POINTS_MODULE = "telemetry/points.py"
 
 
 def _module_str_constants(tree: ast.Module) -> Dict[str, str]:
-    """Module-level ``NAME = "literal"`` bindings (e.g. ``TRAIN_ENV``)."""
+    """Module-level ``NAME = "literal"`` bindings (e.g. ``HYBRID_TICK_ENV``)."""
     out: Dict[str, str] = {}
     for node in tree.body:
         if isinstance(node, ast.Assign) and isinstance(node.value,

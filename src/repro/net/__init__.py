@@ -6,7 +6,7 @@ from repro.net.ethernet import EthernetLink, wire_time
 from repro.net.fabric import (FabricLinkSpec, FabricTopology, build_fat_tree,
                               build_torus3d)
 from repro.net.switch import Switch, SwitchPort, FASTIRON_1500
-from repro.net.train import SegmentTrain, train_batching_enabled
+from repro.net.train import SegmentTrain
 from repro.net.wanpath import PosCircuit, Router, WanPath
 
 # Topology builders are re-exported lazily: topology.py imports the
@@ -32,7 +32,6 @@ __all__ = [
     "SwitchPort",
     "FASTIRON_1500",
     "SegmentTrain",
-    "train_batching_enabled",
     "PosCircuit",
     "Router",
     "WanPath",

@@ -12,11 +12,9 @@ from typing import Callable, Optional, Protocol
 
 from repro.chaos.hooks import register_target as register_chaos_target
 from repro.errors import LinkError
-from repro.net.train import train_batching_enabled
 from repro.oskernel.skbuff import SkBuff
 from repro.sim.engine import Environment
 from repro.sim.monitor import CounterMonitor
-from repro.sim.resources import Resource
 from repro.sim.timeline import FifoTimeline
 from repro.units import Gbps, transfer_time
 
@@ -69,8 +67,6 @@ class EthernetLink:
         self.mtu = mtu
         self.name = name
         self._sink: Optional[FrameSink] = None
-        self._batched = train_batching_enabled()
-        self._tx = Resource(env, capacity=1, name=f"{name}.tx")
         self._txline = FifoTimeline(env, capacity=1, name=f"{name}.txline")
         self.frames = CounterMonitor(env, name=f"{name}.frames")
         self.bytes = CounterMonitor(env, name=f"{name}.bytes")
@@ -88,24 +84,18 @@ class EthernetLink:
     def transmit(self, skb: SkBuff) -> None:
         """Begin transmitting ``skb`` (returns immediately; the frame is
         serialized FIFO and delivered after propagation)."""
-        if self._batched:
-            self.charge_frame(skb)
-            return
-        self._check(skb)
-        self.env.process(self._send(skb), name=f"{self.name}.tx#{skb.ident}")
+        self.charge_frame(skb)
 
     def charge_frame(self, skb: SkBuff) -> float:
-        """Train-batched transmit: commit the FIFO serialization hold
-        arithmetically and schedule the delivery; returns the absolute
-        serialization-end instant so queue drains can chain off it.  The
-        frame hits the sink at exactly the same time the event-based
-        path delivers it."""
+        """Commit the FIFO serialization hold arithmetically and schedule
+        the delivery; returns the absolute serialization-end instant so
+        queue drains (switch ports, routers) can chain off it and keep
+        their backlog, and drop-tail, in their own queue."""
         self._check(skb)
         env = self.env
         _, end = self._txline.charge(wire_time(skb, self.rate_bps))
-        # ``end`` equals the legacy wire-timeout fire instant bit-exactly
-        # (each hold is one start+hold addition, like the engine's
-        # now+delay); the delivery target replicates its +propagation.
+        # Each hold is one start+hold addition and delivery one
+        # end+propagation addition; the goldens pin this rounding.
         env.schedule_call_at(end + self.propagation_s,
                              self._deliver, skb, end)
         return end
@@ -115,15 +105,6 @@ class EthernetLink:
         self.bytes.add(skb.wire_bytes, time=serialized_at)
         self._sink.receive_frame(skb)
 
-    def send(self, skb: SkBuff):
-        """Blocking variant: a process generator that completes when the
-        frame has finished serializing (``yield from link.send(skb)``).
-        Switch ports and routers use this so their queues, not the
-        link's internal arbiter, absorb backlog — which is where
-        drop-tail must happen."""
-        self._check(skb)
-        return self._send(skb)
-
     def _check(self, skb: SkBuff) -> None:
         if self._sink is None:
             raise LinkError(f"{self.name}: transmit on unconnected link")
@@ -132,17 +113,6 @@ class EthernetLink:
             raise LinkError(
                 f"{self.name}: frame of {ip_size} bytes exceeds MTU {self.mtu}")
 
-    def _send(self, skb: SkBuff):
-        req = self._tx.request()
-        yield req
-        yield self.env._fast_timeout(wire_time(skb, self.rate_bps))
-        self._tx.release(req)
-        self.frames.add()
-        self.bytes.add(skb.wire_bytes)
-        sink = self._sink
-        self.env.schedule_call(self.propagation_s, sink.receive_frame, skb)
-
     def utilization(self) -> float:
         """Busy fraction of the serializer since t=0."""
-        # Exactly one of the two accountings is in use per mode.
-        return self._tx.utilization() + self._txline.utilization()
+        return self._txline.utilization()

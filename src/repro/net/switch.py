@@ -16,11 +16,10 @@ from typing import Deque, Dict, Optional
 from repro.chaos.hooks import register_target as register_chaos_target
 from repro.errors import LinkError, TopologyError
 from repro.net.ethernet import EthernetLink
-from repro.net.train import BacklogView, train_batching_enabled
+from repro.net.train import BacklogView
 from repro.oskernel.skbuff import SkBuff
 from repro.sim.engine import Environment
 from repro.sim.monitor import CounterMonitor
-from repro.sim.resources import Store
 from repro.sim.trace import TraceBuffer
 from repro.telemetry.session import active_metrics, register_trace
 from repro.units import Gbps, us
@@ -66,16 +65,11 @@ class SwitchPort:
         self.switch = switch
         self.port_id = port_id
         self.egress = egress
-        self._batched = train_batching_enabled()
         #: hybrid-mode shared-queue coupling (None outside hybrid runs)
         self.coupling = None
-        if self._batched:
-            self._backlog: Deque[SkBuff] = deque()
-            self._busy = False
-            self.queue = BacklogView(self._backlog, queue_frames)
-        else:
-            self.queue = Store(env, capacity=queue_frames,
-                               name=f"{switch.name}.{port_id}.q")
+        self._backlog: Deque[SkBuff] = deque()
+        self._busy = False
+        self.queue = BacklogView(self._backlog, queue_frames)
         self.drops = CounterMonitor(env, name=f"{switch.name}.{port_id}.drops")
         self.forwarded = CounterMonitor(env, name=f"{switch.name}.{port_id}.fwd")
         self.trace = switch.trace
@@ -87,8 +81,6 @@ class SwitchPort:
         else:
             self._c_fwd = self._c_drop = None
         register_chaos_target("switch_port", f"{switch.name}.{port_id}", self)
-        if not self._batched:
-            env.process(self._drain(), name=f"{switch.name}.{port_id}.drain")
 
     def enqueue(self, skb: SkBuff) -> None:
         """Apply the (pipelined) forwarding latency, then queue for
@@ -119,20 +111,20 @@ class SwitchPort:
         if trace.enabled:
             trace.post(self.env.now, "switch.enqueue", skb.ident,
                        port=self.port_id, qlen=self.queue.level)
-        if not self._batched:
-            self.queue.put(skb)
-            return
         if self._busy:
             # Joins the train already draining; counted in the queue
-            # level exactly like a Store item awaiting the drain's get.
+            # level.  The frame in service is not.
             self._backlog.append(skb)
         else:
-            # One zero-delay hop: the legacy drain's Store.get wakeup.
+            # One zero-delay hop before service; the goldens pin its tie
+            # order.
             self._busy = True
             self.env.schedule_call(0.0, self._service, skb)
 
-    # -- train-batched drain ------------------------------------------------------
+    # -- drain -----------------------------------------------------------------------
     def _service(self, skb: SkBuff) -> None:
+        # Chain off serialization so backlog (and drop-tail) stays in
+        # this output queue, not in the link.
         end = self.egress.charge_frame(skb)
         self.env.schedule_call_at(end, self._serialized, skb)
 
@@ -150,22 +142,6 @@ class SwitchPort:
             self._service(self._backlog.popleft())
         else:
             self._busy = False
-
-    def _drain(self):
-        while True:
-            skb = yield self.queue.get()
-            # block on serialization so backlog (and drop-tail) stays
-            # in this output queue
-            yield from self.egress.send(skb)
-            self.forwarded.add()
-            if self._c_fwd is not None:
-                self._c_fwd.inc()
-            if self.coupling is not None:
-                self.coupling.record_service(skb.wire_bytes)
-            trace = self.trace
-            if trace.enabled:
-                trace.post(self.env.now, "switch.forward", skb.ident,
-                           port=self.port_id)
 
 
 class Switch:

@@ -2,57 +2,43 @@
 
 The paper's whole argument is that per-packet fixed costs dominate
 10GbE hosts, and that the cure is amortization (interrupt coalescing,
-jumbo frames).  The simulator has the same disease: in the legacy path
-every segment of a multi-gigabit flow costs a queue put/get pair, a
-process wakeup, and a request/grant/release cascade per resource it
-crosses.  Train batching applies the same amortization idea to the
-simulator itself:
+jumbo frames).  A simulator has the same disease: a queue put/get pair,
+a process wakeup and a request/grant/release cascade per segment per
+resource it crosses.  The data path applies the same amortization idea
+to the simulator itself:
 
 * the TCP sender stamps each burst of back-to-back segments (one pump
   wakeup) with a train id, so the burst travels as one logical unit;
 * the NIC transmit engine drains a whole backlog with one callback
-  chain — one scheduled event per frame boundary instead of the
-  put/get/DMA-request/traverse/process cascade — computing every
+  chain — one scheduled event per frame boundary — computing every
   per-frame DMA and wire timestamp arithmetically on
   :class:`~repro.sim.timeline.FifoTimeline` servers;
 * switch ports and WAN routers forward a queued train the same way,
   splitting it only where drop-tail (or a fault tap) actually removes a
   frame.
 
-Batching changes *when Python runs*, never *when things happen*: every
-grant, serialization and delivery instant equals the legacy event
-cascade's, so byte counts, ACK clocking, cwnd evolution and reported
-throughput/latency are bit-identical with batching on or off (the
-property-based tests assert this).  The ``REPRO_TRAIN`` environment
-variable selects the path: unset/``1`` = batched, ``0`` = legacy.
-Components read the knob when they are constructed.
+Trains change *when Python runs*, never *when things happen*: every
+frame is still granted, serialized and delivered at its own instant,
+so byte counts, ACK clocking, cwnd evolution and reported
+throughput/latency keep per-frame semantics.  The golden digests in
+``tests/golden`` and ``tests/sim/test_dispatch_golden.py`` pin those
+instants to the float bit.
 """
 
 from __future__ import annotations
 
 from typing import Deque, Optional
 
-__all__ = ["BacklogView", "SegmentTrain", "TRAIN_ENV",
-           "train_batching_enabled"]
-
-#: environment variable selecting the batched (default) or legacy path
-TRAIN_ENV = "REPRO_TRAIN"
-
-
-def train_batching_enabled() -> bool:
-    """True when the train-batched data path is selected (the default)."""
-    from repro.core.knobs import env_value  # lazy: core imports net
-    return env_value(TRAIN_ENV)
+__all__ = ["BacklogView", "SegmentTrain"]
 
 
 class BacklogView:
-    """``level``/``capacity`` façade over a batched engine's backlog.
+    """``level``/``capacity`` façade over an engine's backlog deque.
 
-    The legacy queues are :class:`~repro.sim.resources.Store` objects
-    whose ``level`` excludes the item the drain loop holds in service;
-    batched engines keep that item out of their backlog deque, so
-    ``len(backlog)`` reports the same occupancy.  Netstat-style tools,
-    traces and drop-tail checks read this instead of the Store.
+    The NIC, switch ports and routers keep the frame in service out of
+    their backlog, so ``len(backlog)`` is the queue occupancy (the item
+    being serialized is not queued).  Netstat-style tools, traces and
+    drop-tail checks read this instead of the deque.
     """
 
     __slots__ = ("_backlog", "capacity")

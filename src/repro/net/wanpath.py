@@ -20,11 +20,10 @@ from typing import Deque, List, Optional
 from repro.chaos.hooks import register_target as register_chaos_target
 from repro.errors import LinkError, TopologyError
 from repro.net.ethernet import FrameSink
-from repro.net.train import BacklogView, train_batching_enabled
+from repro.net.train import BacklogView
 from repro.oskernel.skbuff import SkBuff
 from repro.sim.engine import Environment
 from repro.sim.monitor import CounterMonitor
-from repro.sim.resources import Resource, Store
 from repro.sim.timeline import FifoTimeline
 from repro.sim.trace import TraceBuffer
 from repro.telemetry.session import active_metrics, register_trace
@@ -63,8 +62,6 @@ class PosCircuit:
         self.propagation_s = length_km * 1000.0 / 2.0e8
         self.name = name
         self._sink: Optional[FrameSink] = None
-        self._batched = train_batching_enabled()
-        self._tx = Resource(env, capacity=1, name=f"{name}.tx")
         self._txline = FifoTimeline(env, capacity=1, name=f"{name}.txline")
         self.frames = CounterMonitor(env, name=f"{name}.frames")
         self.trace = trace
@@ -91,17 +88,12 @@ class PosCircuit:
 
     def transmit(self, skb: SkBuff) -> None:
         """Serialize FIFO, deliver after propagation (fire-and-forget)."""
-        if self._sink is None:
-            raise LinkError(f"{self.name}: transmit on unconnected circuit")
-        if self._batched:
-            self.charge_frame(skb)
-            return
-        self.env.process(self._send(skb), name=f"{self.name}#{skb.ident}")
+        self.charge_frame(skb)
 
     def charge_frame(self, skb: SkBuff) -> float:
-        """Train-batched transmit: commit the FIFO serialization hold
-        arithmetically; returns the serialization-end instant (equal to
-        the legacy wire-timeout fire time bit-exactly)."""
+        """Commit the FIFO serialization hold arithmetically and schedule
+        the delivery; returns the serialization-end instant (see
+        :meth:`EthernetLink.charge_frame`)."""
         if self._sink is None:
             raise LinkError(f"{self.name}: transmit on unconnected circuit")
         env = self.env
@@ -120,31 +112,9 @@ class PosCircuit:
                        circuit=self.name, nbytes=skb.frame_bytes)
         self._sink.receive_frame(skb)
 
-    def send(self, skb: SkBuff):
-        """Blocking variant (see :meth:`EthernetLink.send`)."""
-        if self._sink is None:
-            raise LinkError(f"{self.name}: transmit on unconnected circuit")
-        return self._send(skb)
-
-    def _send(self, skb: SkBuff):
-        req = self._tx.request()
-        yield req
-        yield self.env._fast_timeout(self.serialization_time(skb))
-        self._tx.release(req)
-        self.frames.add()
-        if self._c_tx is not None:
-            self._c_tx.inc()
-        trace = self.trace
-        if trace is not None and trace.enabled:
-            trace.post(self.env.now, "pos.tx", skb.ident,
-                       circuit=self.name, nbytes=skb.frame_bytes)
-        self.env.schedule_call(self.propagation_s,
-                               self._sink.receive_frame, skb)
-
     def utilization(self) -> float:
         """Busy fraction of the circuit."""
-        # Exactly one of the two accountings is in use per mode.
-        return self._tx.utilization() + self._txline.utilization()
+        return self._txline.utilization()
 
 
 class Router:
@@ -164,15 +134,11 @@ class Router:
         self.env = env
         self.egress = egress
         self.name = name
-        self._batched = train_batching_enabled()
         #: hybrid-mode shared-queue coupling (None outside hybrid runs)
         self.coupling = None
-        if self._batched:
-            self._backlog: Deque[SkBuff] = deque()
-            self._busy = False
-            self.queue = BacklogView(self._backlog, queue_frames)
-        else:
-            self.queue = Store(env, capacity=queue_frames, name=f"{name}.q")
+        self._backlog: Deque[SkBuff] = deque()
+        self._busy = False
+        self.queue = BacklogView(self._backlog, queue_frames)
         self.forwarding_latency_s = forwarding_latency_s
         self.drops = CounterMonitor(env, name=f"{name}.drops")
         self.forwarded = CounterMonitor(env, name=f"{name}.fwd")
@@ -184,8 +150,6 @@ class Router:
         else:
             self._c_fwd = self._c_drop = None
         register_chaos_target("router", name, self)
-        if not self._batched:
-            env.process(self._drain(), name=f"{name}.drain")
 
     def receive_frame(self, skb: SkBuff) -> None:
         """Lookup/processing latency, then queue or drop.
@@ -216,18 +180,18 @@ class Router:
         if trace is not None and trace.enabled:
             trace.post(self.env.now, "wan.enqueue", skb.ident,
                        router=self.name, qlen=self.queue.level)
-        if not self._batched:
-            self.queue.put(skb)
-            return
         if self._busy:
             self._backlog.append(skb)
         else:
-            # One zero-delay hop: the legacy drain's Store.get wakeup.
+            # One zero-delay hop before service; the goldens pin its tie
+            # order.
             self._busy = True
             self.env.schedule_call(0.0, self._service, skb)
 
-    # -- train-batched drain ------------------------------------------------------
+    # -- drain -----------------------------------------------------------------------
     def _service(self, skb: SkBuff) -> None:
+        # Chain off serialization: backlog lives in *this* queue, where
+        # drop-tail applies.
         end = self.egress.charge_frame(skb)
         self.env.schedule_call_at(end, self._serialized, skb)
 
@@ -245,22 +209,6 @@ class Router:
             self._service(self._backlog.popleft())
         else:
             self._busy = False
-
-    def _drain(self):
-        while True:
-            skb = yield self.queue.get()
-            # block on the egress serializer: backlog lives in *this*
-            # queue, where drop-tail applies
-            yield from self.egress.send(skb)
-            self.forwarded.add()
-            if self._c_fwd is not None:
-                self._c_fwd.inc()
-            if self.coupling is not None:
-                self.coupling.record_service(skb.wire_bytes)
-            trace = self.trace
-            if trace is not None and trace.enabled:
-                trace.post(self.env.now, "wan.forward", skb.ident,
-                           router=self.name)
 
     @property
     def occupancy(self) -> int:

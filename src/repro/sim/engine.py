@@ -457,9 +457,10 @@ class Environment:
         """Call ``fn(*args)`` at the absolute instant ``at_time``.
 
         Unlike ``schedule_call(at_time - now, ...)`` the target is used
-        verbatim — no ``now + delay`` round trip — so batched data paths
-        can reproduce a legacy event chain's fire times bit-exactly.
-        Like :meth:`schedule_call` it returns nothing.
+        verbatim — no ``now + delay`` round trip — so a callback chain
+        that computes its instants arithmetically (a DMA or wire
+        completion) fires exactly there.  Like :meth:`schedule_call` it
+        returns nothing.
         """
         now = self._now
         if not at_time >= now:  # also refuses NaN

@@ -13,10 +13,10 @@ What makes the warm pool safe to share:
   fork time; a *persistent* worker forked during sweep #1 would run
   sweep #50 under stale knobs.  Every batch therefore carries a capsule
   of the ambient state that can influence results — the ``REPRO_*``
-  environment knobs (train batching, hybrid mode, chaos plan path...)
-  and the explicitly-activated chaos fault plan — which the worker
-  applies before running the batch.  Results are bit-identical
-  to a per-sweep pool by construction.
+  environment knobs (hybrid mode, chaos plan path...) and the
+  explicitly-activated chaos fault plan — which the worker applies
+  before running the batch, so a reused worker gives the results a
+  fresh one would.
 * **Fingerprint shipped, not recomputed.**  The pool initializer
   exports the parent's :func:`~repro.cache.code_fingerprint` into each
   worker via ``REPRO_CODE_FINGERPRINT``, so no worker ever repeats the
@@ -28,12 +28,14 @@ What makes the warm pool safe to share:
 * **A dead worker costs one sweep.**  On ``BrokenProcessPool``, at
   submit or at collect, the warm pool is dropped before re-raising, so
   the next sweep forks a fresh one.
+* **A failed point costs only itself.**  Collect drains every chunk and
+  memoizes the ones that finished before it re-raises the first error,
+  so a rerun dispatches only the points that did not complete.
 * **Cache probe before submit.**  When a result cache is active every
   key is probed first and only misses are dispatched — a fully-warm
   sweep never touches the pool (or creates it) at all.
 
-Knobs: ``REPRO_POOL_PERSIST=0`` restores the per-sweep pool;
-``REPRO_POOL_CHUNK=N`` forces the batch size.  Telemetry counters
+Knob: ``REPRO_POOL_CHUNK=N`` forces the batch size.  Telemetry counters
 ``pool.tasks_dispatched`` and ``pool.reuse`` record dispatch traffic
 (see docs/CACHING.md).
 """
@@ -51,7 +53,7 @@ from repro.cache import active_cache, code_fingerprint, stable_key
 from repro.chaos import hooks as chaos_hooks
 
 __all__ = ["SweepHandle", "submit", "dispatch", "shutdown_pool",
-           "pool_persist_enabled", "pool_stats", "resolve_chunk"]
+           "pool_stats", "resolve_chunk"]
 
 #: The shared executor (created lazily), its size, and the owning pid.
 _POOL: Optional[ProcessPoolExecutor] = None
@@ -61,12 +63,6 @@ _POOL_PID: Optional[int] = None
 #: Lifetime dispatch accounting (mirrored into telemetry when active).
 _STATS = {"pools_created": 0, "pool_reuses": 0, "tasks_dispatched": 0,
           "batches_dispatched": 0, "points_inline": 0}
-
-
-def pool_persist_enabled() -> bool:
-    """True when the warm pool persists across sweeps (the default)."""
-    from repro.core.knobs import env_value  # lazy: core imports sim
-    return env_value("REPRO_POOL_PERSIST")
 
 
 def pool_stats() -> Dict[str, int]:
@@ -93,21 +89,14 @@ def _worker_init(fingerprint: str) -> None:
     os.environ["REPRO_CODE_FINGERPRINT"] = fingerprint
 
 
-def _get_executor(workers: int) -> Tuple[ProcessPoolExecutor, bool, bool]:
-    """``(executor, reused, ephemeral)`` for a dispatch of ``workers``.
+def _get_executor(workers: int) -> Tuple[ProcessPoolExecutor, bool]:
+    """``(executor, reused)`` for a dispatch of ``workers``.
 
-    Persistent mode reuses the module-level pool while its size
-    matches; a size change (or a fork — pools never cross a pid) tears
-    the old pool down first.  Ephemeral mode hands back a fresh pool
-    the caller must shut down.
+    The module-level pool is reused while its size matches; a size
+    change (or a fork — pools never cross a pid) tears the old pool
+    down first.
     """
     global _POOL, _POOL_WORKERS, _POOL_PID
-    init = (_worker_init, (code_fingerprint(),))
-    if not pool_persist_enabled():
-        _STATS["pools_created"] += 1
-        return (ProcessPoolExecutor(max_workers=workers,
-                                    initializer=init[0], initargs=init[1]),
-                False, True)
     if _POOL is not None and (_POOL_PID != os.getpid()
                               or _POOL_WORKERS != workers):
         if _POOL_PID == os.getpid():
@@ -118,14 +107,15 @@ def _get_executor(workers: int) -> Tuple[ProcessPoolExecutor, bool, bool]:
             _POOL_PID = None
     if _POOL is None:
         _POOL = ProcessPoolExecutor(max_workers=workers,
-                                    initializer=init[0], initargs=init[1])
+                                    initializer=_worker_init,
+                                    initargs=(code_fingerprint(),))
         _POOL_WORKERS = workers
         _POOL_PID = os.getpid()
         _STATS["pools_created"] += 1
-        return _POOL, False, False
+        return _POOL, False
     _STATS["pool_reuses"] += 1
     _count("pool.reuse")
-    return _POOL, True, False
+    return _POOL, True
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +243,7 @@ class SweepHandle:
                  keys: List[Optional[str]], cache: Optional[Any],
                  chunks: List[Tuple[List[int], Any]],
                  inline: Optional[Tuple[Callable, List[Any]]],
-                 executor: Optional[ProcessPoolExecutor], ephemeral: bool,
+                 executor: Optional[ProcessPoolExecutor],
                  session: Optional[Any] = None, prefix_ns: str = ""):
         self._results = results
         self._pending = pending
@@ -262,7 +252,6 @@ class SweepHandle:
         self._chunks = chunks          # [(indices, future)]
         self._inline = inline          # serial fallback: (runner, tasks)
         self._executor = executor
-        self._ephemeral = ephemeral
         self._session = session
         self._prefix_ns = prefix_ns
         self._collected = False
@@ -273,25 +262,32 @@ class SweepHandle:
         return not self._pending
 
     def collect(self) -> List[Any]:
-        """Wait for the computed points; return results in task order."""
+        """Wait for the computed points; return results in task order.
+
+        Every chunk is drained and the finished ones are memoized before
+        the first chunk error is re-raised, so one failing point does
+        not discard the work of the others.
+        """
         if self._collected:
             return self._results
         self._collected = True
-        try:
-            if self._inline is not None:
-                runner, tasks = self._inline
-                for i in self._pending:
-                    self._finish(i, runner(tasks[i]))
-            else:
-                for indices, future in self._chunks:
-                    for i, value in zip(indices, future.result()):
-                        self._finish(i, value)
-        except BrokenProcessPool:
-            _drop_broken(self._executor)
-            raise
-        finally:
-            if self._ephemeral and self._executor is not None:
-                self._executor.shutdown()
+        if self._inline is not None:
+            runner, tasks = self._inline
+            for i in self._pending:
+                self._finish(i, runner(tasks[i]))
+            return self._results
+        error: Optional[BaseException] = None
+        for indices, future in self._chunks:
+            failure = future.exception()  # waits; None when it succeeded
+            if failure is not None:
+                error = error or failure
+                continue
+            for i, value in zip(indices, future.result()):
+                self._finish(i, value)
+        if error is not None:
+            if isinstance(error, BrokenProcessPool):
+                _drop_broken(self._executor)
+            raise error
         return self._results
 
     def _finish(self, index: int, value: Any) -> None:
@@ -351,10 +347,10 @@ def submit(fn: Callable[[Any], Any], tasks: Sequence[Any], *,
         else:
             runner = fn
         return SweepHandle(results, pending, keys, cache, [],
-                           (runner, tasks), None, False,
-                           session=session, prefix_ns=prefix_ns)
+                           (runner, tasks), None, session=session,
+                           prefix_ns=prefix_ns)
     workers = min(jobs, len(pending))
-    executor, _reused, ephemeral = _get_executor(workers)
+    executor, _reused = _get_executor(workers)
     ambient = _capture_ambient()
     chunk = resolve_chunk(len(pending), workers)
     chunks: List[Tuple[List[int], Any]] = []
@@ -376,8 +372,7 @@ def submit(fn: Callable[[Any], Any], tasks: Sequence[Any], *,
     _STATS["batches_dispatched"] += len(chunks)
     _count("pool.tasks_dispatched", len(pending))
     return SweepHandle(results, pending, keys, cache, chunks, None,
-                       executor, ephemeral, session=session,
-                       prefix_ns=prefix_ns)
+                       executor, session=session, prefix_ns=prefix_ns)
 
 
 def dispatch(fn: Callable[[Any], Any], tasks: Sequence[Any], *,

@@ -13,10 +13,8 @@ from collections import deque
 from typing import Callable, Deque, Dict, Optional, Tuple
 
 from repro.errors import ProtocolError
-from repro.net.train import train_batching_enabled
 from repro.oskernel.skbuff import SkBuff, ip_tcp_header_bytes
 from repro.sim.engine import Environment
-from repro.sim.resources import Store
 from repro.tcp.mss import MtuProfile
 from repro.tcp.window import ReceiveWindow
 from repro.telemetry.session import active_metrics
@@ -47,13 +45,8 @@ class TcpReceiver:
             window_scaling=host.config.window_scaling)
         self.rcv_nxt = 0
         self._ooo: Dict[int, SkBuff] = {}
-        self._batched = train_batching_enabled()
-        if self._batched:
-            self._rx_backlog: Deque[Tuple[SkBuff, int]] = deque()
-            self._rx_busy = False
-        else:
-            self._rxq = Store(env, name=f"{host.name}.tcp.rxq")
-            env.process(self._rx_loop(), name=f"{host.name}.tcp.rxloop")
+        self._rx_backlog: Deque[Tuple[SkBuff, int]] = deque()
+        self._rx_busy = False
         self._unacked_segments = 0
         self._delack_generation = 0
         self._delack_armed = False
@@ -91,22 +84,15 @@ class TcpReceiver:
         Segments enter a per-connection queue drained by one processing
         loop — in-order TCP processing even on hosts whose CPU complex
         services several flows in parallel (Itanium-II)."""
-        if not self._batched:
-            self._rxq.put((skb, batch))
-            return
         if self._rx_busy:
             self._rx_backlog.append((skb, batch))
         else:
-            # One zero-delay hop: the legacy loop's Store.get wakeup.
+            # One zero-delay hop before processing; the goldens pin its
+            # tie order.
             self._rx_busy = True
             self.env.schedule_call(0.0, self._rx_begin, skb, batch)
 
-    def _rx_loop(self):
-        while True:
-            skb, batch = yield self._rxq.get()
-            yield from self._process_data(skb, batch)
-
-    # -- train-batched processing chain -------------------------------------------
+    # -- processing chain -------------------------------------------------------
     def _rx_begin(self, skb: SkBuff, batch: int) -> None:
         host = self.host
         env = self.env
@@ -119,15 +105,14 @@ class TcpReceiver:
     def _rx_done(self) -> None:
         if self._rx_backlog:
             skb, batch = self._rx_backlog.popleft()
-            # The legacy loop re-arms Store.get here: one zero-delay hop
-            # per segment even when the queue is non-empty.
+            # One zero-delay hop per segment even when the queue is
+            # non-empty; the goldens pin the resulting tie order.
             self.env.schedule_call(0.0, self._rx_begin, skb, batch)
         else:
             self._rx_busy = False
 
     def _rx_process(self, skb: SkBuff, batch: int) -> None:
-        """Post-CPU segment processing (batched twin of
-        :meth:`_process_data` after its ``cpu_work``)."""
+        """Segment processing once its CPU charge has completed."""
         host = self.host
         self.segments_received += 1
         if self._c_seg is not None:
@@ -145,62 +130,6 @@ class TcpReceiver:
                 trace.post(self.env.now, "tcp.rx.dup", skb.ident,
                            seq=skb.seq, conn=self._conn_label)
             self._ack_begin(self._rx_done)
-            return
-        charged = host.costs.rx_truesize(skb)
-        skb.meta["charged"] = charged
-        if skb.seq == self.rcv_nxt:
-            self.window.charge(charged)
-            self._note_rmem(trace, skb, charged)
-            self._schedule_drain(skb)
-            self._advance(skb)
-        elif skb.seq > self.rcv_nxt:
-            if skb.seq not in self._ooo:
-                self.window.charge(charged)
-                self._note_rmem(trace, skb, charged)
-                self._ooo[skb.seq] = skb
-            if self._c_ooo is not None:
-                self._c_ooo.inc()
-            if trace.enabled:
-                trace.post(self.env.now, "tcp.rx.ooo", skb.ident,
-                           seq=skb.seq, expected=self.rcv_nxt,
-                           conn=self._conn_label)
-            out_of_order = True
-        else:
-            # partial overlap: treat as duplicate of the old part
-            self.duplicates += 1
-            if self._c_dup is not None:
-                self._c_dup.inc()
-            if trace.enabled:
-                trace.post(self.env.now, "tcp.rx.dup", skb.ident,
-                           seq=skb.seq, conn=self._conn_label)
-            out_of_order = True
-        self._unacked_segments += 1
-        quickack = self.window.current < 4 * self.align_mss
-        if out_of_order or quickack or self._unacked_segments >= 2:
-            self._ack_begin(self._rx_done)
-        else:
-            self._arm_delack()
-            self._rx_done()
-
-    def _process_data(self, skb: SkBuff, batch: int):
-        host = self.host
-        yield from host.cpu_work(host.costs.rx_segment_s(skb.payload, batch))
-        self.segments_received += 1
-        if self._c_seg is not None:
-            self._c_seg.inc()
-        if self.first_data_time is None:
-            self.first_data_time = self.env.now
-        trace = host.trace
-        out_of_order = False
-        if skb.end_seq <= self.rcv_nxt:
-            # pure duplicate (a spurious retransmission): drop, re-ack
-            self.duplicates += 1
-            if self._c_dup is not None:
-                self._c_dup.inc()
-            if trace.enabled:
-                trace.post(self.env.now, "tcp.rx.dup", skb.ident,
-                           seq=skb.seq, conn=self._conn_label)
-            yield from self._send_ack()
             return
         charged = host.costs.rx_truesize(skb)
         skb.meta["charged"] = charged
@@ -236,9 +165,10 @@ class TcpReceiver:
         # also wait on the delayed-ACK clock.
         quickack = self.window.current < 4 * self.align_mss
         if out_of_order or quickack or self._unacked_segments >= 2:
-            yield from self._send_ack()
+            self._ack_begin(self._rx_done)
         else:
             self._arm_delack()
+            self._rx_done()
 
     def _note_rmem(self, trace, skb: SkBuff, charged: int) -> None:
         if self._g_rmem is not None:
@@ -263,11 +193,9 @@ class TcpReceiver:
                                self._start_drain, skb)
 
     def _start_drain(self, skb: SkBuff) -> None:
-        if self._batched:
-            # One zero-delay hop (the legacy process-spawn init event).
-            self.env.schedule_call(0.0, self._drain_charge, skb)
-            return
-        self.env.process(self._drain(skb), name=f"{self.host.name}.tcp.drain")
+        # One zero-delay hop before the CPU charge; the goldens pin its
+        # tie order.
+        self.env.schedule_call(0.0, self._drain_charge, skb)
 
     def _drain_charge(self, skb: SkBuff) -> None:
         host = self.host
@@ -292,31 +220,12 @@ class TcpReceiver:
                        nbytes=skb.payload, conn=self._conn_label)
             trace.post(self.env.now, "copy.rx", skb.ident,
                        nbytes=skb.payload)
-        if self.window.would_update(2):
-            self.window_updates += 1
-            self._ack_begin(None)
-
-    def _drain(self, skb: SkBuff):
-        host = self.host
-        yield from host.cpu_work(host.costs.rx_wake_s())
-        self.window.uncharge(skb.meta.get("charged", skb.truesize))
-        self.bytes_delivered += skb.payload
-        if self._c_bytes is not None:
-            self._c_bytes.inc(skb.payload)
-        self.last_delivery_time = self.env.now
-        trace = host.trace
-        if trace.enabled:
-            trace.post(self.env.now, "tcp.rx.deliver", skb.ident,
-                       seq=skb.seq, len=skb.payload,
-                       nbytes=skb.payload, conn=self._conn_label)
-            trace.post(self.env.now, "copy.rx", skb.ident,
-                       nbytes=skb.payload)
         # Window-update ACKs only when the window reopens substantially
         # (2 MSS, like tcp_new_space checks) — finer updates would turn
         # every drained segment into an ACK.
         if self.window.would_update(2):
             self.window_updates += 1
-            yield from self._send_ack()
+            self._ack_begin(None)
 
     # -- ACK generation ---------------------------------------------------------
     def _sack_blocks(self, limit: int = 4):
@@ -334,9 +243,9 @@ class TcpReceiver:
         return [tuple(b) for b in blocks[-limit:]]
 
     def _ack_begin(self, then: Optional[Callable[[], None]]) -> None:
-        """Batched twin of :meth:`_send_ack`: state resets at call time,
-        the ACK itself is emitted when the generation CPU charge
-        completes, then ``then()`` continues the caller's chain."""
+        """Send an ACK: state resets at call time, the ACK itself is
+        emitted when the generation CPU charge completes, then
+        ``then()`` continues the caller's chain."""
         host = self.host
         self._unacked_segments = 0
         self._delack_generation += 1
@@ -369,29 +278,6 @@ class TcpReceiver:
         if then is not None:
             then()
 
-    def _send_ack(self):
-        host = self.host
-        self._unacked_segments = 0
-        self._delack_generation += 1
-        self._delack_armed = False
-        yield from host.cpu_work(host.costs.rx_ack_gen_s())
-        win = self.window.advertise()
-        meta = {"dst": self.src_address, "win": win}
-        if host.config.sack and self._ooo:
-            meta["sack"] = self._sack_blocks()
-        ack = SkBuff(payload=0,
-                     headers=ip_tcp_header_bytes(host.config.tcp_timestamps),
-                     kind="ack", ack=self.rcv_nxt, conn=self.conn,
-                     meta=meta)
-        self.acks_sent += 1
-        if self._c_ack is not None:
-            self._c_ack.inc()
-        self.nic.send(ack)
-        trace = host.trace
-        if trace.enabled:
-            trace.post(self.env.now, "tcp.rx.ack", ack.ident,
-                       ack=self.rcv_nxt, win=win, conn=self._conn_label)
-
     def _arm_delack(self) -> None:
         if self._delack_armed:
             return
@@ -411,13 +297,9 @@ class TcpReceiver:
                 trace.post(self.env.now, "tcp.delack.fire",
                            self._conn_label,
                            unacked=self._unacked_segments)
-            if self._batched:
-                # One zero-delay hop (the legacy process-spawn init
-                # event) before the ACK chain's state resets.
-                self.env.schedule_call(0.0, self._ack_begin, None)
-            else:
-                self.env.process(self._send_ack(),
-                                 name=f"{self.host.name}.tcp.delack")
+            # One zero-delay hop before the ACK chain's state resets;
+            # the goldens pin its tie order.
+            self.env.schedule_call(0.0, self._ack_begin, None)
 
     # -- reporting -------------------------------------------------------------
     def goodput_bps(self) -> float:

@@ -13,7 +13,6 @@ from collections import OrderedDict, deque
 from typing import Deque, Optional
 
 from repro.errors import ProtocolError
-from repro.net.train import train_batching_enabled
 from repro.oskernel.skbuff import SkBuff
 from repro.sim.engine import Environment, Event
 from repro.tcp.congestion import RenoCongestion
@@ -62,7 +61,6 @@ class TcpSender:
         self.wmem_used = 0
         self._writer_waits: Deque[Event] = deque()
         self._pump_wait: Optional[Event] = None
-        self._batched = train_batching_enabled()
         self._train_seq = 0       # id of the current back-to-back burst
         self.recover_point = 0  # NewReno: highest seq sent when loss seen
         # RTT estimation / RTO
@@ -222,17 +220,9 @@ class TcpSender:
     # -- ACK path ---------------------------------------------------------------
     def on_ack_frame(self, skb: SkBuff, batch: int = 1) -> None:
         """An ACK arrived at this host (called from interrupt dispatch)."""
-        if self._batched:
-            # One zero-delay hop (the legacy process-spawn init event),
-            # then an arithmetic CPU charge chained into the ACK logic.
-            self.env.schedule_call(0.0, self._ack_charge, skb)
-            return
-        self.env.process(self._process_ack(skb),
-                         name=f"{self.host.name}.tcp.ack")
-
-    def _process_ack(self, skb: SkBuff):
-        yield from self.host.cpu_work(self.host.costs.tx_ack_rx_s())
-        self._ack_done(skb)
+        # One zero-delay hop (the goldens pin its tie order), then an
+        # arithmetic CPU charge chained into the ACK logic.
+        self.env.schedule_call(0.0, self._ack_charge, skb)
 
     def _ack_charge(self, skb: SkBuff) -> None:
         env = self.env

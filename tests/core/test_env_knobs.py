@@ -18,8 +18,7 @@ from repro.errors import ConfigError
 
 def test_registry_covers_the_runtime_switches():
     expected = {
-        "REPRO_TRAIN", "REPRO_JOBS",
-        "REPRO_POOL_PERSIST", "REPRO_POOL_CHUNK", "REPRO_CACHE",
+        "REPRO_JOBS", "REPRO_POOL_CHUNK", "REPRO_CACHE",
         "REPRO_CACHE_DIR", "REPRO_CACHE_MAX_BYTES",
         "REPRO_CACHE_HOT_ENTRIES", "REPRO_CACHE_HOT_BYTES",
         "REPRO_CODE_FINGERPRINT", "REPRO_CHAOS", "REPRO_HYBRID",
@@ -58,10 +57,10 @@ def test_flag_parsers():
 
 
 def test_env_value_parses_and_defaults(monkeypatch):
-    monkeypatch.delenv("REPRO_TRAIN", raising=False)
-    assert env_value("REPRO_TRAIN") is True
-    monkeypatch.setenv("REPRO_TRAIN", "off")
-    assert env_value("REPRO_TRAIN") is False
+    monkeypatch.delenv("REPRO_HYBRID", raising=False)
+    assert env_value("REPRO_HYBRID") is True
+    monkeypatch.setenv("REPRO_HYBRID", "off")
+    assert env_value("REPRO_HYBRID") is False
     monkeypatch.setenv("REPRO_POOL_CHUNK", "7")
     assert env_value("REPRO_POOL_CHUNK") == 7
     monkeypatch.setenv("REPRO_POOL_CHUNK", "junk")  # historic leniency

@@ -1,20 +1,12 @@
 """Unit tests for the fault-injection taps (now part of repro.chaos)."""
 
-import os
-
 import pytest
 
-from repro.cache import stable_key
 from repro.chaos import DuplicateTap, LossTap, ReorderTap
-from repro.config import TuningConfig
 from repro.errors import TopologyError
 from repro.net.ethernet import EthernetLink
-from repro.net.topology import BackToBack
-from repro.net.train import TRAIN_ENV
 from repro.oskernel.skbuff import SkBuff
 from repro.sim import Environment
-from repro.tcp.connection import TcpConnection
-from repro.tools.nttcp import nttcp_run
 from repro.units import Gbps
 
 
@@ -98,28 +90,3 @@ def test_reorder_tap_negative_delay_rejected():
     with pytest.raises(TopologyError):
         ReorderTap(env, link, holds={0}, delay_s=-1.0)
 
-
-def _lossy_transfer(batched, drops):
-    """A TCP transfer through a LossTap with train batching forced."""
-    saved = os.environ.get(TRAIN_ENV)
-    os.environ[TRAIN_ENV] = "1" if batched else "0"
-    try:
-        env = Environment()
-        bb = BackToBack.create(env, TuningConfig.oversized_windows(9000))
-        conn = TcpConnection(env, bb.a, bb.b)
-        tap = LossTap(env, bb.links[0], drops)
-        result = nttcp_run(env, conn, payload=conn.mss, count=24)
-    finally:
-        if saved is None:
-            del os.environ[TRAIN_ENV]
-        else:
-            os.environ[TRAIN_ENV] = saved
-    return stable_key(result, env.now, sorted(tap.drops), len(tap.dropped))
-
-
-@pytest.mark.parametrize("drops", [set(), {0}, {2, 5}, {1, 2, 3, 11}])
-def test_loss_recovery_hashes_identical_train_on_vs_off(drops):
-    """Regression for the segment-train data path: dropping frames out
-    of an in-flight train must split it exactly like legacy per-frame
-    delivery, so the whole transfer hashes bit-identically."""
-    assert _lossy_transfer(True, drops) == _lossy_transfer(False, drops)

@@ -20,7 +20,6 @@ from repro.core.wanrecord import WanRecordRun
 from repro.net.fabric import build_fat_tree
 from repro.net.hybrid import HYBRID_TICK_ENV, FabricSimulation, incast_pairs
 from repro.net.topology import BackToBack, ThroughSwitch
-from repro.net.train import TRAIN_ENV
 from repro.sim import Environment
 from repro.tcp.connection import TcpConnection
 from repro.tools.netpipe import netpipe_latency
@@ -139,14 +138,12 @@ GOLDEN = {
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_golden_digest(name, monkeypatch):
-    # The digests include event counts, which the data-path knobs change.
-    monkeypatch.delenv(TRAIN_ENV, raising=False)
+    # The digests include event counts, which the hybrid tick knob changes.
     monkeypatch.delenv(HYBRID_TICK_ENV, raising=False)
     assert digest(SCENARIOS[name]()) == GOLDEN[name]
 
 
-def test_chaos_scenario_fires_its_faults(monkeypatch):
-    monkeypatch.delenv(TRAIN_ENV, raising=False)
+def test_chaos_scenario_fires_its_faults():
     rows = chaos_transfer()["faults"]
     assert all(row["fired"] for row in rows)
     assert rows[0]["drops"] > 0

@@ -22,6 +22,12 @@ def _die(task):
     os._exit(1)
 
 
+def _fail_on_zero(task):
+    if task == 0:
+        raise ValueError("task 0 fails")
+    return task * task
+
+
 def _read_knob(task):
     return os.environ.get("REPRO_TEST_KNOB")
 
@@ -49,23 +55,6 @@ class TestPersistence:
         stats = pool.pool_stats()
         assert stats["pools_created"] == before + 1
         assert stats["pool_reuses"] >= 1
-
-    def test_persist_off_spawns_per_sweep(self, monkeypatch):
-        monkeypatch.setenv("REPRO_POOL_PERSIST", "0")
-        runner = SweepRunner(2)
-        before = pool.pool_stats()["pools_created"]
-        runner.map(_square, list(range(4)))
-        runner.map(_square, list(range(4)))
-        assert pool.pool_stats()["pools_created"] == before + 2
-
-    def test_persistent_and_ephemeral_results_identical(self, monkeypatch):
-        tasks = list(range(10))
-        monkeypatch.setenv("REPRO_POOL_PERSIST", "1")
-        persistent = SweepRunner(2).map(_square, tasks)
-        pool.shutdown_pool()
-        monkeypatch.setenv("REPRO_POOL_PERSIST", "0")
-        ephemeral = SweepRunner(2).map(_square, tasks)
-        assert persistent == ephemeral == [t * t for t in tasks]
 
     def test_workers_reused_not_respawned(self):
         runner = SweepRunner(2)
@@ -201,6 +190,23 @@ class TestSubmitCollect:
             second = pool.dispatch(_square, tasks, jobs=2, cache_ns="sq")
         assert fresh.hits == len(tasks)
         assert first == second
+
+    def test_failed_chunk_keeps_finished_chunks_cached(self, tmp_path,
+                                                      monkeypatch):
+        monkeypatch.setenv("REPRO_POOL_CHUNK", "1")
+        cache = ResultCache(tmp_path / "c")
+        tasks = list(range(6))
+        with cache_context(cache):
+            with pytest.raises(ValueError, match="task 0 fails"):
+                pool.dispatch(_fail_on_zero, tasks, jobs=2, cache_ns="f")
+            assert cache.stores == 5
+            before = pool.pool_stats()
+            with pytest.raises(ValueError, match="task 0 fails"):
+                pool.dispatch(_fail_on_zero, tasks, jobs=2, cache_ns="f")
+            after = pool.pool_stats()
+        # only the failing task ran again
+        assert (after["tasks_dispatched"] + after["points_inline"]
+                - before["tasks_dispatched"] - before["points_inline"]) == 1
 
     def test_collect_is_idempotent(self):
         handle = pool.submit(_square, [1, 2, 3], jobs=2)

@@ -13,7 +13,6 @@ from collections import Counter as TallyCounter
 
 from repro.config import TuningConfig
 from repro.net.topology import BackToBack, ThroughSwitch, build_wan_path
-from repro.net.train import train_batching_enabled
 from repro.sim import Environment
 from repro.sim.runner import SweepRunner
 from repro.tcp.connection import TcpConnection
@@ -174,10 +173,9 @@ class TestPerfCounterPoints:
         counter = session.registry.counter("nic.tx_train_frames",
                                            nic=nic.name)
         assert counter.value == nic.tx_train_frames.total
-        if train_batching_enabled():
-            # every data frame rode a train, and bursts formed
-            assert counter.value >= 64
-            assert nic.mean_train_size() > 1.0
+        # every data frame rode a train, and bursts formed
+        assert counter.value >= 64
+        assert nic.mean_train_size() > 1.0
 
 
 def _sweep_point(task):
