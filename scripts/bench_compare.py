@@ -400,7 +400,7 @@ def measure_cache(args: argparse.Namespace) -> Metrics:
             hit, _ = store.get(key)
             latencies.append(perf_counter() - start)
             if not hit:
-                raise SystemExit(f"cache: indexed key {key} did not read back")
+                raise SystemExit(f"cache: stored key {key} did not read back")
         p50_ms = statistics.median(latencies) * 1e3 if latencies else 0.0
 
     return {"cold_wall_s": cold["wall"], "warm_wall_s": warm_wall,

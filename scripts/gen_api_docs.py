@@ -56,18 +56,18 @@ orthogonal mechanisms exploit that:
   through the persistent warm worker pool (`repro.sim.pool`) and
   collects them in submission order, so results are **bit-identical at
   any job count**.  One long-lived pool is shared across sweeps and
-  experiments; points travel in order-preserving batches
-  (`REPRO_POOL_CHUNK` overrides the size).  Select the worker count with
-  `run_experiment(name, jobs=4)`, the `--jobs/-j` CLI flag (`auto` =
-  one per core) or the `REPRO_JOBS` environment variable; the default
-  is serial.
+  experiments; points travel in order-preserving batches.  Select the
+  worker count with `run_experiment(name, jobs=4)`, the `--jobs/-j` CLI
+  flag (`auto` = one per core) or the `REPRO_JOBS` environment
+  variable; the default is serial.
 * **Result cache** — completed points (and whole experiment outputs)
   are memoized under `.repro-cache/` (override with `REPRO_CACHE_DIR`):
-  a 256-way sharded store with per-shard append-only indexes, an
-  in-process hot tier for repeat reads, and LRU eviction under
-  `REPRO_CACHE_MAX_BYTES` (see `docs/CACHING.md`).  Keys are a stable
-  hash of the tuning configuration, topology, workload and a
-  fingerprint of the `repro` sources — editing the simulator
+  a 256-way sharded store of self-validating entry files (its only
+  on-disk state), an in-process hot tier for repeat reads, and LRU
+  eviction by file mtime under `REPRO_CACHE_MAX_BYTES` (see
+  `docs/CACHING.md`).  Keys are a stable hash of the tuning
+  configuration, topology, workload and a fingerprint of the `repro`
+  sources — editing the simulator
   invalidates everything it could have influenced, while doc/test
   edits keep the cache warm; a fully-warm sweep never touches the
   worker pool at all.  Enable it with `run_experiment(name,

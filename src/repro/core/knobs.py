@@ -256,11 +256,6 @@ _register_env(
                 "serial and parallel runs are bit-identical by "
                 "contract.")
 _register_env(
-    "REPRO_POOL_CHUNK", None, _parse_optional_int,
-    affects_results=False, keyed_via="none",
-    description="Force the points-per-task batch size; chunking "
-                "preserves task order, results identical at any size.")
-_register_env(
     "REPRO_CACHE", False, parse_truthy_flag,
     affects_results=False, keyed_via="none",
     description="Enable the on-disk result cache process-wide; a hit "
@@ -273,14 +268,6 @@ _register_env(
     "REPRO_CACHE_MAX_BYTES", None, _parse_optional_int,
     affects_results=False, keyed_via="none",
     description="On-disk cache cap; exceeding it evicts LRU entries.")
-_register_env(
-    "REPRO_CACHE_HOT_ENTRIES", None, _parse_optional_int,
-    affects_results=False, keyed_via="none",
-    description="In-process hot-tier entry bound (default 512).")
-_register_env(
-    "REPRO_CACHE_HOT_BYTES", None, _parse_optional_int,
-    affects_results=False, keyed_via="none",
-    description="In-process hot-tier byte bound (default 128 MiB).")
 _register_env(
     "REPRO_CODE_FINGERPRINT", None, _parse_optional_str,
     affects_results=False, keyed_via="none",

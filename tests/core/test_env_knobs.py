@@ -18,9 +18,8 @@ from repro.errors import ConfigError
 
 def test_registry_covers_the_runtime_switches():
     expected = {
-        "REPRO_JOBS", "REPRO_POOL_CHUNK", "REPRO_CACHE",
+        "REPRO_JOBS", "REPRO_CACHE",
         "REPRO_CACHE_DIR", "REPRO_CACHE_MAX_BYTES",
-        "REPRO_CACHE_HOT_ENTRIES", "REPRO_CACHE_HOT_BYTES",
         "REPRO_CODE_FINGERPRINT", "REPRO_CHAOS", "REPRO_HYBRID",
         "REPRO_HYBRID_TICK", "REPRO_STREAM_TICK", "REPRO_SERVE_HOLD",
     }
@@ -61,10 +60,10 @@ def test_env_value_parses_and_defaults(monkeypatch):
     assert env_value("REPRO_HYBRID") is True
     monkeypatch.setenv("REPRO_HYBRID", "off")
     assert env_value("REPRO_HYBRID") is False
-    monkeypatch.setenv("REPRO_POOL_CHUNK", "7")
-    assert env_value("REPRO_POOL_CHUNK") == 7
-    monkeypatch.setenv("REPRO_POOL_CHUNK", "junk")  # historic leniency
-    assert env_value("REPRO_POOL_CHUNK") is None
+    monkeypatch.setenv("REPRO_CACHE_MAX_BYTES", "7")
+    assert env_value("REPRO_CACHE_MAX_BYTES") == 7
+    monkeypatch.setenv("REPRO_CACHE_MAX_BYTES", "junk")  # historic leniency
+    assert env_value("REPRO_CACHE_MAX_BYTES") is None
 
 
 # ---------------------------------------------------------------------------

@@ -99,19 +99,11 @@ class TestBatching:
         assert pool.resolve_chunk(100, 2) == 13
         assert pool.resolve_chunk(10_000, 4) == 64  # capped
 
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_POOL_CHUNK", "5")
-        assert pool.resolve_chunk(100, 2) == 5
-        monkeypatch.setenv("REPRO_POOL_CHUNK", "garbage")
-        assert pool.resolve_chunk(100, 2) == 13
-        monkeypatch.setenv("REPRO_POOL_CHUNK", "-3")
-        assert pool.resolve_chunk(100, 2) == 1
-
     def test_batched_vs_unbatched_identical(self, monkeypatch):
         tasks = list(range(23))
-        monkeypatch.setenv("REPRO_POOL_CHUNK", "1")
+        monkeypatch.setattr(pool, "resolve_chunk", lambda n, w: 1)
         unbatched = SweepRunner(2).map(_square, tasks)
-        monkeypatch.setenv("REPRO_POOL_CHUNK", "7")
+        monkeypatch.setattr(pool, "resolve_chunk", lambda n, w: 7)
         batched = SweepRunner(2).map(_square, tasks)
         assert unbatched == batched == [t * t for t in tasks]
 
@@ -193,7 +185,7 @@ class TestSubmitCollect:
 
     def test_failed_chunk_keeps_finished_chunks_cached(self, tmp_path,
                                                       monkeypatch):
-        monkeypatch.setenv("REPRO_POOL_CHUNK", "1")
+        monkeypatch.setattr(pool, "resolve_chunk", lambda n, w: 1)
         cache = ResultCache(tmp_path / "c")
         tasks = list(range(6))
         with cache_context(cache):

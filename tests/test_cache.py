@@ -1,5 +1,7 @@
 """Unit tests for the on-disk result cache."""
 
+import errno
+
 import pytest
 
 from repro.cache import (
@@ -164,11 +166,6 @@ class TestShardedLayout:
         # nothing at the flat v1 location
         assert not list((tmp_path / "c").glob("*.pkl"))
 
-    def test_format_marker_written(self, tmp_path):
-        cache = ResultCache(tmp_path / "c")
-        cache.put(cache.key("x"), 1)
-        assert (tmp_path / "c" / "CACHE_FORMAT").read_text().strip() == "2"
-
     def test_keys_enumeration(self, tmp_path):
         cache = ResultCache(tmp_path / "c")
         keys = sorted(cache.key(i) for i in range(5))
@@ -184,56 +181,51 @@ class TestShardedLayout:
         assert b.get(key) == (True, "value")
         assert b.stats().entries == 1
 
+    def test_stats_keys_and_files_agree_across_handles(self, tmp_path):
+        # A handle holding shard state from an earlier write must not
+        # lose a later write when another handle churns the same shard.
+        root = tmp_path / "c"
+        b = ResultCache(root)
+        shard = b.key(0)[:2]
+        same = (k for k in (b.key(i) for i in range(100_000))
+                if k[:2] == shard)
+        first, second, churn = next(same), next(same), next(same)
+        b.put(first, "b1")
+        a = ResultCache(root)
+        for _ in range(20):
+            a.put(churn, "a")
+            a.invalidate(churn)
+        c = ResultCache(root)
+        assert c.stats().entries == 1
+        b.put(second, "b2")
+        fresh = ResultCache(root)
+        on_disk = sorted(path.stem for path in root.glob("*/*.pkl"))
+        assert on_disk == sorted([first, second])
+        assert fresh.stats().entries == len(fresh.keys()) == len(on_disk)
+        assert fresh.keys() == on_disk
+        # c sees the entry written after its first stats()
+        assert c.stats().entries == 2
 
-class TestV1Migration:
-    def _write_v1(self, cache, key, value):
-        """Write an entry exactly where the v1 flat layout kept it."""
-        import hashlib as _h
-        import pickle as _p
-        payload = _p.dumps(value, protocol=_p.HIGHEST_PROTOCOL)
-        blob = (b"RPROCACHE1\n"
-                + _h.sha256(payload).hexdigest().encode() + payload)
-        cache.path.mkdir(parents=True, exist_ok=True)
-        (cache.path / f"{key}.pkl").write_bytes(blob)
-
-    def test_flat_entries_migrated_without_recompute(self, tmp_path):
-        old = ResultCache(tmp_path / "c")
-        keys = [old.key(i) for i in range(4)]
-        for k in keys:
-            self._write_v1(old, k, f"v1:{k}")
+    def test_failed_put_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        import repro.cache.store as store_mod
         cache = ResultCache(tmp_path / "c")
-        for k in keys:
-            assert cache.get(k) == (True, f"v1:{k}")  # hits, not misses
-        assert cache.misses == 0
-        # entries physically moved into their shards
-        for k in keys:
-            assert cache._file(k).is_file()
-            assert not (tmp_path / "c" / f"{k}.pkl").exists()
-        assert cache.stats().entries == len(keys)
+        key = cache.key("x")
 
-    def test_concurrent_legacy_writer_adopted(self, tmp_path):
-        cache = ResultCache(tmp_path / "c")
-        cache.put(cache.key("warmup"), 0)  # migration already ran
-        key = cache.key("late")
-        self._write_v1(cache, key, "legacy")  # old process writes flat
-        assert cache.get(key) == (True, "legacy")
-        assert cache._file(key).is_file()  # adopted into its shard
+        def disk_full(fd, data):
+            raise OSError(errno.ENOSPC, "No space left on device")
 
-    def test_migration_is_idempotent(self, tmp_path):
-        old = ResultCache(tmp_path / "c")
-        key = old.key("x")
-        self._write_v1(old, key, "v")
-        a = ResultCache(tmp_path / "c")
-        assert a.get(key) == (True, "v")
-        b = ResultCache(tmp_path / "c")  # second open: nothing left to move
-        assert b.get(key) == (True, "v")
-        assert b.stats().entries == 1
+        monkeypatch.setattr(store_mod.os, "write", disk_full)
+        assert not cache.put(key, "value")
+        monkeypatch.undo()
+        assert cache.errors == 1
+        assert not list((tmp_path / "c").rglob("*.tmp"))
+        assert cache.get(key) == (False, None)
+        assert cache.stats().entries == 0
 
 
 class TestEviction:
     def test_lru_eviction_order(self, tmp_path):
-        cache = ResultCache(tmp_path / "c", max_bytes=10_000_000,
-                            hot_entries=0)
+        cache = ResultCache(tmp_path / "c", max_bytes=10_000_000)
         blob = "x" * 1000
         keys = [cache.key(i) for i in range(5)]
         now = [1000.0]
@@ -261,7 +253,7 @@ class TestEviction:
             assert cache.get(k)[0]
 
     def test_put_evicts_down_to_cap(self, tmp_path):
-        cache = ResultCache(tmp_path / "c", max_bytes=3000, hot_entries=0)
+        cache = ResultCache(tmp_path / "c", max_bytes=3000)
         keys = [cache.key(i) for i in range(6)]
         for k in keys:
             cache.put(k, "y" * 900)  # ~1 KB each, cap fits ~3
@@ -309,8 +301,10 @@ class TestHotTier:
         assert cache.get(key) == (False, None)
         assert cache.errors == 1
 
-    def test_bounded_by_entries(self, tmp_path):
-        cache = ResultCache(tmp_path / "c", hot_entries=2)
+    def test_bounded_by_entries(self, tmp_path, monkeypatch):
+        import repro.cache.store as store_mod
+        monkeypatch.setattr(store_mod, "_HOT_ENTRIES", 2)
+        cache = ResultCache(tmp_path / "c")
         keys = [cache.key(i) for i in range(3)]
         for k in keys:
             cache.put(k, k)
@@ -321,13 +315,15 @@ class TestHotTier:
             assert cache.get(k)[0]
         assert cache.hot_hits == 2
 
-    def test_disabled_with_zero_entries(self, tmp_path):
-        cache = ResultCache(tmp_path / "c", hot_entries=0)
-        key = cache.key("x")
-        cache.put(key, "v")
-        assert cache.get(key)[0]
-        assert cache.get(key)[0]
-        assert cache.hot_hits == 0
+    def test_bounded_by_bytes(self):
+        from repro.cache.store import _HotTier
+        tier = _HotTier(max_entries=10, max_bytes=100)
+        tier.put("big", "v", 101)         # larger than the whole tier
+        assert tier.get("big") == (False, None)
+        tier.put("a", "a", 60)
+        tier.put("b", "b", 60)            # over 100 bytes: "a" goes
+        assert tier.get("a") == (False, None)
+        assert tier.get("b") == (True, "b")
 
     def test_invalidate_purges_hot_tier(self, tmp_path):
         cache = ResultCache(tmp_path / "c")
@@ -339,13 +335,18 @@ class TestHotTier:
 
 
 class TestIndexReconciliation:
+    """The entry files are the only state: stats, keys and lookups agree
+    with them whichever handle wrote or removed them."""
+
     def test_missing_index_rebuilt_from_scan(self, tmp_path):
         a = ResultCache(tmp_path / "c")
         keys = [a.key(i) for i in range(4)]
         for k in keys:
             a.put(k, k)
-        for index in (tmp_path / "c").glob("*/index.jsonl"):
-            index.unlink()
+        assert not list((tmp_path / "c").glob("*/index.jsonl"))
+        # an index left by an older checkout is inert
+        stale = a._file(keys[0]).parent / "index.jsonl"
+        stale.write_text('{"k":"%s","n":1,"t":0}\n' % ("f" * 64))
         b = ResultCache(tmp_path / "c")
         assert b.stats().entries == len(keys)
         for k in keys:
@@ -359,52 +360,3 @@ class TestIndexReconciliation:
         b = ResultCache(tmp_path / "c")
         assert b.get(key) == (False, None)
         assert b.stats().entries == 0  # record dropped on reconcile
-
-    def test_unindexed_file_adopted_on_read(self, tmp_path):
-        a = ResultCache(tmp_path / "c")
-        key = a.key("x")
-        a.put(key, "v")
-        b = ResultCache(tmp_path / "c")
-        b._load_all_shards()  # load indexes first...
-        import shutil
-        shard_dir = a._file(key).parent
-        extra = a.key("y")
-        a.put(extra, "w")  # ...then another process stores an entry
-        b.reload()
-        assert b.get(extra) == (True, "w")
-        assert b.stats().entries == 2
-
-    def test_torn_index_tail_skipped(self, tmp_path):
-        a = ResultCache(tmp_path / "c")
-        key = a.key("x")
-        a.put(key, "v")
-        index = a._file(key).parent / "index.jsonl"
-        with index.open("ab") as fh:
-            fh.write(b'{"k": "half-written')  # crashed writer's tail
-        b = ResultCache(tmp_path / "c")
-        assert b.get(key) == (True, "v")
-        assert b.stats().entries == 1
-
-    def test_index_compaction_bounds_file(self, tmp_path):
-        cache = ResultCache(tmp_path / "c")
-        key = cache.key("x")
-        shard_dir = cache._file(key).parent
-        for _ in range(60):  # 60 upserts + 60 tombstones for one key
-            cache.put(key, "v")
-            cache.invalidate(key)
-        cache.put(key, "v")
-        fresh = ResultCache(tmp_path / "c")
-        assert fresh.get(key) == (True, "v")
-        # load() compacted: the on-disk index shrank to ~the live set
-        lines = (shard_dir / "index.jsonl").read_bytes().splitlines()
-        assert len(lines) <= 17
-
-    def test_reload_picks_up_concurrent_writer(self, tmp_path):
-        a = ResultCache(tmp_path / "c")
-        b = ResultCache(tmp_path / "c")
-        key = a.key("x")
-        b.stats()  # b loads (empty) indexes
-        a.put(key, "v")
-        b.reload()
-        assert b.stats().entries == 1
-        assert b.get(key) == (True, "v")
