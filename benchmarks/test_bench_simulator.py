@@ -8,7 +8,7 @@ statistics (unlike the one-shot experiment benches).
 
 from repro.config import TuningConfig
 from repro.net.topology import BackToBack
-from repro.sim import Environment, Resource, Store
+from repro.sim import Environment
 from repro.tcp.connection import TcpConnection
 from repro.tools.nttcp import nttcp_run
 
@@ -43,53 +43,6 @@ def test_engine_process_switching(benchmark):
         return env.now
 
     benchmark(run)
-
-
-def test_resource_contention(benchmark):
-    """FCFS queueing through a single server."""
-
-    def run():
-        env = Environment()
-        res = Resource(env, capacity=1)
-
-        def worker():
-            for _ in range(50):
-                req = res.request()
-                yield req
-                yield env.timeout(1e-7)
-                res.release(req)
-
-        for _ in range(20):
-            env.process(worker())
-        env.run()
-        return res.grant_count
-
-    grants = benchmark(run)
-    assert grants == 1000
-
-
-def test_store_pipeline(benchmark):
-    """Producer/consumer handoff rate."""
-
-    def run():
-        env = Environment()
-        store = Store(env)
-        n = 2000
-
-        def producer():
-            for i in range(n):
-                yield store.put(i)
-
-        def consumer():
-            for _ in range(n):
-                yield store.get()
-
-        env.process(producer())
-        env.process(consumer())
-        env.run()
-        return store.get_count
-
-    assert benchmark(run) == 2000
 
 
 def test_tcp_segment_rate(benchmark):

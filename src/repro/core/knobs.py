@@ -287,12 +287,6 @@ _register_env(
                 "background load, so the setting must reach cache "
                 "keys.")
 _register_env(
-    "REPRO_HYBRID_TICK", None, _parse_optional_float,
-    affects_results=True, keyed_via="ambient",
-    description="Override the fluid<->DES coupling tick (seconds); the "
-                "tick changes handoff boundaries and therefore "
-                "results.")
-_register_env(
     "REPRO_STREAM_TICK", None, _parse_optional_float,
     affects_results=False, keyed_via="none",
     description="Telemetry heartbeat cadence in simulated seconds "

@@ -37,7 +37,7 @@ class ScheduleInPastError(SimulationError):
 
 
 class ResourceError(SimulationError):
-    """Misuse of a simulation resource (double release, bad capacity...)."""
+    """Misuse of a simulation server, e.g. a FIFO timeline with no capacity."""
 
 
 class ConfigError(ReproError):

@@ -32,9 +32,9 @@ Knobs
 ``REPRO_HYBRID``
     Unset/``1`` (default): experiment runners may choose hybrid mode
     for large flow counts.  ``0``/``off``: force all-DES everywhere.
-``REPRO_HYBRID_TICK``
-    Coupling tick in seconds (default: four times the largest base
-    RTT, clamped to [10 us, 1 ms]).
+
+The coupling tick is :class:`FabricSimulation`'s ``tick_s`` (default:
+four times the largest base RTT, clamped to [10 us, 1 ms]).
 """
 
 from __future__ import annotations
@@ -52,14 +52,11 @@ from repro.sim.engine import Environment
 from repro.tcp.fluid import FluidFabric
 
 __all__ = ["DesLink", "FabricFlow", "FluidCoupler", "FabricSimulation",
-           "FabricResult", "hybrid_enabled", "hybrid_tick_override",
-           "incast_pairs", "alltoall_pairs", "bisection_pairs",
-           "HYBRID_ENV", "HYBRID_TICK_ENV"]
+           "FabricResult", "hybrid_enabled", "incast_pairs",
+           "alltoall_pairs", "bisection_pairs", "HYBRID_ENV"]
 
 #: environment variable gating hybrid mode (unset/1 = allowed)
 HYBRID_ENV = "REPRO_HYBRID"
-#: environment variable overriding the coupling tick (seconds)
-HYBRID_TICK_ENV = "REPRO_HYBRID_TICK"
 
 #: Ethernet + IP + TCP (+options) framing bytes per fabric segment
 HEADER_BYTES = 66
@@ -69,23 +66,6 @@ def hybrid_enabled() -> bool:
     """True when ``REPRO_HYBRID`` permits hybrid mode (the default)."""
     from repro.core.knobs import env_value  # lazy: core imports net
     return env_value(HYBRID_ENV)
-
-
-def hybrid_tick_override() -> Optional[float]:
-    """The ``REPRO_HYBRID_TICK`` coupling tick, if set and valid."""
-    from repro.core.knobs import env_raw  # lazy: core imports net
-    value = env_raw(HYBRID_TICK_ENV)
-    if not value:
-        return None
-    try:
-        tick = float(value)
-    except ValueError:
-        raise ProtocolError(
-            f"{HYBRID_TICK_ENV} must be a float (seconds), got {value!r}"
-        ) from None
-    if tick <= 0:
-        raise ProtocolError(f"{HYBRID_TICK_ENV} must be positive, got {tick}")
-    return tick
 
 
 class FabricPacket:
@@ -365,6 +345,9 @@ class FabricSimulation:
         if mode not in ("auto", "des", "hybrid"):
             raise ProtocolError(
                 f"unknown mode {mode!r}; expected auto|des|hybrid")
+        if tick_s is not None and not tick_s > 0:  # also refuses NaN
+            raise ProtocolError(
+                f"coupling tick must be positive, got {tick_s!r}")
         self.topo = topo
         self.pairs = list(pairs)
         self.n_flows = len(self.pairs)
@@ -394,10 +377,7 @@ class FabricSimulation:
         return ack_delay, fwd_delay + ser + ack_delay
 
     def coupling_tick(self) -> float:
-        """The coupling tick: env override, constructor, or derived."""
-        override = hybrid_tick_override()
-        if override is not None:
-            return override
+        """The coupling tick: the constructor's ``tick_s``, else derived."""
         if self._tick_s is not None:
             return self._tick_s
         rtts = [self._flow_timing(r)[1] for r in self.routes]

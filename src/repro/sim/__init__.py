@@ -2,15 +2,13 @@
 
 A small, dependency-free engine in the style of SimPy: generator-based
 processes yield :class:`~repro.sim.engine.Event` objects (timeouts,
-resource requests, store gets/puts) and are resumed when those events
-fire.  The engine is deterministic — equal-time events fire in schedule
-order — which makes every experiment in this repository exactly
-reproducible.
+plain events, other processes) and are resumed when those events fire.
+The engine is deterministic — equal-time events fire in schedule order
+— which makes every experiment in this repository exactly reproducible.
 """
 
 from repro.sim.engine import (Environment, Event, Timeout, Process, Interrupt,
                               PeriodicCall)
-from repro.sim.resources import Resource, Request, Store, StorePut, StoreGet
 from repro.sim.monitor import Monitor, CounterMonitor, UtilizationMonitor
 from repro.sim.rng import RngStreams
 from repro.sim.runner import SweepRunner, job_context, point_seed, resolve_jobs
@@ -27,11 +25,6 @@ __all__ = [
     "Process",
     "Interrupt",
     "PeriodicCall",
-    "Resource",
-    "Request",
-    "Store",
-    "StorePut",
-    "StoreGet",
     "Monitor",
     "CounterMonitor",
     "UtilizationMonitor",

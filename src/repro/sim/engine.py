@@ -22,10 +22,12 @@ Design notes
   :class:`Event`; the engine registers the process as a callback and
   resumes it (``send``/``throw``) when the event fires.  This is the same
   execution model as SimPy's, reduced to the features the repro needs.
-* Following the profiling guidance in the HPC-Python guides the hot path
-  (the dispatch loop inlined into ``Environment.run``) avoids attribute
-  lookups in the inner loop and allocates nothing beyond the entries
-  themselves.  Internal model code can additionally use
+* There is one dispatch loop, inlined into ``Environment.run``: every
+  ``until`` (none, an instant, an event) becomes a ``(stop, horizon)``
+  pair that the loop tests.  Following the profiling guidance in the
+  HPC-Python guides this hot path avoids attribute lookups in the inner
+  loop and allocates nothing beyond the entries themselves.  Internal
+  model code can additionally use
   :meth:`Environment._fast_timeout`, which recycles processed
   :class:`Timeout` objects through a free pool instead of allocating a
   fresh one per event.
@@ -38,6 +40,7 @@ from collections import deque
 from functools import partial
 from math import isnan
 from time import perf_counter
+from types import SimpleNamespace
 from typing import Any, Callable, Deque, Generator, List, Optional, Tuple
 
 from repro.chaos.hooks import attach_environment as _attach_chaos
@@ -54,6 +57,12 @@ _heappop = heapq.heappop
 
 def _noop(event: "Event") -> None:
     """Marker callback: registers interest in an event without acting."""
+
+
+#: The ``stop`` of a :meth:`Environment.run` without an ``until`` event:
+#: its ``callbacks`` never becomes ``None``, so it never ends the loop.
+_NO_EVENT = SimpleNamespace(callbacks=())
+_INF = float("inf")
 
 
 class PeriodicCall:
@@ -330,15 +339,6 @@ def _label(fn: Callable[..., Any]) -> str:
     return getattr(fn, "__qualname__", None) or type(fn).__qualname__
 
 
-def _bad_horizon(horizon: float, now: float) -> SimulationError:
-    """The error for a ``run(until=horizon)`` that is not at or after
-    ``now``: a NaN is not a time at all, anything else is in the past."""
-    if isnan(horizon):
-        return SimulationError(f"run(until={horizon!r}) is not a time")
-    return ScheduleInPastError(
-        f"run(until={horizon!r}) is before now={now!r}")
-
-
 class Environment:
     """The simulation clock and event queue."""
 
@@ -561,65 +561,55 @@ class Environment:
         clock reaches it) or an :class:`Event` (stop when it fires; its
         value is returned — an exception value is raised).
 
-        The dispatch loop is :meth:`step` inlined three ways (drain /
-        until-event / horizon): per-entry dispatch is the simulator's
-        single hottest path, and the method-call + attribute-lookup
-        overhead of delegating to ``step()`` is measurable at millions
-        of entries per run.  Each loop takes queued entries due now,
-        then the same-instant lane, and only then advances the clock to
-        the next queued entry.  When engine self-profiling is enabled the
-        whole call is handed to :meth:`_run_profiled` instead, keeping
-        this loop free of instrumentation.
+        ``until`` becomes a ``(stop, horizon)`` pair once: the loop runs
+        while ``stop`` is unprocessed and dispatches no entry later than
+        ``horizon``.  Without an event, ``stop`` is a sentinel that never
+        fires; ``horizon`` is infinite unless ``until`` is a number.  The
+        loop is :meth:`step` inlined: per-entry dispatch is the
+        simulator's single hottest path, and the method-call +
+        attribute-lookup overhead of delegating to ``step()`` is
+        measurable at millions of entries per run.  It takes queued
+        entries due now, then the same-instant lane, and only then
+        advances the clock to the next queued entry.  When engine
+        self-profiling is enabled :meth:`_run_profiled` runs the same
+        loop with accounting instead, keeping this one free of
+        instrumentation.
         """
-        if self._profiler is not None:
-            return self._run_profiled(until)
-        queue = self._queue
-        lane = self._lane
-        popleft = lane.popleft
-        pool = self._timeout_pool
-        crashes = self._crashes
-        if until is None:
-            while True:
-                if lane:
-                    if queue and queue[0][0] <= self._now:
-                        _, _, target, args = _heappop(queue)
-                    else:
-                        target, args = popleft()
-                elif queue:
-                    self._now, _, target, args = _heappop(queue)
-                else:
-                    return None
-                if args is not None:
-                    target(*args)
-                else:
-                    callbacks = target.callbacks
-                    target.callbacks = None
-                    target._processed = True
-                    if callbacks:
-                        for fn in callbacks:
-                            fn(target)
-                    if target._pooled:
-                        pool.append(target)
-                if crashes:
-                    self._raise_crash()
+        stop = _NO_EVENT
+        horizon = _INF
         if isinstance(until, Event):
             # `callbacks` flips to None exactly when the event is
             # processed — that is the loop condition.  The no-op marks
             # `until` as waited-on so a failing process delivers its
             # exception here instead of recording an unwaited crash.
+            stop = until
             if until.callbacks is not None:
                 until.callbacks.append(_noop)
-            while until.callbacks is not None:
+        elif until is not None:
+            horizon = float(until)
+            if isnan(horizon):
+                raise SimulationError(f"run(until={horizon!r}) is not a time")
+            if horizon < self._now:
+                raise ScheduleInPastError(
+                    f"run(until={horizon!r}) is before now={self._now!r}")
+        if self._profiler is not None:
+            self._run_profiled(stop, horizon)
+        else:
+            queue = self._queue
+            lane = self._lane
+            popleft = lane.popleft
+            pool = self._timeout_pool
+            crashes = self._crashes
+            while stop.callbacks is not None:
                 if lane:
                     if queue and queue[0][0] <= self._now:
                         _, _, target, args = _heappop(queue)
                     else:
                         target, args = popleft()
-                elif queue:
+                elif queue and queue[0][0] <= horizon:
                     self._now, _, target, args = _heappop(queue)
                 else:
-                    raise SimulationError(
-                        "event queue drained before `until` event fired")
+                    break
                 if args is not None:
                     target(*args)
                 else:
@@ -633,36 +623,15 @@ class Environment:
                         pool.append(target)
                 if crashes:
                     self._raise_crash()
-            if not until._ok:
-                raise until._value from None
-            return until._value
-        horizon = float(until)
-        if not horizon >= self._now:
-            raise _bad_horizon(horizon, self._now)
-        while True:
-            if lane:
-                if queue and queue[0][0] <= self._now:
-                    _, _, target, args = _heappop(queue)
-                else:
-                    target, args = popleft()
-            elif queue and queue[0][0] <= horizon:
-                self._now, _, target, args = _heappop(queue)
-            else:
-                break
-            if args is not None:
-                target(*args)
-            else:
-                callbacks = target.callbacks
-                target.callbacks = None
-                target._processed = True
-                if callbacks:
-                    for fn in callbacks:
-                        fn(target)
-                if target._pooled:
-                    pool.append(target)
-            if crashes:
-                self._raise_crash()
-        self._now = horizon
+        if stop is not _NO_EVENT:
+            if stop.callbacks is not None:
+                raise SimulationError(
+                    "event queue drained before `until` event fired")
+            if not stop._ok:
+                raise stop._value from None
+            return stop._value
+        if until is not None:
+            self._now = horizon
         return None
 
     # -- self-profiling -------------------------------------------------------
@@ -704,34 +673,16 @@ class Environment:
         if self._crashes:
             self._raise_crash()
 
-    def _run_profiled(self, until: Any = None) -> Any:
-        """:meth:`run` with the profiled dispatch loop (same three
-        modes, same semantics, plus accounting)."""
+    def _run_profiled(self, stop: Any, horizon: float) -> None:
+        """:meth:`run`'s loop, one :meth:`_step_profiled` per entry, under
+        the same ``(stop, horizon)`` condition; :meth:`run` resolves
+        ``until`` before and produces the result after."""
         prof = self._profiler
         run_start = perf_counter()  # reprolint: disable=RPR002 -- profiler wall-clock accounting; never feeds back into sim state
         try:
-            if until is None:
-                while self.pending_count():
-                    self._step_profiled(prof)
-                return None
-            if isinstance(until, Event):
-                if until.callbacks is not None:
-                    until.callbacks.append(_noop)
-                while until.callbacks is not None:
-                    if not self.pending_count():
-                        raise SimulationError(
-                            "event queue drained before `until` event fired")
-                    self._step_profiled(prof)
-                if not until._ok:
-                    raise until._value from None
-                return until._value
-            horizon = float(until)
-            if not horizon >= self._now:
-                raise _bad_horizon(horizon, self._now)
-            while self.pending_count() and self.peek() <= horizon:
+            while (stop.callbacks is not None and self.pending_count()
+                   and self.peek() <= horizon):
                 self._step_profiled(prof)
-            self._now = horizon
-            return None
         finally:
             prof.wall_time_s += perf_counter() - run_start  # reprolint: disable=RPR002 -- profiler wall-clock accounting; never feeds back into sim state
 

@@ -1,7 +1,7 @@
-"""Arithmetic FIFO servers: resource semantics without the event cascade.
+"""FIFO servers granted by arithmetic instead of events.
 
-A :class:`FifoTimeline` replaces a :class:`~repro.sim.resources.Resource`
-for the common pure ``request -> hold -> release`` cycle.  Because grants
+A :class:`FifoTimeline` models ``c`` identical servers fed by one FIFO
+queue for the pure ``request -> hold -> release`` cycle.  Because grants
 are strictly FIFO *and* the hold length is known at request time, the
 grant and completion instants are pure arithmetic::
 
@@ -10,15 +10,13 @@ grant and completion instants are pure arithmetic::
 
 :meth:`FifoTimeline.charge` commits the hold and returns ``(start, end)``;
 the caller sleeps until ``end`` with a single pooled timeout — or
-schedules a completion callback — instead of the request-grant /
-hold-timeout / release-regrant event cascade (one event instead of three
-per use).  Every grant and completion happens at exactly the simulated
-time the event-based resource would produce, so converting a call site is
-invisible in simulation results; only wall-clock time changes.
+schedules a completion callback.  Nothing is queued in the engine while
+a request waits for a server, so one use costs one event instead of a
+request-grant / hold-timeout / release-regrant cascade of three.
 
 The timeline cannot express holders that keep the server across *other*
-yields, nor cancellation of queued requests — call sites needing either
-stay on :class:`Resource`.
+yields, nor cancellation of queued requests: every charge is granted,
+in order, for exactly the hold it names.
 """
 
 from __future__ import annotations
@@ -34,9 +32,9 @@ __all__ = ["FifoTimeline"]
 class FifoTimeline:
     """A finite-capacity FCFS server granted by arithmetic, not events.
 
-    Capacity ``c`` models ``c`` identical servers with one FIFO queue
-    (exactly :class:`Resource` semantics: a request is granted when the
-    earliest-free unit frees up).
+    Capacity ``c`` models ``c`` identical servers with one FIFO queue: a
+    charge is granted when the earliest-free server frees up, or at once
+    if one is idle.
 
     Attributes
     ----------
@@ -44,7 +42,7 @@ class FifoTimeline:
         Total hold-seconds ever charged (including holds extending past
         the current simulation time).
     charge_count:
-        Number of charges, mirroring ``Resource.grant_count``.
+        Number of charges (grants) so far.
     """
 
     __slots__ = ("env", "capacity", "name", "_ends", "committed_time",
@@ -107,7 +105,8 @@ class FifoTimeline:
         return self.committed_time - future
 
     def utilization(self, elapsed: float = None) -> float:
-        """Fraction of capacity-time used since t=0 (Resource-compatible)."""
+        """Fraction of capacity-time used since t=0 (up to ``elapsed``
+        seconds when given): :meth:`busy_elapsed` over ``t * capacity``."""
         t = self.env.now if elapsed is None else elapsed
         if t <= 0:
             return 0.0

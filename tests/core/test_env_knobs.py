@@ -7,6 +7,8 @@ cache — while leaving keys byte-identical at defaults so every
 pre-existing cache entry stays valid.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.cache import stable_key
@@ -21,7 +23,7 @@ def test_registry_covers_the_runtime_switches():
         "REPRO_JOBS", "REPRO_CACHE",
         "REPRO_CACHE_DIR", "REPRO_CACHE_MAX_BYTES",
         "REPRO_CODE_FINGERPRINT", "REPRO_CHAOS", "REPRO_HYBRID",
-        "REPRO_HYBRID_TICK", "REPRO_STREAM_TICK", "REPRO_SERVE_HOLD",
+        "REPRO_STREAM_TICK", "REPRO_SERVE_HOLD",
     }
     assert set(ENV_KNOBS) == expected
 
@@ -72,8 +74,7 @@ def test_env_value_parses_and_defaults(monkeypatch):
 
 @pytest.fixture
 def ambient_defaults(monkeypatch):
-    for name in ("REPRO_HYBRID", "REPRO_HYBRID_TICK"):
-        monkeypatch.delenv(name, raising=False)
+    monkeypatch.delenv("REPRO_HYBRID", raising=False)
     return monkeypatch
 
 
@@ -91,16 +92,21 @@ def test_ambient_material_ignores_default_equivalent_values(
 
 def test_ambient_material_captures_non_defaults(ambient_defaults):
     ambient_defaults.setenv("REPRO_HYBRID", "0")
-    ambient_defaults.setenv("REPRO_HYBRID_TICK", "0.002")
-    assert ambient_key_material() == {"REPRO_HYBRID": "0",
-                                      "REPRO_HYBRID_TICK": "0.002"}
+    assert ambient_key_material() == {"REPRO_HYBRID": "0"}
+    ambient_defaults.setenv("REPRO_HYBRID", " OFF ")
+    assert ambient_key_material() == {"REPRO_HYBRID": " OFF "}
 
 
 def test_ambient_material_keeps_garbage_verbatim(ambient_defaults):
     # Key derivation must never crash; an unparseable value still keys
     # differently from the default, which is the conservative choice.
-    ambient_defaults.setenv("REPRO_HYBRID_TICK", "not-a-float")
-    assert ambient_key_material() == {"REPRO_HYBRID_TICK": "not-a-float"}
+    # REPRO_HYBRID's parser is total, so a raising one stands in for it.
+    knob = dataclasses.replace(
+        ENV_KNOBS["REPRO_HYBRID"],
+        parse=lambda raw: True if raw is None else float(raw))
+    ambient_defaults.setitem(ENV_KNOBS, "REPRO_HYBRID", knob)
+    ambient_defaults.setenv("REPRO_HYBRID", "not-a-flag")
+    assert ambient_key_material() == {"REPRO_HYBRID": "not-a-flag"}
 
 
 def test_stable_key_distinguishes_hybrid_modes(ambient_defaults):

@@ -5,10 +5,8 @@ import pytest
 from repro.errors import ProtocolError
 from repro.net.coupling import QueueCoupling
 from repro.net.fabric import build_fat_tree, build_torus3d
-from repro.net.hybrid import (FabricSimulation, HYBRID_ENV, HYBRID_TICK_ENV,
-                              alltoall_pairs, bisection_pairs,
-                              hybrid_enabled, hybrid_tick_override,
-                              incast_pairs)
+from repro.net.hybrid import (FabricSimulation, HYBRID_ENV, alltoall_pairs,
+                              bisection_pairs, hybrid_enabled, incast_pairs)
 
 
 class TestWorkloadGenerators:
@@ -63,18 +61,20 @@ class TestHybridKnobs:
         monkeypatch.setenv(HYBRID_ENV, "0")
         assert FabricSimulation(topo, pairs, n_foreground=4).mode == "des"
 
-    def test_tick_override(self, monkeypatch):
-        monkeypatch.setenv(HYBRID_TICK_ENV, "0.00025")
-        assert hybrid_tick_override() == 0.00025
+    def test_tick_override(self):
+        # the constructor's tick_s wins over the derived tick
         topo = build_fat_tree(4)
-        sim = FabricSimulation(topo, incast_pairs(topo, 16))
-        assert sim.coupling_tick() == 0.00025
-        monkeypatch.setenv(HYBRID_TICK_ENV, "bogus")
-        with pytest.raises(ProtocolError):
-            hybrid_tick_override()
-        monkeypatch.setenv(HYBRID_TICK_ENV, "-1")
-        with pytest.raises(ProtocolError):
-            hybrid_tick_override()
+        pairs = incast_pairs(topo, 16)
+        assert FabricSimulation(topo, pairs,
+                                tick_s=0.00025).coupling_tick() == 0.00025
+        derived = FabricSimulation(topo, pairs).coupling_tick()
+        assert 10e-6 <= derived <= 1e-3
+
+    @pytest.mark.parametrize("tick", [0.0, -1.0, float("nan")])
+    def test_tick_must_be_positive(self, tick):
+        topo = build_fat_tree(4)
+        with pytest.raises(ProtocolError, match="coupling tick"):
+            FabricSimulation(topo, incast_pairs(topo, 16), tick_s=tick)
 
     def test_simulation_validates(self):
         topo = build_fat_tree(4)

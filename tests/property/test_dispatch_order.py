@@ -5,9 +5,10 @@ Each generated schedule labels every entry it makes with the instant
 it was scheduled for (computed exactly as the engine computes it) and
 its sequence number (``events_scheduled`` right after the call), runs
 the environment through a random mix of ``step()``, ``run(until=t)``,
-``run(until=event)`` and crashes, then drains it.  The firing log must
-equal the sorted list of labels, and every entry must fire with the
-clock at its label's instant.
+``run(until=event)`` and crashes, then drains it, with or without the
+engine self-profiler.  The firing log must equal the sorted list of
+labels, and every entry must fire with the clock at its label's
+instant.
 """
 
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 from repro.errors import SimulationError
 from repro.sim import Environment
+from repro.telemetry import EngineProfiler
 
 #: Zero, delays that ``1.0 + d == 1.0`` absorbs, and real future delays.
 DELAYS = st.one_of(
@@ -140,10 +142,12 @@ def run_schedule(env, roots, actions):
 
 @given(start=st.sampled_from([0.0, 1.0]),
        roots=st.lists(OPS, min_size=1, max_size=6),
-       actions=ACTIONS)
+       actions=ACTIONS, profiled=st.booleans())
 @settings(max_examples=150, deadline=None)
-def test_dispatch_follows_time_seq_order(start, roots, actions):
+def test_dispatch_follows_time_seq_order(start, roots, actions, profiled):
     env = Environment(initial_time=start)
+    if profiled:
+        env.enable_profiling(EngineProfiler())
     sched = run_schedule(env, roots, actions)
     assert [(at, seq) for at, seq, _ in sched.fired] == sorted(sched.labels)
     assert all(now == at for at, _, now in sched.fired)

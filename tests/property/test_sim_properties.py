@@ -3,7 +3,8 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Environment, Resource, Store
+from repro.sim import Environment
+from repro.sim.timeline import FifoTimeline
 
 delays = st.lists(st.floats(min_value=0.0, max_value=100.0,
                             allow_nan=False, allow_infinity=False),
@@ -34,49 +35,25 @@ class TestEventOrdering:
             assert indices == sorted(indices)
 
 
-class TestResourceProperties:
+class TestFifoTimelineProperties:
     @given(st.integers(min_value=1, max_value=5),
            st.lists(st.floats(min_value=0.01, max_value=5.0),
                     min_size=1, max_size=25))
     @settings(max_examples=40)
-    def test_resource_conserves_work(self, capacity, holds):
-        """Total busy time equals the sum of hold times, and the
+    def test_timeline_conserves_work(self, capacity, holds):
+        """Committed time equals the sum of hold times, and the
         makespan is bounded by the list-scheduling bound."""
         env = Environment()
-        res = Resource(env, capacity=capacity)
-
-        def worker(hold):
-            req = res.request()
-            yield req
-            yield env.timeout(hold)
-            res.release(req)
-
+        line = FifoTimeline(env, capacity=capacity)
+        done = []
         for h in holds:
-            env.process(worker(h))
+            _, end = line.charge(h)
+            env.schedule_call_at(end, done.append, end)
         env.run()
-        assert res.busy_time == sum(holds) or abs(
-            res.busy_time - sum(holds)) < 1e-9
+        assert len(done) == len(holds)
+        assert env.now == line.busy_until
+        assert abs(line.committed_time - sum(holds)) < 1e-9
+        assert abs(line.busy_elapsed() - sum(holds)) < 1e-9
         lower = max(max(holds), sum(holds) / capacity)
         assert env.now >= lower - 1e-9
         assert env.now <= sum(holds) + 1e-9
-
-    @given(st.lists(st.integers(min_value=0, max_value=1000),
-                    min_size=1, max_size=100))
-    def test_store_is_fifo_and_lossless(self, items):
-        env = Environment()
-        store = Store(env)
-        out = []
-
-        def producer():
-            for item in items:
-                yield store.put(item)
-
-        def consumer():
-            for _ in items:
-                value = yield store.get()
-                out.append(value)
-
-        env.process(producer())
-        env.process(consumer())
-        env.run()
-        assert out == items

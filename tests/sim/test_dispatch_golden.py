@@ -5,7 +5,8 @@ Each scenario runs a small simulation through the public API and hashes
 the exact ``repr`` of every float it reports, plus the event counters.
 Any change to the order in which the engine dispatches same-instant
 entries, to the fire instants it computes, or to the number of entries
-it schedules changes a digest.
+it schedules changes a digest.  Every scenario also runs under the
+engine self-profiler, whose dispatch loop must give the same digest.
 """
 
 import dataclasses
@@ -18,9 +19,10 @@ from repro.chaos import FaultPlan, FaultSpec, chaos_session
 from repro.config import TuningConfig
 from repro.core.wanrecord import WanRecordRun
 from repro.net.fabric import build_fat_tree
-from repro.net.hybrid import HYBRID_TICK_ENV, FabricSimulation, incast_pairs
+from repro.net.hybrid import FabricSimulation, incast_pairs
 from repro.net.topology import BackToBack, ThroughSwitch
 from repro.sim import Environment
+from repro.telemetry import telemetry_session
 from repro.tcp.connection import TcpConnection
 from repro.tools.netpipe import netpipe_latency
 from repro.tools.nttcp import nttcp_run
@@ -136,11 +138,17 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(SCENARIOS))
-def test_golden_digest(name, monkeypatch):
-    # The digests include event counts, which the hybrid tick knob changes.
-    monkeypatch.delenv(HYBRID_TICK_ENV, raising=False)
-    assert digest(SCENARIOS[name]()) == GOLDEN[name]
+@pytest.mark.parametrize("name,profiled", [
+    pytest.param(name, profiled, id=name + ("-profiled" if profiled else ""))
+    for profiled in (False, True) for name in sorted(SCENARIOS)])
+def test_golden_digest(name, profiled):
+    if profiled:
+        with telemetry_session(metrics=False, profile=True) as session:
+            record = SCENARIOS[name]()
+        assert session.profile.events_total > 0
+    else:
+        record = SCENARIOS[name]()
+    assert digest(record) == GOLDEN[name]
 
 
 def test_chaos_scenario_fires_its_faults():

@@ -7,7 +7,7 @@ import pytest
 
 from repro.errors import ProtocolError
 from repro.net.fabric import build_fat_tree
-from repro.net.hybrid import HYBRID_TICK_ENV, FabricSimulation, incast_pairs
+from repro.net.hybrid import FabricSimulation, incast_pairs
 from repro.tcp.fluid import FluidFabric
 
 NAN = float("nan")
@@ -310,8 +310,7 @@ class TestGoldenExactness:
         assert fabric.losses > 0
         assert state_digest(fabric) == expected
 
-    def test_hybrid_incast_result(self, monkeypatch):
-        monkeypatch.delenv(HYBRID_TICK_ENV, raising=False)
+    def test_hybrid_incast_result(self):
         topo = build_fat_tree(8)
         result = FabricSimulation(topo, incast_pairs(topo, 128),
                                   n_foreground=8,
