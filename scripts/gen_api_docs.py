@@ -52,11 +52,10 @@ PREAMBLE = """\
 Every experiment decomposes into independent simulation points, and two
 orthogonal mechanisms exploit that:
 
-* **Parallel sweeps** — `repro.sim.runner.SweepRunner` fans points
-  through the persistent warm worker pool (`repro.sim.pool`) and
-  collects them in submission order, so results are **bit-identical at
-  any job count**.  One long-lived pool is shared across sweeps and
-  experiments; points travel in order-preserving batches.  Select the
+* **Parallel sweeps** — `repro.sim.pool.sweep` fans points through
+  the persistent warm worker pool and returns them in task order, so
+  results are **bit-identical at any job count**.  One long-lived pool
+  is shared across sweeps and experiments; points travel in order-preserving batches.  Select the
   worker count with `run_experiment(name, jobs=4)`, the `--jobs/-j` CLI
   flag (`auto` = one per core) or the `REPRO_JOBS` environment
   variable; the default is serial.

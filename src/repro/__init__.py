@@ -22,7 +22,7 @@ from repro.cache import ResultCache, cache_context, cache_stats, clear_cache
 from repro.config import TuningConfig
 from repro.errors import ReproError
 from repro.sim.engine import Environment
-from repro.sim.runner import SweepRunner, job_context
+from repro.sim.pool import job_context, sweep
 from repro.hw.host import Host
 from repro.hw.presets import (
     GBE_HOST,
@@ -69,7 +69,7 @@ __all__ = [
     "WanRecordRun",
     "run_experiment",
     "experiment_ids",
-    "SweepRunner",
+    "sweep",
     "job_context",
     "ResultCache",
     "cache_context",

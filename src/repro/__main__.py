@@ -51,7 +51,7 @@ from typing import List
 from repro.analysis.experiments import experiment_ids, run_experiment
 from repro.cache import cache_stats, clear_cache
 from repro.errors import ConfigError
-from repro.sim.runner import resolve_jobs
+from repro.sim.pool import resolve_jobs
 
 
 def build_parser() -> argparse.ArgumentParser:

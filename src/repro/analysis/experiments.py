@@ -33,7 +33,7 @@ from typing import Any, Callable, Dict, List, Optional
 from repro.cache import active_cache, cache_context, code_fingerprint
 from repro.config import TuningConfig
 from repro.errors import MeasurementError
-from repro.sim.runner import SweepRunner, job_context
+from repro.sim.pool import job_context, sweep
 from repro.telemetry.session import active_session
 from repro.units import Gbps
 
@@ -348,7 +348,7 @@ def _tab1(quick: bool = True) -> ExperimentOutput:
         ("Geneva-Sunnyvale", Gbps(10), 0.180, 1460),
         ("Geneva-Sunnyvale", Gbps(10), 0.180, 8960),
     ]
-    rows = SweepRunner().map(_tab1_row, cases, cache_ns="tab1-row")
+    rows = sweep(_tab1_row, cases, cache_ns="tab1-row")
     return ExperimentOutput(
         experiment="tab1",
         text=format_table(rows, title="Table 1: single-loss recovery time "
@@ -387,7 +387,7 @@ def _multiflow(quick: bool = True) -> ExperimentOutput:
 
     n_clients = 4 if quick else 8
     duration_s = 0.01 if quick else 0.04
-    rx, tx, dual = SweepRunner().map(
+    rx, tx, dual = sweep(
         _multiflow_probe,
         [(n_clients, duration_s, probe)
          for probe in ("receive_path", "transmit_path", "dual_adapters")],
@@ -545,7 +545,7 @@ def _mtu_scan(quick: bool = True) -> ExperimentOutput:
     mtus = (1500, 3000, 4050, 4500, 6000, 8160, 9000, 12000, 16000) \
         if quick else tuple(range(1500, 16001, 500)) + (8160, 16000)
     count = 512 if quick else 2048
-    rows = SweepRunner().map(
+    rows = sweep(
         _mtu_scan_point, [(mtu, count) for mtu in sorted(set(mtus))],
         cache_ns="mtu-scan")
     fig = Figure(title="Peak goodput vs MTU (fully tuned)",
@@ -721,7 +721,7 @@ def _fabric_experiment(workload: str, quick: bool,
 
     flows = _FABRIC_QUICK_FLOWS if quick else _FABRIC_FULL_FLOWS
     duration_s = 0.02 if quick else 0.1
-    rows = SweepRunner().map(
+    rows = sweep(
         _fabric_point, [(workload, n, duration_s) for n in flows],
         cache_ns=f"fabric-{workload}")
     return ExperimentOutput(

@@ -4,11 +4,13 @@ This module is the only chaos entry point the core simulator imports,
 and it is deliberately import-light (stdlib only at module scope) so
 ``sim/engine.py`` and ``cache.py`` can depend on it without cycles or
 startup cost.  It mirrors :mod:`repro.telemetry.session`: the active
-:class:`~repro.chaos.injector.ChaosSession` lives in a module global —
-not a ``contextvars`` var — so fork-based ``SweepRunner`` workers
-inherit it, and every hook degrades to a single ``is None`` test when no
-plan is loaded.  That degenerate path is what keeps no-plan runs
-bit-identical to a build without chaos at all.
+:class:`~repro.chaos.injector.ChaosSession` lives in a module global,
+and every hook degrades to a single ``is None`` test when no plan is
+loaded.  That degenerate path is what keeps no-plan runs bit-identical
+to a build without chaos at all.  Pool workers do not rely on
+inheriting the session: each chunk :func:`repro.sim.pool.sweep` ships
+carries the active plan in its ambient capsule, and the worker installs
+it before running the chunk.
 
 Hooks, in calling order during a run:
 
@@ -99,8 +101,8 @@ def attach_environment(env: Any) -> None:
     Arms the active plan against the new environment: the injector is
     created and its arm/fire/recover events are scheduled up-front, so
     they carry the lowest sequence numbers at their instants and win
-    FIFO ties against frame deliveries — the property that makes fault
-    boundaries identical across the train on/off data paths.
+    FIFO ties against frame deliveries: a fault boundary takes effect
+    before any frame delivered at the same instant.
     """
     session = active_chaos()
     if session is not None:

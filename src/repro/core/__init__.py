@@ -1,6 +1,6 @@
 """The paper's contribution: the 10GbE tuning methodology.
 
-* :mod:`repro.core.knobs` — the tuning-knob registry.
+* :mod:`repro.core.knobs` — the ``REPRO_*`` environment-knob registry.
 * :mod:`repro.core.optimizations` — the named cumulative steps of §3.3.
 * :mod:`repro.core.casestudy` — the driver that applies steps and
   measures each (Figs. 3-5).
@@ -11,7 +11,6 @@
 * :mod:`repro.core.landspeed` — the LSR metric itself.
 """
 
-from repro.core.knobs import Knob, KNOBS, knob
 from repro.core.optimizations import OptimizationStep, LAN_OPTIMIZATION_LADDER
 from repro.core.casestudy import CaseStudy, StepResult, SweepCurve
 from repro.core.latencyreport import LatencyStudy, LatencyCurve
@@ -22,9 +21,6 @@ from repro.core.landspeed import land_speed_record_metric, LSR_2003
 from repro.core.advisor import TuningAdvisor, Advice
 
 __all__ = [
-    "Knob",
-    "KNOBS",
-    "knob",
     "OptimizationStep",
     "LAN_OPTIMIZATION_LADDER",
     "CaseStudy",

@@ -19,7 +19,7 @@ from repro.hw.presets import HostSpec, PE2650
 from repro.core.optimizations import LAN_OPTIMIZATION_LADDER, OptimizationStep
 from repro.net.topology import BackToBack
 from repro.sim.engine import Environment
-from repro.sim.runner import SweepRunner
+from repro.sim.pool import sweep
 from repro.tcp.connection import TcpConnection
 from repro.tcp.mss import mss_for_mtu
 from repro.tools.nttcp import (
@@ -121,23 +121,16 @@ class CaseStudy:
         NTTCP writes per point (scaled default; see tools.nttcp).
     points:
         Payload-grid resolution per sweep.
-    jobs:
-        Worker processes for the payload sweeps (None: the ambient
-        :func:`repro.sim.runner.resolve_jobs` setting — ``REPRO_JOBS``
-        or the enclosing ``job_context``).  Results are bit-identical
-        at any job count; only wall-clock changes.
     """
 
     def __init__(self, spec: HostSpec = PE2650,
                  write_count: int = DEFAULT_WRITE_COUNT,
                  points: int = 16,
-                 calibration: Calibration = DEFAULT_CALIBRATION,
-                 jobs: Optional[int] = None):
+                 calibration: Calibration = DEFAULT_CALIBRATION):
         self.spec = spec
         self.write_count = write_count
         self.points = points
         self.calibration = calibration
-        self.jobs = jobs
 
     # -- building blocks ----------------------------------------------------------
     def sweep(self, config: TuningConfig,
@@ -154,8 +147,8 @@ class CaseStudy:
         curve = SweepCurve(label=label or config.describe(), config=config)
         tasks = [(self.spec, self.calibration, config, payload,
                   self.write_count) for payload in payloads]
-        curve.points.extend(SweepRunner(self.jobs).map(
-            _sweep_point, tasks, cache_ns="nttcp-sweep"))
+        curve.points.extend(sweep(_sweep_point, tasks,
+                                  cache_ns="nttcp-sweep"))
         return curve
 
     # -- the ladder -------------------------------------------------------------

@@ -1,22 +1,14 @@
-"""The knob registries: every lever the paper turns, plus every
-``REPRO_*`` environment switch the runtime reads.
+"""The environment-knob registry: every ``REPRO_*`` switch in one table.
 
-Two tables live here:
-
-* :data:`KNOBS` — the paper's tuning levers.  Each :class:`Knob`
-  couples a name to the :class:`~repro.config.TuningConfig`
-  transformation it performs and to the mechanism it acts through, so
-  the case-study driver, the docs and the ablation benchmarks all share
-  one source of truth.
-* :data:`ENV_KNOBS` — the runtime's ambient switches.  Each
-  :class:`EnvKnob` declares its default, its parser, whether flipping
-  it can change simulation *results* (as opposed to only changing how
-  fast or how observably they are computed), and — when it can — how
-  that influence reaches the result-cache key.  This table is the
-  contract reprolint checks statically: rule RPR004 flags any
-  ``REPRO_*`` environment read that bypasses it, and RPR006 flags any
-  result-affecting knob whose value never reaches
-  :func:`repro.cache.keys.stable_key`.
+:data:`ENV_KNOBS` holds one :class:`EnvKnob` per switch the runtime
+reads.  Each declares its default, its parser, whether flipping it can
+change simulation *results* (as opposed to only changing how fast or
+how observably they are computed), and — when it can — how that
+influence reaches the result-cache key.  This table is the contract
+reprolint checks statically: rule RPR004 flags any ``REPRO_*``
+environment read that bypasses it, and RPR006 flags any
+result-affecting knob whose value never reaches
+:func:`repro.cache.keys.stable_key`.
 
 All ``os.environ`` reads of ``REPRO_*`` names live in this module
 (:func:`env_raw` / :func:`env_value`); everything else imports from
@@ -30,125 +22,12 @@ import os
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional
 
-from repro.config import TuningConfig
 from repro.errors import ConfigError
 
-__all__ = ["Knob", "KNOBS", "knob",
-           "EnvKnob", "ENV_KNOBS", "env_knob", "env_raw", "env_value",
+__all__ = ["EnvKnob", "ENV_KNOBS", "env_knob", "env_raw", "env_value",
            "ambient_key_material",
            "parse_on_flag", "parse_truthy_flag"]
 
-
-@dataclass(frozen=True)
-class Knob:
-    """One tuning lever.
-
-    Attributes
-    ----------
-    name:
-        Registry key, e.g. ``"mtu"``.
-    description:
-        What it does and through which mechanism.
-    paper_section:
-        Where the paper discusses it.
-    apply:
-        ``apply(config, value) -> new config``.
-    """
-
-    name: str
-    description: str
-    paper_section: str
-    apply: Callable[[TuningConfig, Any], TuningConfig]
-
-
-KNOBS: Dict[str, Knob] = {}
-
-
-def _register(name: str, description: str, paper_section: str,
-              field: str) -> None:
-    def apply(config: TuningConfig, value: Any) -> TuningConfig:
-        return config.replace(**{field: value})
-
-    KNOBS[name] = Knob(name=name, description=description,
-                       paper_section=paper_section, apply=apply)
-
-
-_register(
-    "mtu",
-    "Maximum transfer unit. Larger MTUs amortise per-packet costs; "
-    "non-power-of-two-friendly sizes (9000) waste allocator blocks, "
-    "which is why 8160 outperforms it.",
-    "3.3", "mtu")
-_register(
-    "mmrbc",
-    "PCI-X maximum memory read byte count: the DMA burst size. Raising "
-    "512 -> 4096 cuts per-burst arbitration overhead and lifts the "
-    "effective bus bandwidth.",
-    "3.3", "mmrbc")
-_register(
-    "smp_kernel",
-    "SMP vs uniprocessor kernel build. The P4 Xeon SMP pins interrupts "
-    "to one CPU, so SMP buys no receive parallelism but taxes every "
-    "per-packet operation.",
-    "3.3", "smp_kernel")
-_register(
-    "tcp_rmem",
-    "Receive socket buffer (and thus the advertised-window budget). "
-    "Oversizing past the BDP masks the MSS-alignment and truesize "
-    "losses of §3.5.1.",
-    "3.3/3.5.1", "tcp_rmem")
-_register(
-    "tcp_wmem",
-    "Send socket buffer: caps queued-plus-unacknowledged truesize.",
-    "3.3/4", "tcp_wmem")
-_register(
-    "interrupt_coalescing_us",
-    "NIC interrupt delay: batches receptions into one interrupt, "
-    "trading 5 us of latency for CPU load.",
-    "3.3 (latency)", "interrupt_coalescing_us")
-_register(
-    "tcp_timestamps",
-    "RFC 1323 timestamps: 12 header bytes and per-packet stamping cost; "
-    "disabling bought ~10% on the CPU-bound E7505 systems.",
-    "3.4", "tcp_timestamps")
-_register(
-    "window_scaling",
-    "RFC 1323 window scaling: required for >64 KB windows; scaling "
-    "truncates window precision (§3.5.1).",
-    "3.5.1/4", "window_scaling")
-_register(
-    "txqueuelen",
-    "Device transmit queue length; the WAN recipe raises it to 10000 "
-    "so a BDP-sized congestion window cannot overflow the local qdisc.",
-    "4", "txqueuelen")
-_register(
-    "tso",
-    "TCP segmentation offload: the host hands the adapter a 64 KB "
-    "virtual segment; the adapter re-segments at wire speed.",
-    "3.3 (NAPI/TSO discussion)", "tso")
-_register(
-    "napi",
-    "New API receive path: interrupts only schedule processing, "
-    "cutting per-packet interrupt-context work.",
-    "3.3 (NAPI/TSO discussion)", "napi")
-_register(
-    "checksum_offload",
-    "TCP/IP checksum computation in the adapter silicon.",
-    "2", "checksum_offload")
-
-
-def knob(name: str) -> Knob:
-    """Lookup a knob by name."""
-    try:
-        return KNOBS[name]
-    except KeyError:
-        raise ConfigError(
-            f"unknown knob {name!r}; known: {sorted(KNOBS)}") from None
-
-
-# ---------------------------------------------------------------------------
-# Environment knobs
-# ---------------------------------------------------------------------------
 
 #: ``keyed_via`` values: how a result-affecting knob reaches cache keys.
 #: ``"ambient"`` — :func:`ambient_key_material` folds the raw value into

@@ -11,7 +11,7 @@ down to 14 µs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from repro.hw.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.hw.presets import HostSpec, PE2650
 from repro.net.topology import BackToBack, ThroughSwitch
 from repro.sim.engine import Environment
-from repro.sim.runner import SweepRunner
+from repro.sim.pool import sweep
 from repro.tcp.connection import TcpConnection
 from repro.tools.netpipe import NetpipeResult, netpipe_latency
 
@@ -86,12 +86,10 @@ class LatencyStudy:
     """Regenerates Figures 6 and 7."""
 
     def __init__(self, spec: HostSpec = PE2650, iterations: int = 8,
-                 calibration: Calibration = DEFAULT_CALIBRATION,
-                 jobs: Optional[int] = None):
+                 calibration: Calibration = DEFAULT_CALIBRATION):
         self.spec = spec
         self.iterations = iterations
         self.calibration = calibration
-        self.jobs = jobs
 
     def measure(self, coalescing_us: float = 5.0,
                 through_switch: bool = False,
@@ -108,8 +106,8 @@ class LatencyStudy:
             coalescing_us=coalescing_us)
         tasks = [(self.spec, self.calibration, config, through_switch,
                   payload, self.iterations) for payload in payloads]
-        curve.points.extend(SweepRunner(self.jobs).map(
-            _latency_point, tasks, cache_ns="netpipe-latency"))
+        curve.points.extend(sweep(_latency_point, tasks,
+                                  cache_ns="netpipe-latency"))
         return curve
 
     def figure6(self) -> List[LatencyCurve]:

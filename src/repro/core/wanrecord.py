@@ -29,7 +29,7 @@ from repro.net.topology import build_wan_path
 from repro.net.wanpath import OC48_BPS, POS_OVERHEAD, SONET_PAYLOAD_FRACTION
 from repro.core.landspeed import LSR_2002, LSR_2003, land_speed_record_metric
 from repro.sim.engine import Environment
-from repro.sim.runner import SweepRunner
+from repro.sim.pool import sweep
 from repro.tcp.analytic import bandwidth_delay_product
 from repro.tcp.connection import TcpConnection
 from repro.tcp.fluid import FluidParams, FluidResult, simulate_fluid
@@ -179,8 +179,7 @@ class WanRecordRun:
         tasks = [(self, max(4096, int(self.bdp_buffer_bytes() * factor)),
                   duration_s, f"{factor:g}x BDP buffer")
                  for factor in factors]
-        return SweepRunner().map(_buffer_sweep_point, tasks,
-                                 cache_ns="wan-buffer-sweep")
+        return sweep(_buffer_sweep_point, tasks, cache_ns="wan-buffer-sweep")
 
     # -- DES cross-check -------------------------------------------------------------
     def run_des_scaled(self, scale: float = 0.1,

@@ -21,6 +21,7 @@ __all__ = [
     "LinkError",
     "MeasurementError",
     "ChaosError",
+    "SweepError",
 ]
 
 
@@ -70,3 +71,22 @@ class MeasurementError(ReproError):
 
 class ChaosError(ReproError):
     """Invalid fault plan or misuse of the chaos-injection subsystem."""
+
+
+class SweepError(ReproError):
+    """A sweep point raised.
+
+    The message names the sweep, the task index, the point's stable key
+    and the original error, which is chained as ``__cause__`` (from a
+    pool worker: the remote traceback, which includes it).  ``index``
+    and ``key`` are rebuilt from ``args``, so they survive pickling back
+    from a pool worker.
+    """
+
+    def __init__(self, message: str, index: int, key: str):
+        super().__init__(message, index, key)
+        self.index = index
+        self.key = key
+
+    def __str__(self) -> str:
+        return self.args[0]

@@ -1,8 +1,7 @@
 """Shared-queue coupling between DES queues and the fluid background.
 
-In hybrid fluid+DES mode a queue (a fabric link's output queue, a
-:class:`~repro.net.switch.SwitchPort`, a WAN
-:class:`~repro.net.wanpath.Router`) is *shared*: packet-level foreground
+In hybrid fluid+DES mode a fabric link's output queue (a
+:class:`~repro.net.hybrid.DesLink`) is *shared*: packet-level foreground
 traffic flows through it in the DES while an aggregate of fluid
 background flows loads the same buffer from the side.  A
 :class:`QueueCoupling` object carries the two halves of that handoff:

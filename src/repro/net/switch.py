@@ -65,8 +65,6 @@ class SwitchPort:
         self.switch = switch
         self.port_id = port_id
         self.egress = egress
-        #: hybrid-mode shared-queue coupling (None outside hybrid runs)
-        self.coupling = None
         self._backlog: Deque[SkBuff] = deque()
         self._busy = False
         self.queue = BacklogView(self._backlog, queue_frames)
@@ -88,19 +86,9 @@ class SwitchPort:
         self.env.schedule_call(self.switch.model.forwarding_latency_s,
                                self._enqueue, skb)
 
-    def couple(self, coupling) -> None:
-        """Attach a hybrid-mode :class:`~repro.net.coupling.QueueCoupling`.
-
-        Fluid background pressure then early-drops frames at admission
-        (the queue is shared) and every forwarded frame is reported back
-        for the fluid model's cross-traffic accounting."""
-        self.coupling = coupling
-
     def _enqueue(self, skb: SkBuff) -> None:
         trace = self.trace
-        coupling = self.coupling
-        if self.queue.level >= self.queue.capacity or \
-                (coupling is not None and not coupling.admit()):
+        if self.queue.level >= self.queue.capacity:
             self.drops.add()
             if self._c_drop is not None:
                 self._c_drop.inc()
@@ -132,8 +120,6 @@ class SwitchPort:
         self.forwarded.add()
         if self._c_fwd is not None:
             self._c_fwd.inc()
-        if self.coupling is not None:
-            self.coupling.record_service(skb.wire_bytes)
         trace = self.trace
         if trace.enabled:
             trace.post(self.env.now, "switch.forward", skb.ident,

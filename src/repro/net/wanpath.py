@@ -134,8 +134,6 @@ class Router:
         self.env = env
         self.egress = egress
         self.name = name
-        #: hybrid-mode shared-queue coupling (None outside hybrid runs)
-        self.coupling = None
         self._backlog: Deque[SkBuff] = deque()
         self._busy = False
         self.queue = BacklogView(self._backlog, queue_frames)
@@ -159,17 +157,9 @@ class Router:
         self.env.schedule_call(self.forwarding_latency_s,
                                self._enqueue, skb)
 
-    def couple(self, coupling) -> None:
-        """Attach a hybrid-mode :class:`~repro.net.coupling.QueueCoupling`:
-        background pressure early-drops frames at admission, forwarded
-        frames are reported back as fluid cross traffic."""
-        self.coupling = coupling
-
     def _enqueue(self, skb: SkBuff) -> None:
         trace = self.trace
-        coupling = self.coupling
-        if self.queue.level >= self.queue.capacity or \
-                (coupling is not None and not coupling.admit()):
+        if self.queue.level >= self.queue.capacity:
             self.drops.add()
             if self._c_drop is not None:
                 self._c_drop.inc()
@@ -199,8 +189,6 @@ class Router:
         self.forwarded.add()
         if self._c_fwd is not None:
             self._c_fwd.inc()
-        if self.coupling is not None:
-            self.coupling.record_service(skb.wire_bytes)
         trace = self.trace
         if trace is not None and trace.enabled:
             trace.post(self.env.now, "wan.forward", skb.ident,

@@ -9,25 +9,22 @@ The engine is deterministic — equal-time events fire in schedule order
 
 from repro.sim.engine import (Environment, Event, Timeout, Process, Interrupt,
                               PeriodicCall)
-from repro.sim.monitor import Monitor, CounterMonitor, UtilizationMonitor
+from repro.sim.monitor import CounterMonitor
+from repro.sim.pool import job_context, resolve_jobs, sweep
 from repro.sim.rng import RngStreams
-from repro.sim.runner import SweepRunner, job_context, point_seed, resolve_jobs
 from repro.sim.trace import TraceBuffer, TraceEvent
 
 __all__ = [
     "Environment",
-    "SweepRunner",
+    "sweep",
     "job_context",
-    "point_seed",
     "resolve_jobs",
     "Event",
     "Timeout",
     "Process",
     "Interrupt",
     "PeriodicCall",
-    "Monitor",
     "CounterMonitor",
-    "UtilizationMonitor",
     "RngStreams",
     "TraceBuffer",
     "TraceEvent",

@@ -1,58 +1,81 @@
-"""Persistent warm worker pool + the one submit/collect dispatch path.
+"""Parallel sweeps: one call fans independent points over a warm pool.
 
-Every sweep in this repository used to pay a fresh
-``ProcessPoolExecutor`` spin-up (fork, import, source-fingerprint walk)
-per call.  This module keeps **one long-lived pool** warm across
-sweeps and experiments and funnels every parallel point through a
-single :func:`submit` / :meth:`SweepHandle.collect` seam — the same
-seam a future job server will drive.
+Every experiment in this repository decomposes into *independent*
+end-to-end simulations — one fresh :class:`~repro.sim.engine.Environment`
+per payload size, MTU, buffer factor or probe.  :func:`sweep` runs such
+points and returns their results in task order, so a parallel sweep is
+*bit-identical* to the serial one (each point is a deterministic pure
+function of its task tuple; only wall-clock changes).
 
-What makes the warm pool safe to share:
+Job-count resolution (first match wins):
 
+1. an explicit ``jobs=`` argument to :func:`resolve_jobs`,
+2. the innermost :func:`job_context` scope (how
+   ``run_experiment(..., jobs=N)`` reaches the sweeps inside),
+3. the ``REPRO_JOBS`` environment variable (``auto`` = one per core),
+4. serial (1).
+
+What a sweep does, in order:
+
+* **Cache probe first.**  When a result cache is active every key is
+  probed and only misses run — a fully-warm sweep never touches the
+  pool (or creates it) at all.
+* **Serial work runs inline.**  ``jobs=1``, a single miss or a warm
+  sweep runs in the parent process with no pool machinery.
+* **One persistent warm pool.**  Parallel misses travel in
+  order-preserving chunks (one future per chunk, not per point) to one
+  long-lived ``ProcessPoolExecutor`` shared across sweeps and
+  experiments; results are identical at any chunk size.
 * **Ambient-state capsules.**  A forked worker snapshots the parent at
   fork time; a *persistent* worker forked during sweep #1 would run
-  sweep #50 under stale knobs.  Every batch therefore carries a capsule
+  sweep #50 under stale knobs.  Every chunk therefore carries a capsule
   of the ambient state that can influence results — the ``REPRO_*``
   environment knobs (hybrid mode, chaos plan path...) and the
   explicitly-activated chaos fault plan — which the worker applies
-  before running the batch, so a reused worker gives the results a
+  before running the chunk, so a reused worker gives the results a
   fresh one would.
 * **Fingerprint shipped, not recomputed.**  The pool initializer
   exports the parent's :func:`~repro.cache.code_fingerprint` into each
   worker via ``REPRO_CODE_FINGERPRINT``, so no worker ever repeats the
   package source walk.
-* **Batched dispatch.**  Points travel in chunks (one future per
-  chunk, not per point), amortizing pickling and future bookkeeping on
-  wide sweeps; chunking preserves task order, so results are identical
-  at any chunk size.
-* **A dead worker costs one sweep.**  On ``BrokenProcessPool``, at
-  submit or at collect, the warm pool is dropped before re-raising, so
-  the next sweep forks a fresh one.
-* **A failed point costs only itself.**  Collect drains every chunk and
-  memoizes the ones that finished before it re-raises the first error,
-  so a rerun dispatches only the points that did not complete.
-* **Cache probe before submit.**  When a result cache is active every
-  key is probed first and only misses are dispatched — a fully-warm
-  sweep never touches the pool (or creates it) at all.
+* **A failed point costs only itself, and is named.**  Every chunk is
+  drained and the finished points are memoized before the first
+  failure is re-raised as a :class:`~repro.errors.SweepError` naming
+  the sweep, the task index and the point's key — so a rerun runs only
+  the points that did not complete.
+* **A dead worker costs one sweep.**  On ``BrokenProcessPool`` the warm
+  pool is dropped before re-raising, so the next sweep forks a fresh
+  one.
 
-Telemetry counters ``pool.tasks_dispatched`` and ``pool.reuse`` record
-dispatch traffic (see docs/CACHING.md).
+Under an active telemetry session the cache is bypassed (a hit would
+return the result but produce no telemetry) and every point runs in its
+own nested session whose payload is absorbed in task order.  Telemetry
+counters ``pool.tasks_dispatched`` and ``pool.reuse`` record dispatch
+traffic (see docs/CACHING.md).
 """
 
 from __future__ import annotations
 
 import atexit
 import contextlib
+import contextvars
 import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (Any, Callable, Dict, Iterator, List, Optional, Sequence,
+                    Tuple)
 
 from repro.cache import active_cache, code_fingerprint, stable_key
 from repro.chaos import hooks as chaos_hooks
+from repro.errors import ConfigError, SweepError
+from repro.telemetry.session import (active_metrics, active_session,
+                                     nested_session)
 
-__all__ = ["SweepHandle", "submit", "dispatch", "shutdown_pool",
+__all__ = ["sweep", "resolve_jobs", "job_context", "shutdown_pool",
            "pool_stats", "resolve_chunk"]
+
+_active_jobs: contextvars.ContextVar = contextvars.ContextVar(
+    "repro_jobs", default=None)
 
 #: The shared executor (created lazily), its size, and the owning pid.
 _POOL: Optional[ProcessPoolExecutor] = None
@@ -62,6 +85,45 @@ _POOL_PID: Optional[int] = None
 #: Lifetime dispatch accounting (mirrored into telemetry when active).
 _STATS = {"pools_created": 0, "pool_reuses": 0, "tasks_dispatched": 0,
           "batches_dispatched": 0, "points_inline": 0}
+
+
+def resolve_jobs(jobs: Any = None) -> int:
+    """Resolve a job count following the precedence above (always >= 1)."""
+    if jobs is None:
+        jobs = _active_jobs.get()
+    if jobs is None:
+        from repro.core.knobs import env_value  # lazy: core imports sim
+        jobs = env_value("REPRO_JOBS") or 1
+    if isinstance(jobs, str):
+        if jobs.lower() in ("auto", "all"):
+            jobs = os.cpu_count() or 1
+        else:
+            try:
+                jobs = int(jobs)
+            except ValueError:
+                raise ConfigError(
+                    f"job count must be an integer or 'auto', got {jobs!r}"
+                ) from None
+    jobs = int(jobs)
+    if jobs <= 0:  # 0 and negatives mean "one per core", like make -j
+        jobs = os.cpu_count() or 1
+    return jobs
+
+
+@contextlib.contextmanager
+def job_context(jobs: Any) -> Iterator[int]:
+    """Scope a job count so nested sweeps pick it up.
+
+    ``jobs=None`` is a no-op scope (inherit the surrounding setting).
+    """
+    if jobs is None:
+        yield resolve_jobs()
+        return
+    token = _active_jobs.set(resolve_jobs(jobs))
+    try:
+        yield resolve_jobs()
+    finally:
+        _active_jobs.reset(token)
 
 
 def pool_stats() -> Dict[str, int]:
@@ -88,8 +150,8 @@ def _worker_init(fingerprint: str) -> None:
     os.environ["REPRO_CODE_FINGERPRINT"] = fingerprint
 
 
-def _get_executor(workers: int) -> Tuple[ProcessPoolExecutor, bool]:
-    """``(executor, reused)`` for a dispatch of ``workers``.
+def _get_executor(workers: int) -> ProcessPoolExecutor:
+    """The executor for a dispatch of ``workers``.
 
     The module-level pool is reused while its size matches; a size
     change (or a fork — pools never cross a pid) tears the old pool
@@ -111,10 +173,10 @@ def _get_executor(workers: int) -> Tuple[ProcessPoolExecutor, bool]:
         _POOL_WORKERS = workers
         _POOL_PID = os.getpid()
         _STATS["pools_created"] += 1
-        return _POOL, False
+        return _POOL
     _STATS["pool_reuses"] += 1
     _count("pool.reuse")
-    return _POOL, True
+    return _POOL
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +184,7 @@ def _get_executor(workers: int) -> Tuple[ProcessPoolExecutor, bool]:
 # ---------------------------------------------------------------------------
 
 #: Worker-side chaos sessions, memoized by plan fingerprint so every
-#: batch under one plan shares injector state exactly like the old
+#: chunk under one plan shares injector state exactly like the old
 #: fork-inherited session did.
 _WORKER_CHAOS: Dict[str, Any] = {}
 
@@ -159,39 +221,48 @@ def _apply_ambient(ambient: Dict[str, Any]) -> None:
     chaos_hooks._ACTIVE = session
 
 
-def _run_batch(payload: Tuple) -> List[Any]:
-    """Worker entry point: apply the capsule, run the chunk in order."""
-    fn, tasks, ambient = payload
-    _apply_ambient(ambient)
-    return [fn(task) for task in tasks]
+# ---------------------------------------------------------------------------
+# Points
+# ---------------------------------------------------------------------------
+
+def _point_key(fn: Callable, namespace: str, task: Any) -> str:
+    """The stable key of one point: its cache key, and its name in a
+    :class:`~repro.errors.SweepError`."""
+    return stable_key(namespace, f"{fn.__module__}.{fn.__qualname__}",
+                      task, code_fingerprint())
 
 
-def _run_batch_telemetry(payload: Tuple) -> List[Tuple[Any, Any]]:
-    """Worker entry point for telemetry runs: each point executes in a
-    fresh nested session and ships its payload home (see
-    :mod:`repro.telemetry.session`)."""
-    fn, tasks, ambient, spec = payload
-    _apply_ambient(ambient)
-    from repro.telemetry.session import nested_session
-    metrics, trace, profile = spec
+def _run_points(fn: Callable, label: str, points: Sequence[Tuple[int, Any]],
+                spec: Optional[Tuple[bool, bool, bool]]) -> List[Any]:
+    """Run ``(index, task)`` points in order, in this process.
+
+    With a telemetry ``spec`` (metrics, trace, profile) each point runs
+    in a fresh nested session and yields ``(result, payload)``.  A
+    raising point becomes a :class:`~repro.errors.SweepError` naming
+    ``label``, its index and its key.
+    """
     out = []
-    for task in tasks:
-        with nested_session(metrics=metrics, trace=trace,
-                            profile=profile) as session:
-            result = fn(task)
-        out.append((result, session.export_payload()))
+    for index, task in points:
+        try:
+            if spec is None:
+                out.append(fn(task))
+                continue
+            with nested_session(*spec) as session:
+                result = fn(task)
+            out.append((result, session.export_payload()))
+        except Exception as exc:  # reprolint: disable=RPR007 -- a point can raise anything; it is re-raised, never swallowed, with the task named and the original chained
+            key = _point_key(fn, label, task)
+            raise SweepError(f"{label}[{index}] (key {key}) failed: "
+                             f"{type(exc).__name__}: {exc}",
+                             index, key) from exc
     return out
 
 
-def _telemetry_point(fn: Callable, task: Any,
-                     spec: Tuple[bool, bool, bool]) -> Tuple[Any, Any]:
-    """Serial in-process variant of one telemetry point."""
-    from repro.telemetry.session import nested_session
-    metrics, trace, profile = spec
-    with nested_session(metrics=metrics, trace=trace,
-                        profile=profile) as session:
-        result = fn(task)
-    return result, session.export_payload()
+def _run_chunk(payload: Tuple) -> List[Any]:
+    """Worker entry point: apply the capsule, run the chunk in order."""
+    fn, label, points, spec, ambient = payload
+    _apply_ambient(ambient)
+    return _run_points(fn, label, points, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +270,7 @@ def _telemetry_point(fn: Callable, task: Any,
 # ---------------------------------------------------------------------------
 
 def resolve_chunk(pending: int, workers: int) -> int:
-    """Points per dispatched task.
+    """Points per dispatched chunk.
 
     Aims for ~4 chunks per worker — enough slack for dynamic
     load balancing, few enough futures to amortize dispatch overhead on
@@ -209,7 +280,6 @@ def resolve_chunk(pending: int, workers: int) -> int:
 
 
 def _count(point: str, amount: int = 1) -> None:
-    from repro.telemetry.session import active_metrics
     metrics = active_metrics()
     if metrics is not None:
         metrics.counter(point).inc(amount)
@@ -224,141 +294,67 @@ def _drop_broken(executor: ProcessPoolExecutor) -> None:
         executor.shutdown(wait=False)
 
 
-class SweepHandle:
-    """An in-flight sweep: probe results now, computed points later.
+def sweep(fn: Callable[[Any], Any], tasks: Sequence[Any],
+          cache_ns: Optional[str] = None) -> List[Any]:
+    """Apply ``fn`` to every task; results come back in task order.
 
-    :func:`submit` probes the cache and dispatches the misses; the
-    handle owns the outstanding futures.  :meth:`collect` blocks for
-    the remainder, memoizes fresh results and returns the full result
-    list in task order.  This split is the seam a job server schedules
-    through: submit many sweeps, collect as they drain.
-    """
-
-    def __init__(self, results: List[Any], pending: List[int],
-                 keys: List[Optional[str]], cache: Optional[Any],
-                 chunks: List[Tuple[List[int], Any]],
-                 inline: Optional[Tuple[Callable, List[Any]]],
-                 executor: Optional[ProcessPoolExecutor],
-                 session: Optional[Any] = None, prefix_ns: str = ""):
-        self._results = results
-        self._pending = pending
-        self._keys = keys
-        self._cache = cache
-        self._chunks = chunks          # [(indices, future)]
-        self._inline = inline          # serial fallback: (runner, tasks)
-        self._executor = executor
-        self._session = session
-        self._prefix_ns = prefix_ns
-        self._collected = False
-
-    @property
-    def warm(self) -> bool:
-        """True when every point was answered from the cache."""
-        return not self._pending
-
-    def collect(self) -> List[Any]:
-        """Wait for the computed points; return results in task order.
-
-        Every chunk is drained and the finished ones are memoized before
-        the first chunk error is re-raised, so one failing point does
-        not discard the work of the others.
-        """
-        if self._collected:
-            return self._results
-        self._collected = True
-        if self._inline is not None:
-            runner, tasks = self._inline
-            for i in self._pending:
-                self._finish(i, runner(tasks[i]))
-            return self._results
-        error: Optional[BaseException] = None
-        for indices, future in self._chunks:
-            failure = future.exception()  # waits; None when it succeeded
-            if failure is not None:
-                error = error or failure
-                continue
-            for i, value in zip(indices, future.result()):
-                self._finish(i, value)
-        if error is not None:
-            if isinstance(error, BrokenProcessPool):
-                _drop_broken(self._executor)
-            raise error
-        return self._results
-
-    def _finish(self, index: int, value: Any) -> None:
-        if self._session is not None:
-            result, payload = value
-            self._results[index] = result
-            self._session.absorb(
-                payload, prefix=f"{self._prefix_ns}[{index}]/")
-            return
-        self._results[index] = value
-        if self._cache is not None:
-            self._cache.put(self._keys[index], value)
-
-
-def submit(fn: Callable[[Any], Any], tasks: Sequence[Any], *,
-           jobs: int = 1, cache_ns: Optional[str] = None,
-           session: Optional[Any] = None) -> SweepHandle:
-    """Probe the cache and dispatch the misses; returns the handle.
-
+    The job count is the ambient one (see :func:`resolve_jobs`).
     ``fn`` must be a module-level callable and each task picklable
-    (they cross a process boundary when ``jobs > 1``).  When
+    (they cross a process boundary when the job count exceeds 1).  When
     ``cache_ns`` names a namespace and a cache is active, completed
-    points are memoized and only misses are dispatched.  A telemetry
-    ``session`` switches to per-point nested sessions (and bypasses
-    the cache — a hit would produce no telemetry).
+    points are memoized and only misses run.  A point that raises
+    surfaces as a :class:`~repro.errors.SweepError` once every other
+    point has finished.
     """
     tasks = list(tasks)
-    results: List[Any] = [None] * len(tasks)
-    pending = list(range(len(tasks)))
-    keys: List[Optional[str]] = [None] * len(tasks)
-    cache = None
-    if session is None and cache_ns is not None:
-        cache = active_cache()
-    if cache is not None:
-        fingerprint = code_fingerprint()
-        fn_id = f"{fn.__module__}.{fn.__qualname__}"
-        still_pending = []
-        for i in pending:
-            keys[i] = stable_key(cache_ns, fn_id, tasks[i], fingerprint)
-            hit, value = cache.get(keys[i])
-            if hit:
-                results[i] = value
-            else:
-                still_pending.append(i)
-        pending = still_pending
-    prefix_ns = cache_ns or f"{fn.__module__}.{fn.__qualname__}"
+    label = cache_ns or f"{fn.__module__}.{fn.__qualname__}"
+    session = active_session()
     spec = None
     if session is not None:
         spec = (session.metrics_enabled, session.trace_enabled,
                 session.profile_enabled)
-    # Serial (or trivially small) work runs inline — a warm sweep, a
-    # single miss, or jobs=1 never pays pool machinery at all.
-    if not pending or jobs <= 1 or len(pending) <= 1:
-        _STATS["points_inline"] += len(pending)
-        if session is not None:
-            runner: Callable = lambda task: _telemetry_point(fn, task, spec)
-        else:
-            runner = fn
-        return SweepHandle(results, pending, keys, cache, [],
-                           (runner, tasks), None, session=session,
-                           prefix_ns=prefix_ns)
-    workers = min(jobs, len(pending))
-    executor, _reused = _get_executor(workers)
-    ambient = _capture_ambient()
-    chunk = resolve_chunk(len(pending), workers)
-    chunks: List[Tuple[List[int], Any]] = []
-    try:
-        for start in range(0, len(pending), chunk):
-            indices = pending[start:start + chunk]
-            batch = [tasks[i] for i in indices]
+    cache = None
+    if session is None and cache_ns is not None:
+        cache = active_cache()
+    results: List[Any] = [None] * len(tasks)
+    keys: List[Optional[str]] = [None] * len(tasks)
+    pending = []
+    for i, task in enumerate(tasks):
+        if cache is not None:
+            keys[i] = _point_key(fn, cache_ns, task)
+            hit, value = cache.get(keys[i])
+            if hit:
+                results[i] = value
+                continue
+        pending.append(i)
+
+    def finish(indices: Sequence[int], values: Sequence[Any]) -> None:
+        for i, value in zip(indices, values):
             if session is not None:
-                payload: Tuple = (fn, batch, ambient, spec)
-                future = executor.submit(_run_batch_telemetry, payload)
-            else:
-                future = executor.submit(_run_batch, (fn, batch, ambient))
-            chunks.append((indices, future))
+                results[i], payload = value
+                session.absorb(payload, prefix=f"{label}[{i}]/")
+                continue
+            results[i] = value
+            if cache is not None:
+                cache.put(keys[i], value)
+
+    jobs = resolve_jobs()
+    if jobs <= 1 or len(pending) <= 1:
+        _STATS["points_inline"] += len(pending)
+        for i in pending:
+            finish([i], _run_points(fn, label, [(i, tasks[i])], spec))
+        return results
+    workers = min(jobs, len(pending))
+    executor = _get_executor(workers)
+    ambient = _capture_ambient()
+    size = resolve_chunk(len(pending), workers)
+    chunks = []
+    try:
+        for start in range(0, len(pending), size):
+            indices = pending[start:start + size]
+            points = [(i, tasks[i]) for i in indices]
+            chunks.append((indices, executor.submit(
+                _run_chunk, (fn, label, points, spec, ambient))))
     except BrokenProcessPool:
         # a worker died while later chunks were still being submitted
         _drop_broken(executor)
@@ -366,13 +362,15 @@ def submit(fn: Callable[[Any], Any], tasks: Sequence[Any], *,
     _STATS["tasks_dispatched"] += len(pending)
     _STATS["batches_dispatched"] += len(chunks)
     _count("pool.tasks_dispatched", len(pending))
-    return SweepHandle(results, pending, keys, cache, chunks, None,
-                       executor, session=session, prefix_ns=prefix_ns)
-
-
-def dispatch(fn: Callable[[Any], Any], tasks: Sequence[Any], *,
-             jobs: int = 1, cache_ns: Optional[str] = None,
-             session: Optional[Any] = None) -> List[Any]:
-    """:func:`submit` + :meth:`SweepHandle.collect` in one call."""
-    return submit(fn, tasks, jobs=jobs, cache_ns=cache_ns,
-                  session=session).collect()
+    error: Optional[BaseException] = None
+    for indices, future in chunks:
+        failure = future.exception()  # waits; None when it succeeded
+        if failure is not None:
+            error = error or failure
+            continue
+        finish(indices, future.result())
+    if error is not None:
+        if isinstance(error, BrokenProcessPool):
+            _drop_broken(executor)
+        raise error
+    return results

@@ -14,11 +14,11 @@ through three module-level hooks:
   engine self-profiling can be switched on without the model layers
   knowing about it.
 
-The active session lives in a **module global**, deliberately not a
-``contextvars`` variable: fork-based ``SweepRunner`` workers inherit
-module globals, which is exactly the propagation we want.  Inside a
-worker (or on the serial path, for parity) :func:`nested_session` swaps
-in a fresh session around one task; its :meth:`~TelemetrySession.
+The active session lives in a **module global**.  Pool workers do not
+rely on inheriting it: :func:`repro.sim.pool.sweep` ships the session's
+metrics/trace/profile switches with every chunk, and the worker (or the
+serial path, for parity) runs each task under :func:`nested_session`, a
+fresh session around one task; its :meth:`~TelemetrySession.
 export_payload` result travels back to the parent, which merges it in
 task order — so serial and parallel runs aggregate identically.
 

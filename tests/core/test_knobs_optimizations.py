@@ -1,38 +1,8 @@
-"""Tests for the knob registry and the optimization ladder."""
-
-import pytest
+"""Tests for the optimization ladder."""
 
 from repro.config import TuningConfig
-from repro.errors import ConfigError
-from repro.core.knobs import KNOBS, knob
 from repro.core.optimizations import LAN_OPTIMIZATION_LADDER
 from repro.units import KB
-
-
-def test_every_paper_knob_registered():
-    expected = {"mtu", "mmrbc", "smp_kernel", "tcp_rmem", "tcp_wmem",
-                "interrupt_coalescing_us", "tcp_timestamps",
-                "window_scaling", "txqueuelen", "tso", "napi",
-                "checksum_offload"}
-    assert expected <= set(KNOBS)
-
-
-def test_knobs_document_paper_sections():
-    for k in KNOBS.values():
-        assert k.paper_section
-        assert len(k.description) > 20
-
-
-def test_knob_apply_produces_validated_config():
-    cfg = knob("mtu").apply(TuningConfig.stock(), 9000)
-    assert cfg.mtu == 9000
-    with pytest.raises(ConfigError):
-        knob("mmrbc").apply(TuningConfig.stock(), 777)
-
-
-def test_unknown_knob():
-    with pytest.raises(ConfigError):
-        knob("warp_factor")
 
 
 def test_ladder_is_cumulative():

@@ -183,86 +183,3 @@ class TestQueueCoupling:
         b.set_background(0.0, 0.5)
         assert [a.admit() for _ in range(64)] == \
             [b.admit() for _ in range(64)]
-
-
-class TestSharedQueueHooks:
-    def test_switch_port_coupling(self):
-        from repro.net.ethernet import EthernetLink
-        from repro.net.switch import Switch
-        from repro.oskernel.skbuff import SkBuff
-        from repro.sim.engine import Environment
-
-        env = Environment()
-        sw = Switch(env)
-        delivered = []
-
-        class Sink:
-            def receive_frame(self, skb):
-                delivered.append(skb)
-
-        link = EthernetLink(env, rate_bps=1e10, length_m=1, mtu=9000)
-        link.connect(Sink())
-        port = sw.add_port("p1", link)
-        sw.learn("dst", "p1")
-
-        coupling = QueueCoupling("sw.p1", ema_alpha=1.0)
-        port.couple(coupling)
-        coupling.set_background(0.2, 0.0)     # no drops, but coupled
-        for i in range(10):
-            sw.receive_frame(SkBuff(payload=1024, headers=40,
-                                    meta={"dst": "dst"}))
-        env.run()
-        assert len(delivered) == 10
-        # every forwarded frame was reported back as cross traffic
-        assert coupling.foreground_packets == 10
-        assert coupling.foreground_bytes > 0
-
-    def test_switch_port_coupled_drops(self):
-        from repro.net.ethernet import EthernetLink
-        from repro.net.switch import Switch
-        from repro.oskernel.skbuff import SkBuff
-        from repro.sim.engine import Environment
-
-        env = Environment()
-        sw = Switch(env)
-        link = EthernetLink(env, rate_bps=1e10, length_m=1, mtu=9000)
-
-        class Sink:
-            def receive_frame(self, skb):
-                pass
-
-        link.connect(Sink())
-        port = sw.add_port("p1", link)
-        sw.learn("dst", "p1")
-        coupling = QueueCoupling("sw.p1", ema_alpha=1.0)
-        port.couple(coupling)
-        coupling.set_background(0.0, 0.95)    # heavy background pressure
-        for _ in range(100):
-            sw.receive_frame(SkBuff(payload=1024, headers=40,
-                                    meta={"dst": "dst"}))
-        env.run()
-        assert coupling.coupled_drops > 50
-        assert int(port.drops.total) == coupling.coupled_drops
-
-    def test_router_coupling(self):
-        from repro.net.wanpath import OC48_BPS, PosCircuit, Router
-        from repro.oskernel.skbuff import SkBuff
-        from repro.sim.engine import Environment
-
-        env = Environment()
-        circuit = PosCircuit(env, OC48_BPS, 10.0)
-        delivered = []
-
-        class Sink:
-            def receive_frame(self, skb):
-                delivered.append(skb)
-
-        circuit.connect(Sink())
-        router = Router(env, circuit)
-        coupling = QueueCoupling("router", ema_alpha=1.0)
-        router.couple(coupling)
-        for _ in range(8):
-            router.receive_frame(SkBuff(payload=1024, headers=40))
-        env.run()
-        assert len(delivered) == 8
-        assert coupling.foreground_packets == 8

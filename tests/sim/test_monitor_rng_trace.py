@@ -6,51 +6,9 @@ from repro.errors import MeasurementError
 from repro.sim import (
     CounterMonitor,
     Environment,
-    Monitor,
     RngStreams,
     TraceBuffer,
-    UtilizationMonitor,
 )
-
-
-class TestMonitor:
-    def test_record_and_statistics(self):
-        env = Environment()
-        m = Monitor(env)
-        for t, v in [(0.0, 1.0), (1.0, 3.0), (2.0, 5.0)]:
-            m.record(v, time=t)
-        assert len(m) == 3
-        assert m.mean() == 3.0
-        assert m.min() == 1.0 and m.max() == 5.0
-        assert m.std() == pytest.approx((8 / 3) ** 0.5)
-
-    def test_time_average_piecewise_constant(self):
-        env = Environment()
-        m = Monitor(env)
-        m.record(0.0, time=0.0)
-        m.record(10.0, time=1.0)
-        assert m.time_average(until=2.0) == pytest.approx(5.0)
-
-    def test_rate(self):
-        env = Environment()
-        m = Monitor(env)
-        m.record(100, time=0.0)
-        m.record(100, time=1.0)
-        m.record(100, time=2.0)
-        assert m.rate() == pytest.approx(150.0)
-
-    def test_empty_monitor_raises(self):
-        m = Monitor(Environment())
-        with pytest.raises(MeasurementError):
-            m.mean()
-
-    def test_arrays(self):
-        env = Environment()
-        m = Monitor(env)
-        m.record(1.0, time=0.5)
-        times, values = m.arrays()
-        assert times.tolist() == [0.5]
-        assert values.tolist() == [1.0]
 
 
 class TestCounterMonitor:
@@ -67,22 +25,6 @@ class TestCounterMonitor:
         c = CounterMonitor(Environment())
         with pytest.raises(MeasurementError):
             c.rate()
-
-
-class TestUtilizationMonitor:
-    def test_half_busy(self):
-        env = Environment()
-        u = UtilizationMonitor(env)
-        u.enter()
-        env.run(until=1.0)
-        u.exit()
-        env.run(until=2.0)
-        assert u.utilization() == pytest.approx(0.5)
-
-    def test_exit_without_enter_raises(self):
-        u = UtilizationMonitor(Environment())
-        with pytest.raises(MeasurementError):
-            u.exit()
 
 
 class TestRngStreams:

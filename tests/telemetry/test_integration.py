@@ -14,7 +14,7 @@ from collections import Counter as TallyCounter
 from repro.config import TuningConfig
 from repro.net.topology import BackToBack, ThroughSwitch, build_wan_path
 from repro.sim import Environment
-from repro.sim.runner import SweepRunner
+from repro.sim.pool import job_context, sweep
 from repro.tcp.connection import TcpConnection
 from repro.telemetry.points import CATALOG
 from repro.telemetry.profiling import EngineProfiler, component_of
@@ -192,8 +192,9 @@ class TestSweepParity:
     TASKS = [(8948, 8), (8948, 16), (1448, 8)]
 
     def _run(self, jobs):
-        with telemetry_session(metrics=True, trace=True) as session:
-            results = SweepRunner(jobs).map(_sweep_point, self.TASKS)
+        with job_context(jobs), \
+                telemetry_session(metrics=True, trace=True) as session:
+            results = sweep(_sweep_point, self.TASKS)
         return results, session.registry.snapshot(), session.events
 
     def test_parallel_metrics_identical_to_serial(self):
