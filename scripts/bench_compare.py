@@ -10,20 +10,21 @@ missed check, and exits 1 when any check missed.  The overhead rows
 keep the paper's promise for MAGNET, that a disabled probe has a
 negligible effect, for this repository's own hooks.
 
-``engine-microbench`` archives the pytest-benchmark suite as
+``engine-microbench`` archives the pytest-benchmark run of
+``benchmarks/test_bench_simulator.py`` as
 ``benchmarks/results/BENCH_<rev>.json``; every other row merges its
 metrics into that archive, when it exists, under
 ``repro_metrics.<gate>``, and ``lint`` also sets ``lint_clean``.
 Per-layer simulator throughput (events, ns/event, transmit-train size)
-comes from ``perfbench/run.py --trace 1``; output bit-identity on both
-data paths from the golden digests in ``tests/golden``.
+comes from ``perfbench/run.py --trace 1``; output bit-identity from the
+golden digests in ``tests/golden``.
 
 Usage::
 
     python scripts/bench_compare.py                   # every gate
     python scripts/bench_compare.py --only fabric     # one gate
     python scripts/bench_compare.py --skip engine-microbench --skip cache
-    python scripts/bench_compare.py --all --baseline benchmarks/results/BENCH_abc1234.json
+    python scripts/bench_compare.py --baseline benchmarks/results/BENCH_abc1234.json
 """
 
 from __future__ import annotations
@@ -124,10 +125,11 @@ def overheads(times: Dict[str, float]) -> Metrics:
     return metrics
 
 
-def run_benchmarks(out_path: pathlib.Path, everything: bool) -> None:
-    """Run pytest-benchmark, writing its JSON report to ``out_path``."""
-    target = "benchmarks/" if everything else "benchmarks/test_bench_simulator.py"
-    cmd = [sys.executable, "-m", "pytest", target, "--benchmark-only",
+def run_benchmarks(out_path: pathlib.Path) -> None:
+    """Run the simulator pytest-benchmarks, writing their JSON report to
+    ``out_path``."""
+    cmd = [sys.executable, "-m", "pytest",
+           "benchmarks/test_bench_simulator.py", "--benchmark-only",
            f"--benchmark-json={out_path}", "-q"]
     print(f"$ {' '.join(cmd)}")
     result = subprocess.run(cmd, cwd=ROOT, env=_subprocess_env())
@@ -182,7 +184,7 @@ def measure_engine_microbench(args: argparse.Namespace) -> Metrics:
     """Archive the pytest-benchmark run; diff it against the baseline."""
     RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     out_path = RESULTS_DIR / f"BENCH_{args.rev}.json"
-    run_benchmarks(out_path, everything=args.all)
+    run_benchmarks(out_path)
     new = load_mins(out_path)
     print(f"\nwrote {out_path} ({len(new)} benchmarks)")
     baseline = args.baseline or previous_report(out_path)
@@ -200,7 +202,7 @@ def measure_engine_microbench(args: argparse.Namespace) -> Metrics:
         print(f"\npossible regression ({worst:+.1%}); rerunning once "
               f"to confirm...")
         confirm_path = out_path.with_suffix(".confirm.json")
-        run_benchmarks(confirm_path, everything=args.all)
+        run_benchmarks(confirm_path)
         for name, best in load_mins(confirm_path).items():
             new[name] = min(new.get(name, best), best)
         confirm_path.unlink()
@@ -487,9 +489,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                         default=[], help="run only this gate (repeatable)")
     parser.add_argument("--skip", action="append", choices=names,
                         default=[], help="skip this gate (repeatable)")
-    parser.add_argument("--all", action="store_true",
-                        help="engine-microbench runs every pytest "
-                             "benchmark, not just the simulator suite")
     parser.add_argument("--baseline", type=pathlib.Path, default=None,
                         help="BENCH_*.json to diff against (default: the "
                              "most recently recorded other one)")

@@ -357,8 +357,8 @@ class Environment:
         self._push: Callable[[tuple], None] = partial(_heappush, self._queue)
         # Chaos first: a non-empty fault plan schedules its arm/fire/
         # recover entries before anything else can, so they win (time,
-        # seq) ties against frame deliveries on either data path; with no
-        # plan this is a single is-None test.
+        # seq) ties against frame deliveries; with no plan this is a
+        # single is-None test.
         _attach_chaos(self)
         _attach_environment(self)
 

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import gzip
 import json
+import math
 import os
 import pathlib
 import shutil
@@ -73,19 +74,19 @@ DEFAULT_RING = 65_536
 
 def stream_tick_s() -> float:
     """The configured heartbeat interval (``REPRO_STREAM_TICK`` or the
-    default), validated to be positive."""
-    from repro.core.knobs import env_raw  # lazy: core imports telemetry
-    raw = env_raw(STREAM_TICK_ENV)
-    if not raw:
-        return DEFAULT_STREAM_TICK_S
+    default), validated to be positive and finite."""
+    # lazy: core imports telemetry
+    from repro.core.knobs import env_raw, env_value
     try:
-        tick = float(raw)
+        tick = env_value(STREAM_TICK_ENV)
     except ValueError:
+        tick = math.nan  # not a number: refused below
+    if tick is None:
+        return DEFAULT_STREAM_TICK_S
+    if not (math.isfinite(tick) and tick > 0):
         raise MeasurementError(
-            f"{STREAM_TICK_ENV} must be a number, got {raw!r}")
-    if tick <= 0:
-        raise MeasurementError(
-            f"{STREAM_TICK_ENV} must be positive, got {raw!r}")
+            f"{STREAM_TICK_ENV} must be a positive finite number of "
+            f"seconds, got {env_raw(STREAM_TICK_ENV)!r}")
     return tick
 
 
@@ -263,12 +264,11 @@ class StreamTap:
     __slots__ = ("bus", "session", "env", "interval_s", "_last_metrics",
                  "_periodic", "ticks")
 
-    def __init__(self, bus: TelemetryBus, session: Any, env: Any,
-                 interval_s: Optional[float] = None):
+    def __init__(self, bus: TelemetryBus, session: Any, env: Any):
         self.bus = bus
         self.session = session
         self.env = env
-        self.interval_s = interval_s or stream_tick_s()
+        self.interval_s = stream_tick_s()
         self._last_metrics: List[Dict[str, Any]] = []
         self.ticks = 0
         # while_pending: the heartbeat must never be the event keeping

@@ -2,24 +2,33 @@
 
 Each test reproduces one claim of the paper through the full simulated
 stack (scaled-down workloads) and checks the *shape*: who wins, by
-roughly what factor, where the dips and crossovers fall.  Absolute
-tolerances are set per EXPERIMENTS.md.
+roughly what factor, where the dips and crossovers fall.  The
+one-payload paper points are ``point.*`` rows of the claims table
+(:mod:`tests.golden.claims`), which holds their tolerances.
 """
+
+import dataclasses
 
 import pytest
 
 from repro.config import TuningConfig
+from repro.hw.calibration import Calibration
 from repro.net.topology import BackToBack
 from repro.sim import Environment
 from repro.tcp.connection import TcpConnection
 from repro.tools.nttcp import nttcp_run
+from tests.golden.claims import CLAIMS
+
+
+def transfer(cfg, payload, count=384, **topology):
+    env = Environment()
+    bb = BackToBack.create(env, cfg, **topology)
+    conn = TcpConnection(env, bb.a, bb.b)
+    return nttcp_run(env, conn, payload, count)
 
 
 def goodput(cfg, payload, count=384):
-    env = Environment()
-    bb = BackToBack.create(env, cfg)
-    conn = TcpConnection(env, bb.a, bb.b)
-    return nttcp_run(env, conn, payload, count).goodput_gbps
+    return transfer(cfg, payload, count).goodput_gbps
 
 
 @pytest.fixture(scope="module")
@@ -40,7 +49,7 @@ def headline():
 
 class TestSection33Ladder:
     def test_stock_1500_peak(self, headline):
-        assert headline["stock_1500"] == pytest.approx(1.8, rel=0.15)
+        CLAIMS["point.stock_1500_gbps"].check(headline["stock_1500"])
 
     def test_jumbo_beats_standard_mtu(self, headline):
         assert headline["stock_9000"] > headline["stock_1500"]
@@ -62,19 +71,21 @@ class TestSection33Ladder:
         assert headline["up_9000"] > headline["burst_9000"] * 1.02
 
     def test_window_step_reaches_3_9(self, headline):
-        assert headline["win_9000"] == pytest.approx(3.9, rel=0.08)
+        CLAIMS["point.oversized_windows_9000_gbps"].check(
+            headline["win_9000"])
 
     def test_1500_fully_tuned_reaches_2_47(self, headline):
-        assert headline["win_1500"] == pytest.approx(2.47, rel=0.08)
+        CLAIMS["point.oversized_windows_1500_gbps"].check(
+            headline["win_1500"])
 
     def test_8160_peak_above_4(self, headline):
         """Paper: 4.11 Gb/s, the headline LAN number."""
-        assert headline["tuned_8160"] == pytest.approx(4.11, rel=0.08)
+        CLAIMS["point.tuned_8160_gbps"].check(headline["tuned_8160"])
 
     def test_16000_peak_matches_8160_class(self, headline):
         """Paper: 4.09 vs 4.11 — 'virtually identical'."""
-        assert headline["tuned_16000"] == pytest.approx(
-            headline["tuned_8160"], rel=0.12)
+        CLAIMS["point.tuned_16000_over_8160"].check(
+            headline["tuned_16000"] / headline["tuned_8160"])
 
     def test_over_4gbps_achieved(self, headline):
         """Abstract: 'over 4 Gb/s end-to-end throughput'."""
@@ -92,6 +103,46 @@ class TestFig3Fig4Dips:
         at_dip_payload = headline["win_9000"]
         off_dip = goodput(TuningConfig.oversized_windows(9000), 7000, 256)
         assert at_dip_payload > off_dip * 0.9
+
+
+class TestAblations:
+    """One modelled mechanism flipped at a time: each carries the effect
+    DESIGN.md attributes to it."""
+
+    def test_knobs_around_tuned_9000(self):
+        base = TuningConfig.fully_tuned(9000)
+        tuned = transfer(base, 8948, 768)
+        smp = transfer(base.replace(smp_kernel=True), 8948, 768)
+        no_ts = transfer(base.replace(tcp_timestamps=False), 8948, 768)
+        napi = transfer(base.replace(napi=True), 8948, 768)
+        tso = transfer(base.replace(tso=True), 8948, 768)
+        no_csum = transfer(base.replace(checksum_offload=False), 8948, 768)
+        # the SMP tax costs throughput (the paper's UP step, inverted)
+        assert smp.goodput_bps < tuned.goodput_bps * 0.95
+        # timestamps cost a few percent of a CPU-bound flow (§3.4 reports
+        # ~10% on the E7505; the per-packet model carries ~2-3%, see
+        # EXPERIMENTS.md)
+        assert no_ts.goodput_bps > tuned.goodput_bps * 1.005
+        assert no_csum.goodput_bps < tuned.goodput_bps * 0.97
+        # NAPI and TSO never hurt
+        assert napi.goodput_bps > tuned.goodput_bps * 0.97
+        assert tso.goodput_bps > tuned.goodput_bps * 0.97
+
+    def test_allocator_order_penalty_carries_8160_vs_9000(self):
+        """With the order penalty zeroed, the two MTUs converge (per-byte
+        costs then favour the larger MSS)."""
+
+        def ratio(cal):
+            rates = {mtu: transfer(TuningConfig.fully_tuned(mtu), payload,
+                                   512, calibration=cal).goodput_bps
+                     for mtu, payload in ((8160, 8108), (9000, 8948))}
+            return rates[8160] / rates[9000]
+
+        with_penalty = ratio(Calibration())
+        without = ratio(dataclasses.replace(Calibration(),
+                                            alloc_order_usghz=0.0))
+        assert with_penalty > 1.0          # 8160 wins, as in Fig. 5
+        assert without < with_penalty      # the penalty carries the effect
 
 
 class TestWindowMechanism:

@@ -71,6 +71,20 @@ def test_recovery_rate_one_segment_per_rtt():
     assert slope == pytest.approx(1.0 / 0.180, rel=0.15)
 
 
+def test_table1_recovery_rate_on_a_120ms_path():
+    """Table 1's +1 segment per RTT, measured after a forced loss on a
+    scaled-down Geneva-Chicago-like path (2.4 Gb/s, 120 ms)."""
+    rtt = 0.120
+    p = FluidParams(bottleneck_bps=Gbps(2.4), base_rtt_s=rtt, mss=8948,
+                    max_window_bytes=Gbps(2.4) * rtt / 8)
+    result = simulate_fluid(p, duration_s=120.0, force_loss_at_s=60.0)
+    assert result.losses == 1
+    t, w = result.time_s, result.window_segments
+    lo, hi = np.searchsorted(t, 70.0), np.searchsorted(t, 100.0)
+    slope = np.polyfit(t[lo:hi], w[lo:hi], 1)[0]
+    assert slope == pytest.approx(1.0 / rtt, rel=0.15)
+
+
 def test_slow_start_ramp_visible():
     result = simulate_fluid(wan_params(), duration_s=30.0)
     w = result.window_segments

@@ -140,7 +140,7 @@ class TestStreamTick:
         monkeypatch.setenv(STREAM_TICK_ENV, "0.5")
         assert stream_tick_s() == 0.5
 
-    @pytest.mark.parametrize("bad", ["zero", "-1", "0"])
+    @pytest.mark.parametrize("bad", ["zero", "-1", "0", "nan", "inf"])
     def test_invalid_rejected(self, monkeypatch, bad):
         monkeypatch.setenv(STREAM_TICK_ENV, bad)
         with pytest.raises(MeasurementError):

@@ -124,6 +124,22 @@ class TestEndToEnd:
         assert small.goodput_bps == pytest.approx(large.goodput_bps,
                                                   rel=0.02)
 
+    def test_projections_against_tuned_tcp(self):
+        """§3.5.3/§5: each offload against tuned TCP at 8160 MTU."""
+        tcp = measure(TuningConfig.fully_tuned(8160), 8108, count=768)
+        hs = measure(TuningConfig.with_header_splitting(8160), 8108,
+                     count=768)
+        bypass = measure(TuningConfig.os_bypass_projection(9000), 8948,
+                         count=1536)
+        csa = measure(TuningConfig.os_bypass_projection(9000).replace(
+            csa=True), 8948, count=1536)
+        assert hs.goodput_bps > tcp.goodput_bps * 1.2
+        assert hs.receiver_load < tcp.receiver_load
+        assert bypass.receiver_load < 0.1   # CPU load approaching zero
+        assert bypass.goodput_bps > tcp.goodput_bps
+        # with the I/O bus bypassed too, throughput approaches the wire
+        assert csa.goodput_gbps > 8.0
+
     def test_csa_plus_bypass_approaches_wire_speed(self):
         out = measure(TuningConfig.os_bypass_projection(9000).replace(
             csa=True), 8948, count=768)
