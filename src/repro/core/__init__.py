@@ -18,7 +18,6 @@ from repro.core.bottleneck import BottleneckStudy, BottleneckReport
 from repro.core.comparison import InterconnectComparison, INTERCONNECTS
 from repro.core.wanrecord import WanRecordRun, WanOutcome
 from repro.core.landspeed import land_speed_record_metric, LSR_2003
-from repro.core.advisor import TuningAdvisor, Advice
 
 __all__ = [
     "OptimizationStep",
@@ -36,6 +35,4 @@ __all__ = [
     "WanOutcome",
     "land_speed_record_metric",
     "LSR_2003",
-    "TuningAdvisor",
-    "Advice",
 ]

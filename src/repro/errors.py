@@ -58,7 +58,7 @@ class AllocationError(ReproError):
 
 
 class ProtocolError(ReproError):
-    """TCP/UDP state-machine violation."""
+    """TCP state-machine or socket-API violation."""
 
 
 class LinkError(ReproError):

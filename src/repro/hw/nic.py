@@ -124,7 +124,7 @@ class TenGigAdapter:
         Returns False (and counts a drop) when the device transmit queue
         (``txqueuelen``) is full — the local congestion signal the
         paper's WAN recipe avoids by raising txqueuelen to 10000.
-        Stack-generated frames (ACKs, UDP, pktgen) use this path.
+        Stack-generated frames (ACKs, pktgen) use this path.
         """
         if self._egress is None:
             raise TopologyError(f"{self.name}: egress not connected")

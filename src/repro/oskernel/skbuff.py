@@ -49,7 +49,7 @@ class SkBuff:
     headers:
         IP + TCP (+options) bytes.
     kind:
-        ``"data"``, ``"ack"``, ``"udp"`` or ``"raw"`` (pktgen).
+        ``"data"``, ``"ack"``, ``"syn"``, ``"synack"`` or ``"raw"`` (pktgen).
     seq, end_seq, ack:
         TCP sequence bookkeeping (bytes).
     conn:

@@ -4,9 +4,9 @@ The package splits into pure protocol arithmetic (:mod:`repro.tcp.mss`,
 :mod:`repro.tcp.window`, :mod:`repro.tcp.congestion`,
 :mod:`repro.tcp.analytic`) and the discrete-event endpoints
 (:mod:`repro.tcp.sender`, :mod:`repro.tcp.receiver`,
-:mod:`repro.tcp.connection`), plus the stack-bypass tools the paper uses
-for bottleneck analysis (:mod:`repro.tcp.pktgen`, :mod:`repro.tcp.udp`)
-and a vectorised fluid model for long WAN runs (:mod:`repro.tcp.fluid`).
+:mod:`repro.tcp.connection`), plus the stack-bypass packet generator the
+paper uses for bottleneck analysis (:mod:`repro.tcp.pktgen`) and a
+vectorised fluid model for long WAN runs (:mod:`repro.tcp.fluid`).
 """
 
 from repro.tcp.mss import mss_for_mtu, advertised_mss, MtuProfile

@@ -148,11 +148,6 @@ class TcpConnection:
         for _ in range(count):
             yield from self.write(write_size)
 
-    def wait_all_acked(self, poll_s: float = 1e-4):
-        """Process: resolve when every written byte is acknowledged."""
-        while not self.sender.all_acked:
-            yield self.env._fast_timeout(poll_s)
-
     def wait_delivered(self, total_bytes: int, poll_s: float = 1e-4):
         """Process: resolve when the receiving app has consumed
         ``total_bytes``."""

@@ -58,6 +58,7 @@ class TcpReceiver:
         self.window_updates = 0
         self.first_data_time: Optional[float] = None
         self.last_delivery_time: Optional[float] = None
+        self._delivered_before_first = 0
         # instrumentation
         self._conn_label = getattr(conn, "name", None) or str(conn)
         # Host-only labels — see the matching note in TcpSender: conn
@@ -119,6 +120,7 @@ class TcpReceiver:
             self._c_seg.inc()
         if self.first_data_time is None:
             self.first_data_time = self.env.now
+            self._delivered_before_first = self.bytes_delivered
         trace = host.trace
         out_of_order = False
         if skb.end_seq <= self.rcv_nxt:
@@ -303,9 +305,14 @@ class TcpReceiver:
 
     # -- reporting -------------------------------------------------------------
     def goodput_bps(self) -> float:
-        """Delivered-payload rate between first arrival and last drain."""
+        """Delivered-payload rate between first arrival and last drain.
+
+        Clearing ``first_data_time`` (as NTTCP does per run) starts a new
+        window: the next arrival restamps it, and only bytes delivered
+        from then on count."""
         if (self.first_data_time is None or self.last_delivery_time is None
                 or self.last_delivery_time <= self.first_data_time):
             raise ProtocolError("no completed deliveries to report")
         span = self.last_delivery_time - self.first_data_time
-        return self.bytes_delivered * 8.0 / span
+        delivered = self.bytes_delivered - self._delivered_before_first
+        return delivered * 8.0 / span

@@ -147,11 +147,6 @@ class TcpSender:
         """Unacknowledged bytes on the wire."""
         return self.snd_nxt - self.snd_una
 
-    @property
-    def all_acked(self) -> bool:
-        """True when everything written has been acknowledged."""
-        return not self.sendq and self.snd_una == self.queued_seq
-
     # -- transmit pump -----------------------------------------------------------
     def _can_send(self) -> bool:
         if not self.sendq:

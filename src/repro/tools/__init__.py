@@ -1,51 +1,32 @@
-"""Measurement tools: simulated analogues of everything §3.2 names.
+"""Measurement tools: simulated analogues of the tools §3.2 measures with.
 
 * :mod:`repro.tools.nttcp` — fixed-count payload-sweep throughput (the
   paper's primary tool).
 * :mod:`repro.tools.iperf` — fixed-duration stream throughput.
 * :mod:`repro.tools.netpipe` — ping-pong latency.
 * :mod:`repro.tools.stream_bench` — memory bandwidth.
-* :mod:`repro.tools.loadavg` — ``/proc/loadavg`` sampling.
 * :mod:`repro.tools.magnet` — kernel event tracing and path profiling.
 * :mod:`repro.tools.tcpdump` — wire-level capture.
+
+CPU load, the paper's load-average reading, is
+:meth:`repro.hw.cpu.CpuComplex.load` over the window NTTCP resets.
 """
 
-from repro.tools.nttcp import NttcpResult, nttcp_run, nttcp_sweep, nttcp_bidirectional
+from repro.tools.nttcp import NttcpResult, nttcp_run
 from repro.tools.iperf import IperfResult, iperf_run
-from repro.tools.netperf import (
-    NetperfRRResult,
-    NetperfStreamResult,
-    netperf_tcp_rr,
-    netperf_tcp_stream,
-)
-from repro.tools.netpipe import NetpipeResult, netpipe_latency, netpipe_sweep
+from repro.tools.netpipe import NetpipeResult, netpipe_latency
 from repro.tools.stream_bench import stream_bench
-from repro.tools.loadavg import LoadSampler
 from repro.tools.magnet import Magnet
 from repro.tools.tcpdump import Tcpdump
-from repro.tools.netstat import snapshot_host, snapshot_connection, diff_snapshots
-from repro.tools.ethtool import Ethtool
 
 __all__ = [
     "NttcpResult",
     "nttcp_run",
-    "nttcp_sweep",
-    "nttcp_bidirectional",
     "IperfResult",
     "iperf_run",
-    "NetperfStreamResult",
-    "NetperfRRResult",
-    "netperf_tcp_stream",
-    "netperf_tcp_rr",
     "NetpipeResult",
     "netpipe_latency",
-    "netpipe_sweep",
     "stream_bench",
-    "LoadSampler",
     "Magnet",
     "Tcpdump",
-    "snapshot_host",
-    "snapshot_connection",
-    "diff_snapshots",
-    "Ethtool",
 ]

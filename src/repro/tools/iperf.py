@@ -8,6 +8,7 @@ same property of the simulation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.errors import MeasurementError
@@ -36,8 +37,10 @@ def iperf_run(env: Environment, conn: TcpConnection, duration_s: float,
               warmup_s: float = 0.0) -> IperfResult:
     """Stream continuously for ``duration_s`` (after ``warmup_s``) and
     report the delivered-byte rate over the timed window."""
-    if duration_s <= 0:
-        raise MeasurementError("duration must be positive")
+    if not (math.isfinite(duration_s) and duration_s > 0):
+        raise MeasurementError("duration must be finite and positive")
+    if not (math.isfinite(warmup_s) and warmup_s >= 0):
+        raise MeasurementError("warmup must be finite and non-negative")
     if write_size <= 0:
         raise MeasurementError("write size must be positive")
 

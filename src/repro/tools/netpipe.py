@@ -12,7 +12,7 @@ this model).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from repro.errors import MeasurementError
 from repro.sim.engine import Environment
 from repro.tcp.connection import TcpConnection
 
-__all__ = ["NetpipeResult", "netpipe_latency", "netpipe_sweep"]
+__all__ = ["NetpipeResult", "netpipe_latency"]
 
 
 @dataclass(frozen=True)
@@ -76,16 +76,3 @@ def netpipe_latency(env: Environment, forward: TcpConnection,
     return NetpipeResult(payload=payload, iterations=iterations,
                          rtt_s=rtt, latency_s=rtt / 2.0)
 
-
-def netpipe_sweep(make_pair, payloads: Sequence[int],
-                  iterations: int = 8) -> List[NetpipeResult]:
-    """Latency across payload sizes (Fig. 6/7: 1 B .. 1024 B).
-
-    ``make_pair`` returns a fresh ``(env, forward, backward)`` triple per
-    point.
-    """
-    results: List[NetpipeResult] = []
-    for payload in payloads:
-        env, fwd, bwd = make_pair()
-        results.append(netpipe_latency(env, fwd, bwd, payload, iterations))
-    return results

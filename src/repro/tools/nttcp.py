@@ -2,23 +2,23 @@
 
 NTTCP (a ttcp variant) "measures the time required to send a set number
 of fixed-size packets".  :func:`nttcp_run` reproduces one such
-measurement over an established :class:`~repro.tcp.connection.TcpConnection`;
-:func:`nttcp_sweep` runs the paper's payload sweep (§3.3: 32768 writes
-per point, payloads 128 B .. 16 KB — scaled down by default so a sweep
-runs in seconds of wall-clock; the measured quantity is a rate, so the
-count only sets averaging quality).
+measurement over an established :class:`~repro.tcp.connection.TcpConnection`.
+The paper's sweep (§3.3: 32768 writes per point, payloads 128 B .. 16 KB)
+is :meth:`repro.core.casestudy.CaseStudy.sweep`, scaled down by default
+so a sweep runs in seconds of wall-clock; the measured quantity is a
+rate, so the count only sets averaging quality.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import List
 
 from repro.errors import MeasurementError
 from repro.sim.engine import Environment
 from repro.tcp.connection import TcpConnection
 
-__all__ = ["NttcpResult", "nttcp_run", "nttcp_sweep", "default_payloads"]
+__all__ = ["NttcpResult", "nttcp_run", "default_payloads"]
 
 #: The paper's per-point write count.
 PAPER_WRITE_COUNT = 32768
@@ -55,7 +55,9 @@ def nttcp_run(env: Environment, conn: TcpConnection, payload: int,
               count: int = DEFAULT_WRITE_COUNT) -> NttcpResult:
     """Run one fixed-count transfer to completion and measure it.
 
-    Advances the simulation until every byte is delivered.
+    Advances the simulation until every byte is delivered.  The run is
+    timed from its own first data arrival and counts only its own bytes,
+    so back-to-back runs on one connection each measure themselves.
     """
     if payload <= 0 or count <= 0:
         raise MeasurementError("payload and count must be positive")
@@ -65,7 +67,9 @@ def nttcp_run(env: Environment, conn: TcpConnection, payload: int,
     src.cpu.reset_load_window()
     dst.cpu.reset_load_window()
 
-    baseline = conn.receiver.bytes_delivered
+    rx = conn.receiver
+    baseline = rx.bytes_delivered
+    rx.first_data_time = None
 
     def app():
         yield from conn.send_stream(payload, count)
@@ -73,7 +77,6 @@ def nttcp_run(env: Environment, conn: TcpConnection, payload: int,
 
     done = env.process(app(), name="nttcp")
     env.run(until=done)
-    rx = conn.receiver
     if rx.first_data_time is None or rx.last_delivery_time is None:
         raise MeasurementError("transfer produced no deliveries")
     elapsed = rx.last_delivery_time - rx.first_data_time
@@ -84,7 +87,7 @@ def nttcp_run(env: Environment, conn: TcpConnection, payload: int,
         count=count,
         bytes_delivered=total,
         elapsed_s=elapsed,
-        goodput_bps=rx.bytes_delivered * 8.0 / elapsed,
+        goodput_bps=(rx.bytes_delivered - baseline) * 8.0 / elapsed,
         sender_load=src.cpu.load(),
         receiver_load=dst.cpu.load(),
         retransmissions=conn.sender.retransmitted,
@@ -108,73 +111,3 @@ def default_payloads(mss: int, points: int = 24,
             grid.add(anchor)
     return sorted(grid)
 
-
-@dataclass(frozen=True)
-class BidirectionalResult:
-    """Simultaneous two-way transfer (the metric Myricom quotes for
-    Myrinet's 3.9 Gb/s bidirectional figure in §3.5.4)."""
-
-    forward: NttcpResult
-    backward: NttcpResult
-
-    @property
-    def aggregate_bps(self) -> float:
-        """Sum of both directions' goodputs."""
-        return self.forward.goodput_bps + self.backward.goodput_bps
-
-    @property
-    def aggregate_gbps(self) -> float:
-        """Aggregate in Gb/s."""
-        return self.aggregate_bps / 1e9
-
-
-def nttcp_bidirectional(env: Environment, forward: TcpConnection,
-                        backward: TcpConnection, payload: int,
-                        count: int = DEFAULT_WRITE_COUNT
-                        ) -> BidirectionalResult:
-    """Run two opposing fixed-count transfers simultaneously.
-
-    Full-duplex 10GbE means the directions contend only for host
-    resources (CPU, PCI-X), not the wire — the interesting question.
-    """
-    if payload <= 0 or count <= 0:
-        raise MeasurementError("payload and count must be positive")
-    total = payload * count
-
-    def app(conn: TcpConnection):
-        base = conn.receiver.bytes_delivered
-        yield from conn.send_stream(payload, count)
-        yield from conn.wait_delivered(base + total)
-
-    p1 = env.process(app(forward), name="nttcp.fwd")
-    p2 = env.process(app(backward), name="nttcp.bwd")
-    env.run(until=p1)
-    env.run(until=p2)
-
-    def result(conn: TcpConnection) -> NttcpResult:
-        rx = conn.receiver
-        elapsed = rx.last_delivery_time - rx.first_data_time
-        return NttcpResult(
-            payload=payload, count=count, bytes_delivered=total,
-            elapsed_s=elapsed, goodput_bps=total * 8.0 / elapsed,
-            sender_load=conn.src_host.cpu.load(),
-            receiver_load=conn.dst_host.cpu.load(),
-            retransmissions=conn.sender.retransmitted)
-
-    return BidirectionalResult(forward=result(forward),
-                               backward=result(backward))
-
-
-def nttcp_sweep(make_conn: Callable[[], "tuple[Environment, TcpConnection]"],
-                payloads: Sequence[int],
-                count: int = DEFAULT_WRITE_COUNT) -> List[NttcpResult]:
-    """Sweep payload sizes, building a fresh topology per point
-    (measurements must not share warmed-up TCP state).
-
-    ``make_conn`` returns a fresh ``(env, connection)`` pair.
-    """
-    results: List[NttcpResult] = []
-    for payload in payloads:
-        env, conn = make_conn()
-        results.append(nttcp_run(env, conn, payload, count))
-    return results
