@@ -1,13 +1,13 @@
-"""Contract rules: knob registry, telemetry catalog, cache keys, excepts.
+"""Contract rules: registries, cache keys, broad excepts, poll loops.
 
-Where the determinism rules look for *local* hazards, these four check
-the repository's cross-file contracts: every ``REPRO_*`` environment
-switch is declared in :data:`repro.core.knobs.ENV_KNOBS` (RPR004),
-every trace point posted is in :data:`repro.telemetry.points.CATALOG`
-and every catalog entry is emitted somewhere (RPR005), every
-result-affecting knob reaches :func:`repro.cache.keys.stable_key`
-(RPR006), and engine hot paths never swallow arbitrary exceptions
-(RPR007).
+Where the determinism rules look for *local* hazards, these check the
+repository's contracts: every ``REPRO_*`` environment switch is
+declared in :data:`repro.core.knobs.ENV_KNOBS` (RPR004), every trace
+point posted is in :data:`repro.telemetry.points.CATALOG` and every
+catalog entry is emitted somewhere (RPR005), every result-affecting
+knob reaches :func:`repro.cache.keys.stable_key` (RPR006), engine hot
+paths never swallow arbitrary exceptions (RPR007), and no process
+waits by re-checking state on a timer (RPR009).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from repro.lint.base import ModuleContext, ProjectContext, Rule, rule
 from repro.lint.findings import Finding, Severity
 
 __all__ = ["EnvRegistryRule", "TelemetryCatalogRule", "CacheKeyRule",
-           "BroadExceptRule"]
+           "BroadExceptRule", "PollLoopRule"]
 
 #: Logical path of the sanctioned environment-read module.
 _KNOBS_MODULE = "core/knobs.py"
@@ -394,3 +394,62 @@ class BroadExceptRule(Rule):
                     and name.id in ("Exception", "BaseException"):
                 return name.id
         return None
+
+
+#: Event constructors whose yield inside a ``while`` makes a poll loop.
+_TIMEOUT_CALLS = frozenset({"timeout", "_fast_timeout"})
+
+
+def _own_nodes(body: List[ast.stmt]) -> Iterator[ast.AST]:
+    """Every node under ``body`` outside nested function/class scopes."""
+    stack: List[ast.AST] = list(body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.Lambda, ast.ClassDef)):
+            continue
+        yield node
+        stack.extend(ast.iter_child_nodes(node))
+
+
+@rule
+class PollLoopRule(Rule):
+    """RPR009: a process that waits by polling on a timeout."""
+
+    id = "RPR009"
+    name = "poll-loop"
+    severity = Severity.ERROR
+    paths = None
+    rationale = (
+        "A while loop that yields a timeout to re-check a condition "
+        "dispatches one event per tick whether or not anything changed, "
+        "so the wait, not the model, dominates the run. Have the code "
+        "that changes the state succeed an event the waiter yields "
+        "(TcpReceiver.when_delivered), or use Environment.every for "
+        "genuinely periodic work.")
+
+    def check_module(self, module: ModuleContext) -> Iterator[Finding]:
+        """Flag while loops whose own body yields a timeout call."""
+        for node in ast.walk(module.tree):
+            if not isinstance(node, ast.While):
+                continue
+            for inner in _own_nodes(node.body):
+                if not (isinstance(inner, ast.Yield)
+                        and isinstance(inner.value, ast.Call)):
+                    continue
+                called = self._call_name(inner.value)
+                if called in _TIMEOUT_CALLS:
+                    yield self.finding(
+                        module, node,
+                        f"while loop polls on {called}(); wake the waiter "
+                        f"from the code that changes the state")
+                    break
+
+    @staticmethod
+    def _call_name(call: ast.Call) -> str:
+        func = call.func
+        if isinstance(func, ast.Name):
+            return func.id
+        if isinstance(func, ast.Attribute):
+            return func.attr
+        return ""

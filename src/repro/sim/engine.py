@@ -402,11 +402,10 @@ class Environment:
 
         Identical semantics to :meth:`timeout` except the returned object
         is recycled through a free pool once processed, so hot model
-        loops (CPU occupancy, DMA holds, wire times, poll loops) allocate
-        nothing in steady state.  Callers must *only* ``yield`` the
-        event and must not keep a reference to it after it fires —
-        holding one would observe the object being reused for a later,
-        unrelated timeout.
+        loops (CPU occupancy, DMA holds, wire times) allocate nothing in
+        steady state.  Callers must *only* ``yield`` the event and must
+        not keep a reference to it after it fires — holding one would
+        observe the object being reused for a later, unrelated timeout.
         """
         if not delay >= 0:  # also refuses NaN
             raise ScheduleInPastError(f"invalid timeout delay: {delay!r}")

@@ -67,14 +67,15 @@ class SimSocket:
         """Process: block until up to ``nbytes`` beyond what this socket
         has already consumed are available; returns the count consumed
         (like a blocking ``recv``, it returns as soon as *some* data is
-        there)."""
+        there, on the first ``poll_s`` tick after it arrives — see
+        :meth:`~repro.tcp.receiver.TcpReceiver.when_delivered`)."""
         self._require("rx")
         if nbytes <= 0:
             raise ProtocolError("recv of a non-positive byte count")
         receiver = self.connection.receiver
-        env = self.connection.env
-        while receiver.bytes_delivered <= self._recv_cursor:
-            yield env.timeout(poll_s)
+        wake = receiver.when_delivered(self._recv_cursor + 1, poll_s)
+        if wake is not None:
+            yield wake
         available = receiver.bytes_delivered - self._recv_cursor
         consumed = min(available, nbytes)
         self._recv_cursor += consumed

@@ -150,9 +150,11 @@ class TcpConnection:
 
     def wait_delivered(self, total_bytes: int, poll_s: float = 1e-4):
         """Process: resolve when the receiving app has consumed
-        ``total_bytes``."""
-        while self.receiver.bytes_delivered < total_bytes:
-            yield self.env._fast_timeout(poll_s)
+        ``total_bytes``, on the first ``poll_s`` tick after it has
+        (see :meth:`TcpReceiver.when_delivered`)."""
+        wake = self.receiver.when_delivered(total_bytes, poll_s)
+        if wake is not None:
+            yield wake
 
     # -- measurement -------------------------------------------------------------
     @property

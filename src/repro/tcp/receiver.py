@@ -10,11 +10,12 @@ arrivals, and window-update ACKs when the reader drains enough space.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Dict, Optional, Tuple
+from math import isfinite
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.errors import ProtocolError
 from repro.oskernel.skbuff import SkBuff, ip_tcp_header_bytes
-from repro.sim.engine import Environment
+from repro.sim.engine import Environment, Event
 from repro.tcp.mss import MtuProfile
 from repro.tcp.window import ReceiveWindow
 from repro.telemetry.session import active_metrics
@@ -50,12 +51,12 @@ class TcpReceiver:
         self._unacked_segments = 0
         self._delack_generation = 0
         self._delack_armed = False
+        # readers blocked in when_delivered: (target, t0, poll_s, event)
+        self._waiters: List[Tuple[int, float, float, Event]] = []
         # statistics
-        self.segments_received = 0
         self.duplicates = 0
         self.bytes_delivered = 0
         self.acks_sent = 0
-        self.window_updates = 0
         self.first_data_time: Optional[float] = None
         self.last_delivery_time: Optional[float] = None
         self._delivered_before_first = 0
@@ -115,7 +116,6 @@ class TcpReceiver:
     def _rx_process(self, skb: SkBuff, batch: int) -> None:
         """Segment processing once its CPU charge has completed."""
         host = self.host
-        self.segments_received += 1
         if self._c_seg is not None:
             self._c_seg.inc()
         if self.first_data_time is None:
@@ -212,6 +212,8 @@ class TcpReceiver:
         host = self.host
         self.window.uncharge(skb.meta.get("charged", skb.truesize))
         self.bytes_delivered += skb.payload
+        if self._waiters:
+            self._wake_waiters()
         if self._c_bytes is not None:
             self._c_bytes.inc(skb.payload)
         self.last_delivery_time = self.env.now
@@ -226,8 +228,46 @@ class TcpReceiver:
         # (2 MSS, like tcp_new_space checks) — finer updates would turn
         # every drained segment into an ACK.
         if self.window.would_update(2):
-            self.window_updates += 1
             self._ack_begin(None)
+
+    # -- readers waiting on delivery -----------------------------------------------
+    def when_delivered(self, target: int,
+                       poll_s: float) -> Optional[Event]:
+        """An event that fires once ``bytes_delivered >= target``, or
+        ``None`` when that already holds (the caller need not yield).
+
+        The reader is woken on the first tick of the grid ``t0 + k *
+        poll_s`` (``t0`` = now, ``k >= 1``, stepped by repeated float
+        addition) after the delivery that meets its target: the instant
+        a reader re-checking every ``poll_s`` would see it, without the
+        per-tick events.  Tie rule: a tick that lands on
+        the delivery instant counts as having polled first, so the wake
+        goes to the next tick.  A ``poll_s`` that is not a positive
+        finite number raises :class:`~repro.errors.ProtocolError`.
+        """
+        if not (poll_s > 0 and isfinite(poll_s)):
+            raise ProtocolError(
+                f"poll_s must be positive and finite: {poll_s!r}")
+        if self.bytes_delivered >= target:
+            return None
+        event = self.env.event()
+        self._waiters.append((target, self.env.now, poll_s, event))
+        return event
+
+    def _wake_waiters(self) -> None:
+        now = self.env.now
+        delivered = self.bytes_delivered
+        waiting = []
+        for waiter in self._waiters:
+            target, t, poll_s, event = waiter
+            if delivered < target:
+                waiting.append(waiter)
+                continue
+            t += poll_s
+            while t <= now:
+                t += poll_s
+            self.env.schedule_call_at(t, event.succeed)
+        self._waiters = waiting
 
     # -- ACK generation ---------------------------------------------------------
     def _sack_blocks(self, limit: int = 4):

@@ -307,3 +307,70 @@ def test_rpr007_suppression(tmp_path):
                        select=["RPR007"])
     assert result.ok
     assert result.suppressed == 1
+
+
+# ---------------------------------------------------------------------------
+# RPR009 poll loops
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("snippet", [
+    # the two loops event-driven delivery waits replaced
+    "def wait(env, rx, n):\n"
+    "    while rx.bytes_delivered < n:\n"
+    "        yield env._fast_timeout(1e-4)\n",
+    "def recv(env, rx, cursor):\n"
+    "    while rx.bytes_delivered <= cursor:\n"
+    "        yield env.timeout(1e-4)\n",
+    # nested under an if, bare name, value bound by the yield
+    "def wait(ready, timeout):\n"
+    "    while True:\n"
+    "        if not ready():\n"
+    "            _ = yield timeout(0.5)\n",
+])
+def test_rpr009_fires(tmp_path, snippet):
+    result = lint_file(tmp_path, "tools/fixture.py", snippet,
+                       select=["RPR009"])
+    assert rules_fired(result) == {"RPR009"}, snippet
+    assert len(result.findings) == 1
+
+
+@pytest.mark.parametrize("snippet", [
+    # one wait on an event the producer succeeds
+    "def wait(rx, n):\n"
+    "    wake = rx.when_delivered(n, 1e-4)\n"
+    "    if wake is not None:\n"
+    "        yield wake\n",
+    # a loop that yields other events (a write per chunk)
+    "def send(conn, n):\n"
+    "    while n > 0:\n"
+    "        yield conn.write_event(n)\n"
+    "        n -= 1\n",
+    # a timeout in a loop that does not yield it
+    "def grid(t, step, now):\n"
+    "    while t <= now:\n"
+    "        t = t + step\n"
+    "    return t\n",
+    # a timeout yielded inside a function nested in the loop body
+    "def outer(env, items):\n"
+    "    while items:\n"
+    "        def proc():\n"
+    "            yield env.timeout(1.0)\n"
+    "        env.process(proc())\n"
+    "        items.pop()\n",
+])
+def test_rpr009_stays_quiet(tmp_path, snippet):
+    result = lint_file(tmp_path, "tools/fixture.py", snippet,
+                       select=["RPR009"])
+    assert result.ok, result.findings
+
+
+def test_rpr009_suppression(tmp_path):
+    source = suppress_line(
+        "def wait(env, rx, n):\n"
+        "    while rx.bytes_delivered < n:\n"
+        "        yield env.timeout(1e-4)\n",
+        "while rx", "RPR009", "fixture")
+    result = lint_file(tmp_path, "tcp/fixture.py", source,
+                       select=["RPR009"])
+    assert result.ok
+    assert result.suppressed == 1
