@@ -3,9 +3,10 @@
 ``run_experiment("fig3")`` regenerates the data behind Figure 3 and
 returns an :class:`ExperimentOutput` whose ``text`` is a printable
 report and whose ``data`` carries the raw values for assertions.
-Benchmarks and examples both drive this registry, so the mapping
-"paper artifact -> code" lives in exactly one place (mirroring the
-per-experiment index in DESIGN.md).
+The golden run (``tests/golden``) and the CLI (``python -m repro``)
+both drive this registry, so the mapping "paper artifact -> code"
+lives in exactly one place (mirroring the per-experiment index in
+DESIGN.md).
 
 Runners accept a ``quick`` flag: True (default) uses scaled-down sweep
 resolution suitable for CI; False approaches paper-scale averaging.

@@ -20,7 +20,7 @@ WAN narrative lives here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional
 
 from repro.chaos.analyzer import (FaultRecovery, FaultWindow,
                                   analyze_goodput, render_scorecard)
@@ -29,7 +29,7 @@ from repro.tcp.analytic import recovery_time_s
 from repro.tcp.fluid import FluidParams, simulate_fluid
 from repro.tcp.window import window_from_space
 
-__all__ = ["ResilienceReport", "wan_loss_report", "score_series"]
+__all__ = ["ResilienceReport", "wan_loss_report"]
 
 
 @dataclass
@@ -39,29 +39,6 @@ class ResilienceReport:
     text: str
     data: Dict[str, Any]
     recoveries: List[FaultRecovery]
-
-
-def score_series(time_s: Sequence[float], goodput_bps: Sequence[float],
-                 faults: Sequence[Any],
-                 recovered_fraction: float = 0.95,
-                 title: str = "Resilience scorecard") -> ResilienceReport:
-    """Score any goodput series against any fault list.
-
-    ``faults`` accepts everything :func:`~repro.chaos.analyzer.
-    analyze_goodput` does — plan specs, injector ``summary()`` rows,
-    ``(start, end)`` pairs.
-    """
-    recoveries = analyze_goodput(time_s, goodput_bps, faults,
-                                 recovered_fraction=recovered_fraction)
-    data = {
-        "recoveries": [vars(rec) if not hasattr(rec, "__dataclass_fields__")
-                       else {f: getattr(rec, f)
-                             for f in rec.__dataclass_fields__}
-                       for rec in recoveries],
-        "recovered_fraction": recovered_fraction,
-    }
-    return ResilienceReport(text=render_scorecard(recoveries, title=title),
-                            data=data, recoveries=recoveries)
 
 
 def wan_loss_report(mtu: int = 1500, loss_at_s: float = 300.0,

@@ -29,7 +29,7 @@ __all__ = [
     "FaultWindow", "FaultRecovery", "analyze_goodput", "render_scorecard",
     "count_retransmits", "cwnd_trough", "enrich_with_telemetry",
     "LossTap", "DuplicateTap", "ReorderTap", "SinkTap",
-    "CHAOS_ENV", "chaos_active", "active_chaos", "active_plan_fingerprint",
+    "CHAOS_ENV", "active_chaos", "active_plan_fingerprint",
 ]
 
 _LAZY = {
@@ -52,7 +52,6 @@ _LAZY = {
     "ReorderTap": "repro.chaos.taps",
     "SinkTap": "repro.chaos.taps",
     "CHAOS_ENV": "repro.chaos.hooks",
-    "chaos_active": "repro.chaos.hooks",
     "active_chaos": "repro.chaos.hooks",
     "active_plan_fingerprint": "repro.chaos.hooks",
 }

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional
 
-__all__ = ["CHAOS_ENV", "active_chaos", "chaos_active", "register_target",
+__all__ = ["CHAOS_ENV", "active_chaos", "register_target",
            "attach_environment", "active_plan_fingerprint"]
 
 #: Environment variable naming a fault-plan JSON file to auto-load.
@@ -88,11 +88,6 @@ def active_chaos() -> Optional[Any]:
         session = ChaosSession(FaultPlan.load(path))
         _ENV_SESSIONS[path] = session
     return session
-
-
-def chaos_active() -> bool:
-    """Whether a (possibly empty) fault plan is currently loaded."""
-    return active_chaos() is not None
 
 
 def attach_environment(env: Any) -> None:

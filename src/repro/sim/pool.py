@@ -150,16 +150,17 @@ def _worker_init(fingerprint: str) -> None:
     os.environ["REPRO_CODE_FINGERPRINT"] = fingerprint
 
 
-def _get_executor(workers: int) -> ProcessPoolExecutor:
-    """The executor for a dispatch of ``workers``.
+def _get_executor(jobs: int) -> ProcessPoolExecutor:
+    """The executor for a dispatch at ``jobs`` jobs.
 
-    The module-level pool is reused while its size matches; a size
+    The module-level pool is sized by the job count, not by a sweep's
+    point count, so sweeps narrower than the pool reuse it.  A job-count
     change (or a fork — pools never cross a pid) tears the old pool
     down first.
     """
     global _POOL, _POOL_WORKERS, _POOL_PID
     if _POOL is not None and (_POOL_PID != os.getpid()
-                              or _POOL_WORKERS != workers):
+                              or _POOL_WORKERS != jobs):
         if _POOL_PID == os.getpid():
             shutdown_pool()
         else:  # forked child: the inherited pool belongs to the parent
@@ -167,10 +168,10 @@ def _get_executor(workers: int) -> ProcessPoolExecutor:
             _POOL_WORKERS = 0
             _POOL_PID = None
     if _POOL is None:
-        _POOL = ProcessPoolExecutor(max_workers=workers,
+        _POOL = ProcessPoolExecutor(max_workers=jobs,
                                     initializer=_worker_init,
                                     initargs=(code_fingerprint(),))
-        _POOL_WORKERS = workers
+        _POOL_WORKERS = jobs
         _POOL_PID = os.getpid()
         _STATS["pools_created"] += 1
         return _POOL
@@ -344,10 +345,9 @@ def sweep(fn: Callable[[Any], Any], tasks: Sequence[Any],
         for i in pending:
             finish([i], _run_points(fn, label, [(i, tasks[i])], spec))
         return results
-    workers = min(jobs, len(pending))
-    executor = _get_executor(workers)
+    executor = _get_executor(jobs)
     ambient = _capture_ambient()
-    size = resolve_chunk(len(pending), workers)
+    size = resolve_chunk(len(pending), jobs)
     chunks = []
     try:
         for start in range(0, len(pending), size):

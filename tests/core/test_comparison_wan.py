@@ -103,11 +103,6 @@ class TestWanRecord:
         gbps = [o.throughput_gbps for o in sweep]
         assert gbps[1] == max(gbps)
 
-    def test_des_crosscheck_reaches_bottleneck(self, run):
-        out = run.run_des_scaled(scale=0.02, duration_s=1.5)
-        assert out.throughput_gbps == pytest.approx(2.38, rel=0.08)
-        assert out.losses == 0
-
     def test_validation(self, run):
         with pytest.raises(MeasurementError):
             run.run_fluid(buffer_bytes=0)

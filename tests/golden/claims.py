@@ -425,6 +425,7 @@ _rows(
      gt(2.0)),
     ("des_crosscheck_gbps", 2.38, summary("des_crosscheck_gbps"),
      approx(rel=0.08)),
+    ("des_losses", None, lambda d: d["des"].losses, eq(0)),
     ("multistream_8_gbps", 2.38,
      summary("multistream_8_gbps (LSR multi-stream category)"),
      approx(rel=0.05)),

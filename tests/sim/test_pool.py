@@ -176,6 +176,16 @@ class TestPersistence:
             sweep(_square, list(range(6)))
         assert pool.pool_stats()["pools_created"] == before + 1
 
+    def test_narrow_sweeps_reuse_the_pool(self):
+        # the pool is sized by the job count: sweeps with fewer points
+        # than jobs reuse it instead of re-forking at a smaller size
+        before = pool.pool_stats()["pools_created"]
+        with job_context(4):
+            for n in (3, 9, 3):
+                assert sweep(_square, list(range(n))) == \
+                    [t * t for t in range(n)]
+        assert pool.pool_stats()["pools_created"] == before + 1
+
     def test_dead_worker_does_not_break_later_sweeps(self):
         with job_context(2):
             sweep(_square, list(range(4)))   # warm the pool
