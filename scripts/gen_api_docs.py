@@ -112,6 +112,8 @@ contiguous frame bursts move through the NIC/bus/network layers as one
 callback chain, and the golden digests in `tests/golden` pin the
 output.  The event queue is a binary heap; entries due at the current
 instant bypass it on a FIFO same-instant lane, and `schedule_call` entries carry no event object.
+A zero-delay hop that ends its entry (`Environment.then`) costs no entry
+at all when nothing else is due now.
 `python3 perfbench/run.py --trace 1` reports events, ns/event and mean
 train size per workload; `scripts/bench_compare.py` gates the engine
 microbenchmarks and the hook overheads (see `docs/PERFORMANCE.md`).

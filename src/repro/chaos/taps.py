@@ -97,6 +97,8 @@ class DuplicateTap(_Tap):
                 deliver_twice = True
                 self.duplicated.append(skb.ident)
             self._count += 1
+        # Not the entry's last action when a clone follows; see
+        # TenGigAdapter.receive_frame for why its tail hop keeps order.
         self.inner.receive_frame(skb)
         if deliver_twice:
             clone = skb.copy_for_retransmit()
@@ -220,6 +222,8 @@ class SinkTap:
                 return
             if kind == "duplicate":
                 duplicate = armed
+        # Not the entry's last action when a clone follows; see
+        # TenGigAdapter.receive_frame for why its tail hop keeps order.
         forward(skb)
         if duplicate is not None:
             duplicate.dups += 1

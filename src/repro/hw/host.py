@@ -111,9 +111,10 @@ class Host:
     # -- receive dispatch -----------------------------------------------------------
     def deliver_rx(self, adapter: Any, batch: List[SkBuff]) -> None:
         """Interrupt-context delivery of a batch of frames."""
-        # One zero-delay hop (the goldens pin its tie order), then an
-        # arithmetic CPU charge chained into the dispatch loop.
-        self.env.schedule_call(0.0, self._rx_charge, batch)
+        # A tail hop (the adapter's interrupt fire calls this last, as
+        # the last action of its entry), then an arithmetic CPU charge
+        # chained into the dispatch loop.
+        self.env.then(self._rx_charge, batch)
 
     def _rx_charge(self, batch: List[SkBuff]) -> None:
         # One interrupt services the whole batch; per-frame protocol

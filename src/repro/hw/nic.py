@@ -171,9 +171,10 @@ class TenGigAdapter:
     def _tx_kick(self) -> None:
         """Arrange for the engine to start servicing the backlog.
 
-        The start is deferred one zero-delay event: queue levels and
-        same-instant orderings depend on that hop, and the goldens pin
-        them.
+        The start is deferred one zero-delay entry on the lane, never
+        run directly: the enqueuing code keeps running after the kick
+        (``send`` traces, ``enqueue`` returns its event to a process
+        that may queue more), so the kick is not a tail hop.
         """
         if self._tx_busy or self._tx_kick_pending or not self._backlog:
             return
@@ -290,9 +291,11 @@ class TenGigAdapter:
         if trace.enabled:
             trace.post(self.env.now, "nic.rx.frame", skb.ident,
                        nbytes=skb.frame_bytes)
-        # Deferred one zero-delay event so same-instant DMA charges keep
-        # the order the goldens pin.
-        self.env.schedule_call(0.0, self._rx_charge, skb)
+        # A tail hop: every link delivery calls this as its entry's last
+        # action.  A duplicating chaos tap delivers a clone after it; the
+        # clone's delivery touches neither the bus nor the entry the
+        # direct charge schedules, so the order is unchanged.
+        self.env.then(self._rx_charge, skb)
 
     def _rx_charge(self, skb: SkBuff) -> None:
         env = self.env

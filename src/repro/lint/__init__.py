@@ -15,7 +15,8 @@ every PR, by scanning the source for the bug classes that break it:
 * result-affecting knobs missing from cache keys (RPR006),
 * overbroad exception handlers on engine paths (RPR007),
 * exact float equality in simulation arithmetic (RPR008),
-* processes that wait by polling on a timeout (RPR009).
+* processes that wait by polling on a timeout (RPR009),
+* ``env.then`` hops that are not their function's last action (RPR010).
 
 Run it as ``python -m repro.lint src/repro`` (see docs/LINTING.md).
 Findings are suppressed inline with ``# reprolint: disable=RPR0xx --

@@ -1,4 +1,4 @@
-"""Contract rules: registries, cache keys, broad excepts, poll loops.
+"""Contract rules: registries, cache keys, excepts, poll loops, tail hops.
 
 Where the determinism rules look for *local* hazards, these check the
 repository's contracts: every ``REPRO_*`` environment switch is
@@ -7,7 +7,8 @@ point posted is in :data:`repro.telemetry.points.CATALOG` and every
 catalog entry is emitted somewhere (RPR005), every result-affecting
 knob reaches :func:`repro.cache.keys.stable_key` (RPR006), engine hot
 paths never swallow arbitrary exceptions (RPR007), and no process
-waits by re-checking state on a timer (RPR009).
+waits by re-checking state on a timer (RPR009), and every
+``env.then`` hop is its function's last action (RPR010).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from repro.lint.base import ModuleContext, ProjectContext, Rule, rule
 from repro.lint.findings import Finding, Severity
 
 __all__ = ["EnvRegistryRule", "TelemetryCatalogRule", "CacheKeyRule",
-           "BroadExceptRule", "PollLoopRule"]
+           "BroadExceptRule", "PollLoopRule", "TailHopRule"]
 
 #: Logical path of the sanctioned environment-read module.
 _KNOBS_MODULE = "core/knobs.py"
@@ -453,3 +454,88 @@ class PollLoopRule(Rule):
         if isinstance(func, ast.Attribute):
             return func.attr
         return ""
+
+
+def _is_env_then(node: Optional[ast.AST]) -> bool:
+    """``env.then(...)`` or ``<anything>.env.then(...)``."""
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "then"):
+        return False
+    owner = node.func.value
+    return ((isinstance(owner, ast.Name) and owner.id == "env")
+            or (isinstance(owner, ast.Attribute) and owner.attr == "env"))
+
+
+def _returns_nothing(stmt: ast.stmt) -> bool:
+    """A bare ``return`` (or ``return None``)."""
+    return isinstance(stmt, ast.Return) and (
+        stmt.value is None or (isinstance(stmt.value, ast.Constant)
+                               and stmt.value.value is None))
+
+
+def _tail_thens(body: List[ast.stmt], tail: bool) -> Iterator[ast.Call]:
+    """The ``env.then`` calls under ``body`` that end their function:
+    the last statement of a block in tail position (an ``if`` passes
+    its position on to both branches; a loop, ``with`` or ``try`` body
+    is never in tail position), one followed by a bare ``return``, or
+    the value of a ``return``."""
+    for i, stmt in enumerate(body):
+        if i + 1 < len(body):
+            at_tail = _returns_nothing(body[i + 1])
+        else:
+            at_tail = tail
+        if isinstance(stmt, ast.Expr) and _is_env_then(stmt.value):
+            if at_tail:
+                yield stmt.value
+        elif isinstance(stmt, ast.Return) and _is_env_then(stmt.value):
+            yield stmt.value
+        elif isinstance(stmt, ast.If):
+            yield from _tail_thens(stmt.body, at_tail)
+            yield from _tail_thens(stmt.orelse, at_tail)
+        elif not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                   ast.ClassDef)):
+            blocks = [getattr(stmt, field, None)
+                      for field in ("body", "orelse", "finalbody")]
+            blocks += [h.body for h in getattr(stmt, "handlers", ())]
+            for block in blocks:
+                if isinstance(block, list):
+                    yield from _tail_thens(block, False)
+
+
+@rule
+class TailHopRule(Rule):
+    """RPR010: an ``env.then`` hop that is not its function's last action."""
+
+    id = "RPR010"
+    name = "then-not-tail"
+    severity = Severity.ERROR
+    paths = None
+    rationale = (
+        "Environment.then calls a zero-delay hop directly when nothing "
+        "else is due now. That keeps (time, seq) order only when the "
+        "hop is the last action of the entry being dispatched: work "
+        "after the call would run after the hop instead of before it. "
+        "The rule checks each function; the callers up to the entry "
+        "must end in the call too. Use schedule_call(0.0, ...) for a "
+        "hop that is not the last action.")
+
+    def check_module(self, module: ModuleContext) -> Iterator[Finding]:
+        """Flag ``env.then`` calls outside their function's tail."""
+        for node in ast.walk(module.tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                body: List[ast.AST] = list(node.body)
+                tails = {id(c) for c in _tail_thens(node.body, True)}
+                where = f"{node.name}()"
+            elif isinstance(node, ast.Lambda):
+                body = [node.body]
+                tails = {id(node.body)} if _is_env_then(node.body) else set()
+                where = "a lambda"
+            else:
+                continue
+            for inner in _own_nodes(body):
+                if _is_env_then(inner) and id(inner) not in tails:
+                    yield self.finding(
+                        module, inner,
+                        f"env.then() is not the last action of {where}; "
+                        f"use schedule_call(0.0, ...) for a hop that "
+                        f"work follows")

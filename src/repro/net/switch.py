@@ -104,10 +104,10 @@ class SwitchPort:
             # level.  The frame in service is not.
             self._backlog.append(skb)
         else:
-            # One zero-delay hop before service; the goldens pin its tie
-            # order.
+            # A tail hop before service: _enqueue is always an entry of
+            # its own (scheduled after the forwarding latency).
             self._busy = True
-            self.env.schedule_call(0.0, self._service, skb)
+            self.env.then(self._service, skb)
 
     # -- drain -----------------------------------------------------------------------
     def _service(self, skb: SkBuff) -> None:

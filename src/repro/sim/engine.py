@@ -18,6 +18,10 @@ Design notes
   lane in FIFO order, which is exact ``(time, sequence)`` order.  The
   zero-delay hops of the train data path and ``Event.succeed()`` thus
   cost a ``deque`` append and pop instead of a heap push and pop.
+* A zero-delay hop that is the last action of the entry being
+  dispatched, made while the lane is empty and no queued entry is due
+  now, would be the very next entry dispatched.  :meth:`Environment.then`
+  calls it directly instead, which costs no entry at all.
 * Processes are plain Python generators.  A process yields an
   :class:`Event`; the engine registers the process as a callback and
   resumes it (``send``/``throw``) when the event fires.  This is the same
@@ -349,6 +353,9 @@ class Environment:
         #: ``(target, args)`` pairs
         self._lane: Deque[Tuple[Any, Optional[tuple]]] = deque()
         self._seq = 0
+        #: True while :meth:`then` runs a hop directly; a nested hop
+        #: goes on the lane, so a chain of hops never deepens the stack
+        self._inline = False
         self._crashes: Deque[Tuple[Process, BaseException]] = deque()
         self._timeout_pool: List[Timeout] = []
         self._profiler: Optional[Any] = None
@@ -450,6 +457,34 @@ class Environment:
             self._lane.append((fn, args))
         else:
             self._push((at, self._seq, fn, args))
+
+    def then(self, fn: Callable[..., None], *args: Any) -> None:
+        """Call ``fn(*args)`` as the next entry due now: a zero-delay hop.
+
+        The caller's contract: ``then`` must be the last action of the
+        entry being dispatched, in the caller and in every caller above
+        it up to the dispatch loop.  When the lane is empty and no
+        queued entry is due now, that hop is the very next entry in
+        ``(time, sequence)`` order, so ``fn`` is called directly and no
+        entry is scheduled.  Otherwise, or when ``fn`` is itself reached
+        through a direct ``then`` call (a chain of hops must not deepen
+        the stack), the hop goes on the lane exactly as
+        ``schedule_call(0.0, fn, *args)`` puts it there.  A call that is
+        not the entry's last action could run ``fn`` ahead of the rest
+        of the entry; lint rule RPR010 flags a ``then`` that is not its
+        function's last statement.
+        """
+        queue = self._queue
+        if (self._lane or self._inline
+                or (queue and queue[0][0] <= self._now)):
+            self._seq += 1
+            self._lane.append((fn, args))
+            return
+        self._inline = True
+        try:
+            fn(*args)
+        finally:
+            self._inline = False
 
     def schedule_call_at(self, at_time: float, fn: Callable[..., None],
                          *args: Any) -> None:

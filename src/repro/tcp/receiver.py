@@ -49,8 +49,9 @@ class TcpReceiver:
         self._rx_backlog: Deque[Tuple[SkBuff, int]] = deque()
         self._rx_busy = False
         self._unacked_segments = 0
-        self._delack_generation = 0
         self._delack_armed = False
+        self._delack_deadline = 0.0
+        self._delack_timer_set = False
         # readers blocked in when_delivered: (target, t0, poll_s, event)
         self._waiters: List[Tuple[int, float, float, Event]] = []
         # statistics
@@ -89,8 +90,9 @@ class TcpReceiver:
         if self._rx_busy:
             self._rx_backlog.append((skb, batch))
         else:
-            # One zero-delay hop before processing; the goldens pin its
-            # tie order.
+            # One zero-delay hop on the lane before processing: the host's
+            # batch dispatch calls this in a loop over the batch, so it
+            # is not a tail hop.
             self._rx_busy = True
             self.env.schedule_call(0.0, self._rx_begin, skb, batch)
 
@@ -107,9 +109,9 @@ class TcpReceiver:
     def _rx_done(self) -> None:
         if self._rx_backlog:
             skb, batch = self._rx_backlog.popleft()
-            # One zero-delay hop per segment even when the queue is
-            # non-empty; the goldens pin the resulting tie order.
-            self.env.schedule_call(0.0, self._rx_begin, skb, batch)
+            # A tail hop: every path into _rx_done (the ACK chain's
+            # continuation, the end of _rx_process) calls it last.
+            self.env.then(self._rx_begin, skb, batch)
         else:
             self._rx_busy = False
 
@@ -195,9 +197,9 @@ class TcpReceiver:
                                self._start_drain, skb)
 
     def _start_drain(self, skb: SkBuff) -> None:
-        # One zero-delay hop before the CPU charge; the goldens pin its
-        # tie order.
-        self.env.schedule_call(0.0, self._drain_charge, skb)
+        # A tail hop before the CPU charge: this is always an entry of
+        # its own (scheduled by _schedule_drain).
+        self.env.then(self._drain_charge, skb)
 
     def _drain_charge(self, skb: SkBuff) -> None:
         host = self.host
@@ -290,7 +292,6 @@ class TcpReceiver:
         ``then()`` continues the caller's chain."""
         host = self.host
         self._unacked_segments = 0
-        self._delack_generation += 1
         self._delack_armed = False
         env = self.env
         end = host.cpu.charge(host.costs.rx_ack_gen_s())
@@ -324,11 +325,30 @@ class TcpReceiver:
         if self._delack_armed:
             return
         self._delack_armed = True
-        generation = self._delack_generation
-        self.env.schedule_call(DELACK_TIMEOUT_S, self._on_delack, generation)
+        self._delack_deadline = self.env._now + DELACK_TIMEOUT_S
+        self._ensure_delack_timer()
 
-    def _on_delack(self, generation: int) -> None:
-        if generation != self._delack_generation:
+    def _ensure_delack_timer(self) -> None:
+        # Lazy timer, the idiom of TcpSender._ensure_rto_timer: an ACK
+        # only disarms, and the next arming only moves the deadline
+        # forward, so the one outstanding entry (never later than the
+        # deadline) relays itself there instead of each arming pushing
+        # a 40 ms entry the next ACK would orphan.  A relayed entry
+        # takes its sequence number at the relay, not at the arming, so
+        # it could only reorder against another entry due at that same
+        # deadline instant; the goldens show none.
+        if self._delack_timer_set:
+            return
+        self._delack_timer_set = True
+        self.env.schedule_call_at(self._delack_deadline, self._on_delack)
+
+    def _on_delack(self) -> None:
+        self._delack_timer_set = False
+        if not self._delack_armed:
+            return
+        if self.env._now < self._delack_deadline:
+            # early fire from an earlier arming: relay to the live deadline
+            self._ensure_delack_timer()
             return
         self._delack_armed = False
         if self._unacked_segments > 0:
@@ -339,9 +359,9 @@ class TcpReceiver:
                 trace.post(self.env.now, "tcp.delack.fire",
                            self._conn_label,
                            unacked=self._unacked_segments)
-            # One zero-delay hop before the ACK chain's state resets;
-            # the goldens pin its tie order.
-            self.env.schedule_call(0.0, self._ack_begin, None)
+            # A tail hop before the ACK chain's state resets: the timer
+            # fire is always an entry of its own.
+            self.env.then(self._ack_begin, None)
 
     # -- reporting -------------------------------------------------------------
     def goodput_bps(self) -> float:

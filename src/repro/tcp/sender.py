@@ -215,8 +215,9 @@ class TcpSender:
     # -- ACK path ---------------------------------------------------------------
     def on_ack_frame(self, skb: SkBuff, batch: int = 1) -> None:
         """An ACK arrived at this host (called from interrupt dispatch)."""
-        # One zero-delay hop (the goldens pin its tie order), then an
-        # arithmetic CPU charge chained into the ACK logic.
+        # One zero-delay hop on the lane, then an arithmetic CPU charge
+        # chained into the ACK logic.  The host's batch dispatch calls
+        # this in a loop over the batch, so it is not a tail hop.
         self.env.schedule_call(0.0, self._ack_charge, skb)
 
     def _ack_charge(self, skb: SkBuff) -> None:

@@ -44,18 +44,21 @@ def test_empty_curve_raises():
         curve.peak_gbps
 
 
-def test_ladder_improves_9000_peak(study):
-    results = study.run_ladder(mtus=(9000,))
-    peaks = [r.curves[9000].peak_gbps for r in results]
+@pytest.fixture(scope="module")
+def ladder_9000(study):
+    return study.run_ladder(mtus=(9000,))
+
+
+def test_ladder_improves_9000_peak(ladder_9000):
+    peaks = [r.curves[9000].peak_gbps for r in ladder_9000]
     # stock < burst-tuned, and the final windowed step is the best
     assert peaks[0] < peaks[1]
     assert peaks[-1] == max(peaks)
     assert peaks[-1] > peaks[0] * 1.3
 
 
-def test_ladder_tracks_paper_peaks(study):
-    results = study.run_ladder(mtus=(9000,))
-    for r in results:
+def test_ladder_tracks_paper_peaks(ladder_9000):
+    for r in ladder_9000:
         paper = r.paper_peak(9000)
         if paper is not None:
             # within 35% of the paper's number at this scale

@@ -85,5 +85,5 @@ def test_corrupt_baseline_is_an_error_not_a_pass(in_tmp, capsys):
 def test_list_rules(in_tmp, capsys):
     assert main(["--list-rules"]) == 0
     out = capsys.readouterr().out
-    for rule_id in [f"RPR00{i}" for i in range(1, 10)]:
+    for rule_id in [f"RPR{i:03d}" for i in range(1, 11)]:
         assert rule_id in out

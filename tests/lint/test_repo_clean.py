@@ -23,7 +23,7 @@ BASELINE = REPO_ROOT / "reprolint-baseline.json"
 
 def test_rule_catalog_is_complete():
     rules = all_rules()
-    assert [r.id for r in rules] == [f"RPR00{i}" for i in range(1, 10)]
+    assert [r.id for r in rules] == [f"RPR{i:03d}" for i in range(1, 11)]
     for r in rules:
         assert r.name and r.rationale, r.id
 

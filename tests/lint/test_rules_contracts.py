@@ -374,3 +374,94 @@ def test_rpr009_suppression(tmp_path):
                        select=["RPR009"])
     assert result.ok
     assert result.suppressed == 1
+
+
+# ---------------------------------------------------------------------------
+# RPR010 env.then outside tail position
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("snippet", [
+    # work follows the hop
+    "def on_frame(self, skb):\n"
+    "    self.env.then(self._charge, skb)\n"
+    "    self.count += 1\n",
+    # a hop per item of a loop
+    "def deliver(env, handler, batch):\n"
+    "    for skb in batch:\n"
+    "        env.then(handler, skb)\n",
+    # the hop ends its branch, but the function goes on after the if
+    "def kick(self):\n"
+    "    if self.idle:\n"
+    "        self.env.then(self._start)\n"
+    "    self.kicks += 1\n",
+    # inside with: the context exit runs after the hop
+    "def service(self, lock, skb):\n"
+    "    with lock:\n"
+    "        self.env.then(self._serve, skb)\n",
+    # as an argument
+    "def wrap(env, log, fn):\n"
+    "    log.append(env.then(fn))\n",
+    # a lambda whose hop is not its whole body
+    "HOP = lambda env, fn: [env.then(fn)]\n",
+])
+def test_rpr010_fires(tmp_path, snippet):
+    result = lint_file(tmp_path, "tcp/fixture.py", snippet,
+                       select=["RPR010"])
+    assert rules_fired(result) == {"RPR010"}, snippet
+    assert len(result.findings) == 1
+
+
+@pytest.mark.parametrize("snippet", [
+    # the last statement
+    "def start_drain(self, skb):\n"
+    "    self.env.then(self._drain_charge, skb)\n",
+    # the last statement of each branch of a trailing if/else
+    "def enqueue(self, skb):\n"
+    "    if self.busy:\n"
+    "        self.backlog.append(skb)\n"
+    "    else:\n"
+    "        self.busy = True\n"
+    "        self.env.then(self._service, skb)\n",
+    "def done(self):\n"
+    "    if self.backlog:\n"
+    "        self.env.then(self._begin, self.backlog.popleft())\n"
+    "    elif self.idle:\n"
+    "        self.env.then(self._idle)\n",
+    # followed by a bare return, even inside a loop
+    "def first(env, items, fn):\n"
+    "    for item in items:\n"
+    "        if item:\n"
+    "            env.then(fn, item)\n"
+    "            return\n"
+    "    env.then(fn, None)\n",
+    # returned, and a lambda whose body is the hop
+    "def hop(env, fn):\n"
+    "    return env.then(fn)\n",
+    "HOP = lambda env, fn: env.then(fn)\n",
+    # a promise-style .then on something that is not an environment
+    "def chain(future, fn):\n"
+    "    future.then(fn)\n"
+    "    return future\n",
+    # the nested function's hop is its own tail
+    "def outer(env, fn):\n"
+    "    def inner():\n"
+    "        env.then(fn)\n"
+    "    env.schedule_call(1.0, inner)\n"
+    "    return inner\n",
+])
+def test_rpr010_stays_quiet(tmp_path, snippet):
+    result = lint_file(tmp_path, "tcp/fixture.py", snippet,
+                       select=["RPR010"])
+    assert result.ok, result.findings
+
+
+def test_rpr010_suppression(tmp_path):
+    source = suppress_line(
+        "def on_frame(self, skb):\n"
+        "    self.env.then(self._charge, skb)\n"
+        "    self.count += 1\n",
+        "env.then", "RPR010", "fixture")
+    result = lint_file(tmp_path, "hw/fixture.py", source,
+                       select=["RPR010"])
+    assert result.ok
+    assert result.suppressed == 1

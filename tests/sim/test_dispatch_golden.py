@@ -150,13 +150,13 @@ GOLDEN = {
 #: different number of entries for the same results moves a row here
 #: and no digest.
 COUNTERS = {
-    "nttcp_1500": {"events": 11886, "pending": 291},
-    "nttcp_9000": {"events": 2713, "pending": 3},
-    "pingpong_b2b_0us": {"events": 293, "pending": 11},
-    "pingpong_b2b_5us": {"events": 310, "pending": 11},
-    "pingpong_switch_0us": {"events": 360, "pending": 11},
-    "pingpong_switch_5us": {"events": 377, "pending": 11},
-    "chaos_transfer": {"events": 1727, "pending": 14},
+    "nttcp_1500": {"events": 9295, "pending": 4},
+    "nttcp_9000": {"events": 2235, "pending": 3},
+    "pingpong_b2b_0us": {"events": 242, "pending": 7},
+    "pingpong_b2b_5us": {"events": 259, "pending": 7},
+    "pingpong_switch_0us": {"events": 293, "pending": 7},
+    "pingpong_switch_5us": {"events": 310, "pending": 7},
+    "chaos_transfer": {"events": 1421, "pending": 7},
 }
 
 
