@@ -131,14 +131,25 @@ class Host:
         counter = self._c_rx_dispatch
         if counter is not None:
             counter.inc(n)
-        for skb in batch:
-            self.trace.post(self.env.now, "host.rx.dispatch", skb.ident,
-                            conn=skb.conn, batch=n)
-            handler = self._handlers.get(skb.conn, self._default_handler)
+        env = self.env
+        trace = self.trace
+        handlers = self._handlers
+        last = n - 1
+        for i, skb in enumerate(batch):
+            if trace.enabled:
+                trace.post(env.now, "host.rx.dispatch", skb.ident,
+                           conn=skb.conn, batch=n)
+            handler = handlers.get(skb.conn, self._default_handler)
             if handler is None:
                 raise TopologyError(
                     f"{self.name}: no handler for connection {skb.conn!r}")
-            handler(skb, n)
+            # The last frame's handler is the tail of this entry, so a
+            # hop it makes through ``then`` may run directly; the frames
+            # before it must leave their hops on the lane.
+            if i < last:
+                env.call_nested(handler, skb, n)
+            else:
+                handler(skb, n)
 
     # -- reporting -------------------------------------------------------------
     def load(self) -> float:

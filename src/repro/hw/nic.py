@@ -22,7 +22,7 @@ from repro.chaos.hooks import register_target as register_chaos_target
 from repro.errors import LinkError, TopologyError
 from repro.net.train import BacklogView, SegmentTrain
 from repro.oskernel.skbuff import SkBuff
-from repro.sim.engine import Environment, Event
+from repro.sim.engine import Environment
 from repro.sim.monitor import CounterMonitor
 from repro.telemetry.session import active_metrics
 from repro.units import Gbps, us
@@ -85,7 +85,9 @@ class TenGigAdapter:
         # Train-batched transmit engine: a plain backlog deque drained
         # by a callback chain (see _tx_service).
         self._backlog: Deque[SkBuff] = deque()
-        self._space_waiters: Deque[Tuple[Event, SkBuff]] = deque()
+        # frames a full queue holds back, with their ``done`` callbacks
+        self._space_waiters: Deque[
+            Tuple[Callable[[SkBuff], None], SkBuff]] = deque()
         self._tx_busy = False
         self._tx_kick_pending = False
         self._train: Optional[SegmentTrain] = None
@@ -145,41 +147,53 @@ class TenGigAdapter:
                        kind=skb.kind, qlen=self.txq.level)
         return True
 
-    def enqueue(self, skb: SkBuff):
-        """Blocking enqueue: the event fires once the qdisc accepts the
-        frame.  TCP data uses this path — a full device queue applies
+    def enqueue(self, skb: SkBuff,
+                done: Callable[[SkBuff], None]) -> None:
+        """Blocking enqueue: ``done(skb)`` runs once the qdisc accepts
+        the frame.  TCP data uses this path — a full device queue applies
         backpressure (the qdisc requeues) rather than dropping, which is
-        how ``dev_queue_xmit`` behaves for a socket-owned skb."""
+        how ``dev_queue_xmit`` behaves for a socket-owned skb.
+
+        ``done`` runs as a zero-delay entry on the lane, ahead of the
+        engine's first service step (the goldens pin this order).  When
+        that entry would be the very next one dispatched (see
+        :meth:`~repro.sim.engine.Environment.then_runs_direct`), ``done``
+        runs directly instead and the engine's start becomes a tail hop,
+        so the caller must make this call the last action of its entry.
+        """
         if self._egress is None:
             raise TopologyError(f"{self.name}: egress not connected")
         trace = self.trace
         if trace.enabled:
             trace.post(self.env.now, "nic.tx.queue", skb.ident,
                        kind=skb.kind, qlen=self.txq.level)
-        ev = Event(self.env)
-        if len(self._backlog) < self.txq.capacity:
-            self._backlog.append(skb)
-            # Succeed before kicking so the enqueuer wakes ahead of the
-            # engine's first service step (the goldens pin this order).
-            ev.succeed()
-            self._tx_kick()
+        if len(self._backlog) >= self.txq.capacity:
+            self._space_waiters.append((done, skb))
+            return
+        self._backlog.append(skb)
+        env = self.env
+        if env.then_runs_direct():
+            env.call_nested(done, skb)
+            self._tx_kick(tail=True)
         else:
-            self._space_waiters.append((ev, skb))
-        return ev
+            env.schedule_call(0.0, done, skb)
+            self._tx_kick()
 
     # -- transmit engine ----------------------------------------------------------
-    def _tx_kick(self) -> None:
+    def _tx_kick(self, tail: bool = False) -> None:
         """Arrange for the engine to start servicing the backlog.
 
-        The start is deferred one zero-delay entry on the lane, never
-        run directly: the enqueuing code keeps running after the kick
-        (``send`` traces, ``enqueue`` returns its event to a process
-        that may queue more), so the kick is not a tail hop.
+        The start is one zero-delay entry on the lane.  Only a ``tail``
+        kick, the last action of its entry, may run it directly through
+        ``then``: ``send`` traces after its kick, so it is not a tail.
         """
         if self._tx_busy or self._tx_kick_pending or not self._backlog:
             return
         self._tx_kick_pending = True
-        self.env.schedule_call(0.0, self._tx_begin)
+        if tail:
+            self.env.then(self._tx_begin)
+        else:
+            self.env.schedule_call(0.0, self._tx_begin)
 
     def _tx_begin(self) -> None:
         self._tx_kick_pending = False
@@ -192,11 +206,11 @@ class TenGigAdapter:
     def _tx_service(self) -> None:
         """DMA the backlog head; chain the wire stage off its completion."""
         skb = self._backlog.popleft()
-        if self._space_waiters:
-            ev, waiting = self._space_waiters.popleft()
-            self._backlog.append(waiting)
-            ev.succeed()
         env = self.env
+        if self._space_waiters:
+            done, waiting = self._space_waiters.popleft()
+            self._backlog.append(waiting)
+            env.schedule_call(0.0, done, waiting)
         mmrbc = self.host.config.mmrbc
         _, end = self.pcix.charge_transfer(skb.frame_bytes, mmrbc)
         # Keep this float arithmetic exactly: the DMA completes at

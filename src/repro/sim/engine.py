@@ -21,7 +21,9 @@ Design notes
 * A zero-delay hop that is the last action of the entry being
   dispatched, made while the lane is empty and no queued entry is due
   now, would be the very next entry dispatched.  :meth:`Environment.then`
-  calls it directly instead, which costs no entry at all.
+  calls it directly instead, which costs no entry at all.  A step that
+  is not the entry's last action runs under
+  :meth:`Environment.call_nested`, which sends its hops to the lane.
 * Processes are plain Python generators.  A process yields an
   :class:`Event`; the engine registers the process as a callback and
   resumes it (``send``/``throw``) when the event fires.  This is the same
@@ -485,6 +487,26 @@ class Environment:
             fn(*args)
         finally:
             self._inline = False
+
+    def then_runs_direct(self) -> bool:
+        """True when a :meth:`then` made now would call its hop directly:
+        the lane is empty, no queued entry is due now and no hop is
+        running inline.  A zero-delay entry scheduled now would then be
+        the very next one dispatched."""
+        queue = self._queue
+        return not (self._lane or self._inline
+                    or (queue and queue[0][0] <= self._now))
+
+    def call_nested(self, fn: Callable[..., None], *args: Any) -> None:
+        """Call ``fn(*args)`` now as a step that is *not* the last action
+        of the entry being dispatched: every :meth:`then` it reaches
+        goes on the lane, as ``schedule_call(0.0, ...)`` would put it."""
+        inline = self._inline
+        self._inline = True
+        try:
+            fn(*args)
+        finally:
+            self._inline = inline
 
     def schedule_call_at(self, at_time: float, fn: Callable[..., None],
                          *args: Any) -> None:

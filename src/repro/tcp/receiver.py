@@ -90,11 +90,11 @@ class TcpReceiver:
         if self._rx_busy:
             self._rx_backlog.append((skb, batch))
         else:
-            # One zero-delay hop on the lane before processing: the host's
-            # batch dispatch calls this in a loop over the batch, so it
-            # is not a tail hop.
+            # A tail hop before processing: the host's batch dispatch
+            # calls the last frame's handler as its entry's last action
+            # and runs the others nested, so their hops stay on the lane.
             self._rx_busy = True
-            self.env.schedule_call(0.0, self._rx_begin, skb, batch)
+            self.env.then(self._rx_begin, skb, batch)
 
     # -- processing chain -------------------------------------------------------
     def _rx_begin(self, skb: SkBuff, batch: int) -> None:

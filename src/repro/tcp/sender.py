@@ -10,7 +10,7 @@ window enforcement, RTT estimation, fast retransmit and RTO recovery.
 from __future__ import annotations
 
 from collections import OrderedDict, deque
-from typing import Deque, Optional
+from typing import Callable, Deque, Optional
 
 from repro.errors import ProtocolError
 from repro.oskernel.skbuff import SkBuff
@@ -60,7 +60,8 @@ class TcpSender:
         self.inflight: "OrderedDict[int, SkBuff]" = OrderedDict()
         self.wmem_used = 0
         self._writer_waits: Deque[Event] = deque()
-        self._pump_wait: Optional[Event] = None
+        # True while the pump waits for a write or an ACK to kick it
+        self._pump_parked = True
         self._train_seq = 0       # id of the current back-to-back burst
         self.recover_point = 0  # NewReno: highest seq sent when loss seen
         # RTT estimation / RTO
@@ -99,7 +100,6 @@ class TcpSender:
             self._c_seg = self._c_rtx = self._c_blk = None
             self._c_rto = self._c_frtx = None
             self._g_cwnd = self._g_wmem = None
-        env.process(self._pump(), name=f"{host.name}.tcp.pump")
 
     # -- application interface --------------------------------------------------
     def write(self, nbytes: int):
@@ -156,42 +156,70 @@ class TcpSender:
         head = self.sendq[0]
         return self.bytes_in_flight + head.payload <= self.rwnd_bytes
 
-    def _kick_pump(self) -> None:
-        if self._pump_wait is not None and not self._pump_wait.triggered:
-            ev, self._pump_wait = self._pump_wait, None
-            ev.succeed()
+    def _kick_pump(self, tail: bool = False) -> None:
+        """Wake a parked pump with a zero-delay hop.  Only a ``tail``
+        kick, the last action of its entry (the ACK chain's), may run
+        it directly through ``then``: ``write`` keeps queueing after
+        its kick, so that one waits on the lane."""
+        if not self._pump_parked:
+            return
+        self._pump_parked = False
+        if tail:
+            self.env.then(self._pump_wake)
+        else:
+            self.env.schedule_call(0.0, self._pump_wake)
 
-    def _pump(self):
+    def _pump_wake(self) -> None:
+        if self._can_send():
+            # Every blocked->sending transition opens a new burst;
+            # segments pumped back-to-back share the train id.
+            self._train_seq += 1
+            self._pump_next()
+        else:
+            self._pump_parked = True
+
+    def _pump_next(self) -> None:
+        """Take the send-queue head and charge its transmit CPU cost; the
+        chain goes on in :meth:`_pump_sent` when the charge completes."""
+        skb = self.sendq.popleft()
+        skb.meta["train"] = self._train_seq
+        self.inflight[skb.seq] = skb
+        self.snd_nxt = max(self.snd_nxt, skb.end_seq)
+        self._charge_segment(skb, self._pump_sent)
+
+    def _charge_segment(self, skb: SkBuff,
+                        sent: Callable[[SkBuff], None]) -> None:
+        # Keep the send instant as now + (end - now), not end: the
+        # goldens pin this rounding.
         env = self.env
-        costs = self.host.costs
-        while True:
-            if not self._can_send():
-                while not self._can_send():
-                    ev = env.event()
-                    self._pump_wait = ev
-                    yield ev
-                # Every blocked->sending transition opens a new burst;
-                # segments pumped back-to-back share the train id.
-                self._train_seq += 1
-            skb = self.sendq.popleft()
-            skb.meta["train"] = self._train_seq
-            self.inflight[skb.seq] = skb
-            self.snd_nxt = max(self.snd_nxt, skb.end_seq)
-            yield from self.host.cpu_work(costs.tx_segment_s(skb.payload))
-            skb.sent_at = env.now
-            if self.first_send_time is None:
-                self.first_send_time = env.now
-            self.segments_sent += 1
-            if self._c_seg is not None:
-                self._c_seg.inc()
-            yield self.nic.enqueue(skb)
-            trace = self.host.trace
-            if trace.enabled:
-                trace.post(env.now, "tcp.tx.segment", skb.ident,
-                           seq=skb.seq, len=skb.payload,
-                           conn=self._conn_label)
-            self._note_cwnd()
-            self._arm_rto()
+        end = self.host.cpu.charge(self.host.costs.tx_segment_s(skb.payload))
+        env.schedule_call(end - env._now, sent, skb)
+
+    def _pump_sent(self, skb: SkBuff) -> None:
+        env = self.env
+        skb.sent_at = env._now
+        if self.first_send_time is None:
+            self.first_send_time = env._now
+        self.segments_sent += 1
+        if self._c_seg is not None:
+            self._c_seg.inc()
+        # The entry's last action: enqueue may run the callback directly.
+        self.nic.enqueue(skb, self._pump_queued)
+
+    def _pump_queued(self, skb: SkBuff) -> None:
+        """The NIC accepted ``skb``: trace it, then pump the next segment
+        or park until an ACK or a write kicks the pump."""
+        trace = self.host.trace
+        if trace.enabled:
+            trace.post(self.env.now, "tcp.tx.segment", skb.ident,
+                       seq=skb.seq, len=skb.payload,
+                       conn=self._conn_label)
+        self._note_cwnd()
+        self._arm_rto()
+        if self._can_send():
+            self._pump_next()
+        else:
+            self._pump_parked = True
 
     def _note_cwnd(self) -> None:
         """Record congestion-window changes (trace point + gauge)."""
@@ -215,10 +243,10 @@ class TcpSender:
     # -- ACK path ---------------------------------------------------------------
     def on_ack_frame(self, skb: SkBuff, batch: int = 1) -> None:
         """An ACK arrived at this host (called from interrupt dispatch)."""
-        # One zero-delay hop on the lane, then an arithmetic CPU charge
-        # chained into the ACK logic.  The host's batch dispatch calls
-        # this in a loop over the batch, so it is not a tail hop.
-        self.env.schedule_call(0.0, self._ack_charge, skb)
+        # A tail hop (the host's batch dispatch runs every frame but
+        # the last nested), then an arithmetic CPU charge chained into
+        # the ACK logic.
+        self.env.then(self._ack_charge, skb)
 
     def _ack_charge(self, skb: SkBuff) -> None:
         env = self.env
@@ -251,7 +279,7 @@ class TcpSender:
                                self._conn_label, una=self.snd_una)
                 self._retransmit_head()
         self._note_cwnd()
-        self._kick_pump()
+        self._kick_pump(tail=True)
 
     def _advance_una(self, ack: int) -> None:
         self.snd_una = ack
@@ -306,15 +334,18 @@ class TcpSender:
         clone = head.copy_for_retransmit()
         clone.meta["dst"] = self.dst_address
         self.retransmitted += 1
-        self.env.process(self._send_retransmit(clone),
-                         name=f"{self.host.name}.tcp.rexmit")
+        # A zero-delay entry, not a direct charge: every caller keeps
+        # working after this call, and its work comes first.
+        self.env.schedule_call(0.0, self._charge_segment, clone,
+                               self._rexmit_sent)
 
-    def _send_retransmit(self, skb: SkBuff):
-        yield from self.host.cpu_work(self.host.costs.tx_segment_s(skb.payload))
-        skb.sent_at = self.env.now
+    def _rexmit_sent(self, skb: SkBuff) -> None:
+        skb.sent_at = self.env._now
         if self._c_rtx is not None:
             self._c_rtx.inc()
-        yield self.nic.enqueue(skb)
+        self.nic.enqueue(skb, self._rexmit_queued)
+
+    def _rexmit_queued(self, skb: SkBuff) -> None:
         trace = self.host.trace
         if trace.enabled:
             trace.post(self.env.now, "tcp.tx.retransmit", skb.ident,

@@ -9,9 +9,10 @@ processed event:
   entries, which carry no event),
 * callback counts and wall-clock seconds attributed to the *component*
   that ran.  A process callback is named after the process with the
-  instance prefix stripped (``hostA.tcp.pump`` → ``tcp.pump``) so all
-  hosts' senders aggregate into one row; any other callback after its
-  function's qualified name (``TenGigAdapter._rx_charge``),
+  instance prefix stripped (``conn1.synack`` → ``synack``) so every
+  connection's handshake responder aggregates into one row; any other
+  callback after its function's qualified name
+  (``TcpSender._pump_sent``, ``TenGigAdapter._rx_charge``),
 * the queue-depth high-water mark (pending entries at dispatch).
 
 Profiling uses a separate dispatch loop in the engine, so a simulation
@@ -32,7 +33,7 @@ def component_of(name: str) -> str:
     """Aggregation key for a process name.
 
     Strips the per-object ``#ident`` suffix and the leading instance
-    segment: ``hostA.tcp.pump`` → ``tcp.pump``, ``oc192#17`` → ``oc192``,
+    segment: ``conn1.synack`` → ``synack``, ``oc192#17`` → ``oc192``,
     ``pktgen`` → ``pktgen``.
     """
     name = name.split("#", 1)[0]

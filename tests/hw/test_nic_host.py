@@ -102,17 +102,78 @@ def test_blocking_enqueue_applies_backpressure():
     b.register_handler("c1", lambda skb, batch: None)
     sent = []
 
-    def producer():
-        for i in range(6):
-            skb = SkBuff(payload=8000, headers=52, conn="c1",
-                         meta={"dst": "B.eth0"})
-            yield nic_a.enqueue(skb)
-            sent.append(i)
+    def produce(i):
+        # one frame at a time: the next enqueue waits for acceptance
+        if i == 6:
+            return
+        skb = SkBuff(payload=8000, headers=52, conn="c1",
+                     meta={"dst": "B.eth0"})
+        nic_a.enqueue(skb, lambda _skb: accepted(i))
 
-    env.process(producer())
+    def accepted(i):
+        sent.append(i)
+        produce(i + 1)
+
+    env.schedule_call(0.0, produce, 0)
     env.run()
     assert sent == list(range(6))          # all eventually accepted
     assert nic_a.tx_drops.total == 0       # none dropped
+
+
+def test_full_txqueue_accepts_in_the_order_of_the_event_form():
+    """Six frames offered at once to a two-frame queue: two are accepted
+    at once, and each further one when the engine's service start frees
+    a slot.  The (frame, instant, queue level) log is the one the
+    Event-returning enqueue gave, recorded to the float bit."""
+    cfg = TuningConfig.stock(9000).replace(txqueuelen=2)
+    env, a, b, nic_a, nic_b = make_host_pair(cfg)
+    b.register_handler("c1", lambda skb, batch: None)
+    log = []
+
+    def burst():
+        for i in range(6):
+            skb = SkBuff(payload=8000, headers=52, conn="c1",
+                         meta={"dst": "B.eth0"})
+
+            def done(_skb, i=i):
+                log.append((i, repr(env.now), nic_a.txq.level))
+
+            # only the last enqueue is the tail of this entry
+            if i < 5:
+                env.call_nested(nic_a.enqueue, skb, done)
+            else:
+                nic_a.enqueue(skb, done)
+
+    env.schedule_call(1e-6, burst)
+    env.run()
+    assert log == [(0, "1e-06", 2), (1, "1e-06", 2), (2, "1e-06", 2),
+                   (3, "2.5944586466165417e-05", 2),
+                   (4, "5.0889172932330836e-05", 2),
+                   (5, "7.583375939849624e-05", 2)]
+    assert repr(env.now) == "0.00018872024162679425"
+    assert nic_a.tx_frames.total == 6
+    assert nic_a.tx_drops.total == 0
+
+
+def test_tail_enqueue_runs_done_and_engine_start_directly():
+    env, a, b, nic_a, nic_b = make_host_pair()
+    b.register_handler("c1", lambda skb, batch: None)
+    log = []
+
+    def entry():
+        skb = SkBuff(payload=8000, headers=52, conn="c1",
+                     meta={"dst": "B.eth0"})
+        before = env.events_scheduled
+        nic_a.enqueue(skb, lambda _skb: log.append(env.now))
+        # done ran inside the call; the engine started the DMA, whose
+        # completion is the only entry scheduled
+        assert log == [1e-6]
+        assert env.events_scheduled == before + 1
+        assert not nic_a._backlog
+
+    env.schedule_call(1e-6, entry)
+    env.run()
+    assert nic_a.tx_frames.total == 1
 
 
 def test_tso_resegments_super_frames():

@@ -150,13 +150,13 @@ GOLDEN = {
 #: different number of entries for the same results moves a row here
 #: and no digest.
 COUNTERS = {
-    "nttcp_1500": {"events": 9295, "pending": 4},
-    "nttcp_9000": {"events": 2235, "pending": 3},
-    "pingpong_b2b_0us": {"events": 242, "pending": 7},
-    "pingpong_b2b_5us": {"events": 259, "pending": 7},
-    "pingpong_switch_0us": {"events": 293, "pending": 7},
-    "pingpong_switch_5us": {"events": 310, "pending": 7},
-    "chaos_transfer": {"events": 1421, "pending": 7},
+    "nttcp_1500": {"events": 8028, "pending": 4},
+    "nttcp_9000": {"events": 1911, "pending": 3},
+    "pingpong_b2b_0us": {"events": 194, "pending": 7},
+    "pingpong_b2b_5us": {"events": 211, "pending": 7},
+    "pingpong_switch_0us": {"events": 245, "pending": 7},
+    "pingpong_switch_5us": {"events": 262, "pending": 7},
+    "chaos_transfer": {"events": 1219, "pending": 7},
 }
 
 

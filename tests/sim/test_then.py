@@ -104,6 +104,59 @@ def test_direct_call_exception_resets_state():
     assert log == ["direct"]
 
 
+def test_call_nested_sends_hops_to_the_lane():
+    env = Environment()
+    log = []
+
+    def step(name):
+        log.append(name)
+        env.then(log.append, name + " hop")
+
+    def entry():
+        env.call_nested(step, "a")
+        assert log == ["a"]           # a's hop waits on the lane
+        env.then(step, "b")           # so the tail hop queues behind it
+        assert log == ["a"]
+
+    env.schedule_call(1.0, entry)
+    env.run()
+    assert log == ["a", "a hop", "b", "b hop"]
+    assert not env._inline
+
+
+def test_call_nested_inside_a_direct_hop_keeps_the_guard():
+    env = Environment()
+    seen = []
+
+    def inner():
+        seen.append(env.then_runs_direct())
+
+    def outer():
+        env.call_nested(inner)
+        seen.append(env.then_runs_direct())
+
+    env.schedule_call(1.0, env.then, outer)
+    env.run()
+    assert seen == [False, False]
+    assert not env._inline
+
+
+def test_then_runs_direct_reports_then_condition():
+    env = Environment()
+    seen = []
+
+    def entry():
+        seen.append(env.then_runs_direct())
+        env.schedule_call(0.0, seen.append, "lane")
+        seen.append(env.then_runs_direct())
+
+    env.schedule_call(1.0, entry)
+    env.schedule_call(2.0, entry)
+    env.schedule_call(2.0, seen.append, "queued")
+    env.run()
+    assert seen == [True, False, "lane", False, False, "queued", "lane"]
+
+
 # -- a tail-position then gives the firing log of schedule_call(0.0) ------
 
 DELAYS = st.sampled_from([0.0, 1e-30, 1e-9, 2.5e-6, 1e-3])
@@ -185,6 +238,16 @@ class _SinkNic:
         return True
 
 
+class _LogNic(_SinkNic):
+    def __init__(self, env):
+        self.env = env
+        self.log = []
+
+    def send(self, skb):
+        self.log.append((skb.ack, self.env.now))
+        return True
+
+
 def test_rx_backlog_chain_keeps_the_stack_flat(monkeypatch):
     """Free segment processing and ACK generation make every _rx_done
     hop find nothing due now: the whole backlog drains through direct
@@ -210,13 +273,68 @@ def test_rx_backlog_chain_keeps_the_stack_flat(monkeypatch):
     payload = 100
 
     def arrive():
+        # one entry delivering every segment, none of them its tail
         for i in range(segments):
-            rx.on_data_frame(SkBuff(payload=payload, headers=64,
-                                    kind="data", seq=i * payload,
-                                    end_seq=(i + 1) * payload, conn=1))
+            env.call_nested(rx.on_data_frame,
+                            SkBuff(payload=payload, headers=64,
+                                   kind="data", seq=i * payload,
+                                   end_seq=(i + 1) * payload, conn=1))
 
     env.schedule_call(1e-3, arrive)
     env.run(until=1.0)
     assert len(depths) == segments
     assert rx.rcv_nxt == segments * payload
     assert max(depths) - min(depths) <= 8
+
+
+def test_interrupt_batch_keeps_the_stack_flat(monkeypatch):
+    """One interrupt batch of many segments into a receiver with free
+    processing: the host runs every frame's handler but the last nested,
+    so no segment's processing hop runs inside the dispatch loop and
+    none nests in the one before.  The trace (every frame's dispatch,
+    then the segment processing) and the ACKs equal the ones with every
+    hop a zero-delay entry."""
+    segments = 4 * sys.getrecursionlimit()
+    payload = 100
+    runs = []
+    for use_then in (True, False):
+        env = Environment()
+        cfg = TuningConfig.oversized_windows(9000)
+        host = Host(env, PE2650, cfg, name="R")
+        host.trace.enabled = True
+        # the interrupt cost stays: the batch dispatch is its own entry
+        monkeypatch.setattr(host.costs, "rx_ack_gen_s", lambda: 0.0)
+        monkeypatch.setattr(host.costs, "rx_segment_s",
+                            lambda payload, batch=1: 0.0)
+        if not use_then:
+            monkeypatch.setattr(
+                env, "then",
+                lambda fn, *args: env.schedule_call(0.0, fn, *args))
+        nic = _LogNic(env)
+        rx = TcpReceiver(env, host, nic, conn=1, src_address="peer",
+                         profile=MtuProfile(mtu=9000, timestamps=True),
+                         peer_advertised_mss=8960)
+        host.register_handler(1, rx.on_data_frame)
+        depths = []
+        begin = rx._rx_begin
+
+        def traced_begin(skb, batch, begin=begin, depths=depths):
+            depths.append(_depth())
+            begin(skb, batch)
+
+        monkeypatch.setattr(rx, "_rx_begin", traced_begin)
+        batch = [SkBuff(payload=payload, headers=64, kind="data",
+                        seq=i * payload, end_seq=(i + 1) * payload, conn=1)
+                 for i in range(segments)]
+        env.schedule_call(1e-3, host.deliver_rx, None, batch)
+        env.run(until=1.0)
+        assert len(depths) == segments
+        assert max(depths) - min(depths) <= 8
+        assert rx.rcv_nxt == segments * payload
+        trace = [(ev.point, ev.time) for ev in host.trace]
+        runs.append((nic.log, trace, env.events_scheduled))
+    (acks_then, trace_then, events_then), (acks_lane, trace_lane,
+                                           events_lane) = runs
+    assert acks_then == acks_lane
+    assert trace_then == trace_lane
+    assert events_then < events_lane
