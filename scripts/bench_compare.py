@@ -319,10 +319,13 @@ def measure_fabric(args: argparse.Namespace) -> Metrics:
 
     Validation runs a k=4 fat-tree incast (8 foreground + 32 background
     flows) hybrid and all-DES; tractability runs a 1024-flow incast on a
-    k=8 fat-tree hybrid (its all-DES equivalent is out of reach).
+    k=8 fat-tree hybrid (its all-DES equivalent is out of reach) and
+    reports the host seconds of it spent inside the fluid kernel,
+    ``FluidFabric.step``, timed by a wrapper installed for that run.
     """
     from repro.net.fabric import build_fat_tree
     from repro.net.hybrid import FabricSimulation, incast_pairs
+    from repro.tcp.fluid import FluidFabric
 
     small = build_fat_tree(4)
     pairs = incast_pairs(small, 40)
@@ -333,9 +336,24 @@ def measure_fabric(args: argparse.Namespace) -> Metrics:
     rel_err = (abs(hyb.aggregate_goodput_bps - des.aggregate_goodput_bps)
                / des.aggregate_goodput_bps)
     big = build_fat_tree(8)
-    scale = FabricSimulation(big, incast_pairs(big, 1024),
-                             n_foreground=8,
-                             mode="hybrid").run(duration_s=0.2)
+    step = FluidFabric.step
+    step_s = 0.0
+
+    def timed_step(fluid: FluidFabric, dt: float) -> None:
+        nonlocal step_s
+        start = perf_counter()
+        try:
+            step(fluid, dt)
+        finally:
+            step_s += perf_counter() - start
+
+    FluidFabric.step = timed_step
+    try:
+        scale = FabricSimulation(big, incast_pairs(big, 1024),
+                                 n_foreground=8,
+                                 mode="hybrid").run(duration_s=0.2)
+    finally:
+        FluidFabric.step = step
     return {
         "validation_des_gbps": des.aggregate_goodput_gbps,
         "validation_hybrid_gbps": hyb.aggregate_goodput_gbps,
@@ -344,6 +362,7 @@ def measure_fabric(args: argparse.Namespace) -> Metrics:
         "validation_hybrid_wall_s": hyb.wall_s,
         "incast1024_gbps": scale.aggregate_goodput_gbps,
         "incast1024_wall_s": scale.wall_s,
+        "incast1024_fluid_step_s": step_s,
         "incast1024_events": float(scale.events_scheduled),
         "incast1024_coupler_ticks": float(scale.coupler_ticks),
     }

@@ -92,14 +92,13 @@ class TenGigAdapter:
         self._tx_kick_pending = False
         self._train: Optional[SegmentTrain] = None
         self.txq = BacklogView(self._backlog, cfg.txqueuelen)
-        self.tx_drops = CounterMonitor(env, name=f"{self.name}.txdrop")
-        self.rx_drops = CounterMonitor(env, name=f"{self.name}.rxdrop")
-        self.tx_frames = CounterMonitor(env, name=f"{self.name}.tx")
-        self.rx_frames = CounterMonitor(env, name=f"{self.name}.rx")
-        self.interrupts = CounterMonitor(env, name=f"{self.name}.irq")
-        self.tx_trains = CounterMonitor(env, name=f"{self.name}.trains")
-        self.tx_train_frames = CounterMonitor(env,
-                                              name=f"{self.name}.trainfr")
+        self.tx_drops = CounterMonitor(f"{self.name}.txdrop")
+        self.rx_drops = CounterMonitor(f"{self.name}.rxdrop")
+        self.tx_frames = CounterMonitor(f"{self.name}.tx")
+        self.rx_frames = CounterMonitor(f"{self.name}.rx")
+        self.interrupts = CounterMonitor(f"{self.name}.irq")
+        self.tx_trains = CounterMonitor(f"{self.name}.trains")
+        self.tx_train_frames = CounterMonitor(f"{self.name}.trainfr")
         self._rx_pending: List[SkBuff] = []
         self._irq_timer_armed = False
         from repro.oskernel.interrupts import InterruptModerator

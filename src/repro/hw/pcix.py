@@ -16,7 +16,7 @@ instantiating one :class:`PciXBus` per adapter.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, Optional, Tuple
 
 from repro.config import VALID_MMRBC
 from repro.errors import ConfigError
@@ -55,6 +55,10 @@ class PciXBus:
         self.name = name
         self.trace = trace
         self.bytes_moved = 0
+        # bus hold per (nbytes, mmrbc): a transfer charges a few dozen
+        # distinct pairs hundreds of thousands of times, and clock and
+        # burst overhead are fixed once the bus is built
+        self._holds: Dict[Tuple[int, int], float] = {}
         metrics = active_metrics()
         if metrics is not None:
             self._c_dma = metrics.counter("pcix.dma.transfers", bus=name)
@@ -90,8 +94,14 @@ class PciXBus:
         transmit and receive DMA charged later but before ``end`` queue
         behind this one, exactly like bus arbitration.  The caller
         accounts the transfer via :meth:`account` when it completes.
+        The hold is :meth:`transfer_time`'s, computed (and checked) the
+        first time a ``(nbytes, mmrbc)`` pair is charged.
         """
-        return self.bus.charge(self.transfer_time(nbytes, mmrbc))
+        key = (nbytes, mmrbc)
+        hold = self._holds.get(key)
+        if hold is None:
+            hold = self._holds[key] = self.transfer_time(nbytes, mmrbc)
+        return self.bus.charge(hold)
 
     def account(self, nbytes: int, mmrbc: int) -> None:
         """Record a completed transfer (counters + trace)."""

@@ -68,8 +68,8 @@ class EthernetLink:
         self.name = name
         self._sink: Optional[FrameSink] = None
         self._txline = FifoTimeline(env, capacity=1, name=f"{name}.txline")
-        self.frames = CounterMonitor(env, name=f"{name}.frames")
-        self.bytes = CounterMonitor(env, name=f"{name}.bytes")
+        self.frames = CounterMonitor(f"{name}.frames")
+        self.bytes = CounterMonitor(f"{name}.bytes")
         register_chaos_target("link", name, self)
 
     def connect(self, sink: FrameSink) -> None:
@@ -96,13 +96,12 @@ class EthernetLink:
         _, end = self._txline.charge(wire_time(skb, self.rate_bps))
         # Each hold is one start+hold addition and delivery one
         # end+propagation addition; the goldens pin this rounding.
-        env.schedule_call_at(end + self.propagation_s,
-                             self._deliver, skb, end)
+        env.schedule_call_at(end + self.propagation_s, self._deliver, skb)
         return end
 
-    def _deliver(self, skb: SkBuff, serialized_at: float) -> None:
-        self.frames.add(time=serialized_at)
-        self.bytes.add(skb.wire_bytes, time=serialized_at)
+    def _deliver(self, skb: SkBuff) -> None:
+        self.frames.add()
+        self.bytes.add(skb.wire_bytes)
         self._sink.receive_frame(skb)
 
     def _check(self, skb: SkBuff) -> None:

@@ -272,10 +272,13 @@ class FluidCoupler:
         fluid = self.fluid
         fluid.set_cross_traffic(cross)
         fluid.step(dt)
+        # Python floats (item) from here on: NumPy scalars would reach
+        # the couplings' drop coin flips, DesLink._free_at and the event
+        # times on the engine heap, and slow every operation there.
         util = fluid.link_utilization
         prob = fluid.link_drop_prob
         for idx, link in self.shared_links.items():
-            link.coupling.set_background(util[idx], prob[idx])
+            link.coupling.set_background(util.item(idx), prob.item(idx))
         self.ticks += 1
 
     def cancel(self) -> None:

@@ -68,8 +68,8 @@ class SwitchPort:
         self._backlog: Deque[SkBuff] = deque()
         self._busy = False
         self.queue = BacklogView(self._backlog, queue_frames)
-        self.drops = CounterMonitor(env, name=f"{switch.name}.{port_id}.drops")
-        self.forwarded = CounterMonitor(env, name=f"{switch.name}.{port_id}.fwd")
+        self.drops = CounterMonitor(f"{switch.name}.{port_id}.drops")
+        self.forwarded = CounterMonitor(f"{switch.name}.{port_id}.fwd")
         self.trace = switch.trace
         metrics = active_metrics()
         if metrics is not None:
@@ -145,7 +145,7 @@ class Switch:
         self.name = name
         self._ports: Dict[str, SwitchPort] = {}
         self._fdb: Dict[str, str] = {}
-        self.flooded = CounterMonitor(env, name=f"{name}.flooded")
+        self.flooded = CounterMonitor(f"{name}.flooded")
         self.trace = TraceBuffer(enabled=False)
         register_trace(name, self.trace)
 

@@ -63,7 +63,7 @@ class PosCircuit:
         self.name = name
         self._sink: Optional[FrameSink] = None
         self._txline = FifoTimeline(env, capacity=1, name=f"{name}.txline")
-        self.frames = CounterMonitor(env, name=f"{name}.frames")
+        self.frames = CounterMonitor(f"{name}.frames")
         self.trace = trace
         metrics = active_metrics()
         self._c_tx = (metrics.counter("pos.tx.frames", circuit=name)
@@ -103,7 +103,7 @@ class PosCircuit:
         return end
 
     def _deliver(self, skb: SkBuff, serialized_at: float) -> None:
-        self.frames.add(time=serialized_at)
+        self.frames.add()
         if self._c_tx is not None:
             self._c_tx.inc()
         trace = self.trace
@@ -138,8 +138,8 @@ class Router:
         self._busy = False
         self.queue = BacklogView(self._backlog, queue_frames)
         self.forwarding_latency_s = forwarding_latency_s
-        self.drops = CounterMonitor(env, name=f"{name}.drops")
-        self.forwarded = CounterMonitor(env, name=f"{name}.fwd")
+        self.drops = CounterMonitor(f"{name}.drops")
+        self.forwarded = CounterMonitor(f"{name}.fwd")
         self.trace = trace
         metrics = active_metrics()
         if metrics is not None:

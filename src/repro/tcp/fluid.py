@@ -26,13 +26,14 @@ Three granularities share that arithmetic:
 Arrays are preallocated and the loops are scalar-light, per the
 HPC-Python guidance; a 10,000-RTT run costs milliseconds.  A
 :class:`FluidFabric` step spends its NumPy calls where the congestion
-is: route sums read a padded hop x flow table, drop fractions are
-computed only on overflowing links, and when the one overflowing link
-lies on every route (an incast bottleneck) loss pressure and goodput
-take its drop fraction as a scalar.  On the 1016-flow, 768-link incast
-of a k=8 fat-tree one coupling step (about 24 substeps) costs about
-2.3 ms on a 2-vCPU Xeon host, against 4.7 ms for a dense
-``np.add.reduceat`` step, with bit-identical floats.
+is: route sums read a padded hop table and sum each distinct hop-1..
+suffix once (the 1016 flows of a k=8 fat-tree incast share 390), drop
+fractions are computed only on overflowing links, and when the one
+overflowing link lies on every route (an incast bottleneck) loss
+pressure and goodput take its drop fraction as a scalar.  On that
+incast (768 links) one coupling step of about 24 substeps costs about
+1.5 ms on a 2-vCPU x86-64 host (1.7 ms without suffix sharing), with
+floats bit-identical to a dense ``np.add.reduceat`` step.
 
 All invalid-parameter failures raise
 :class:`~repro.errors.ProtocolError` (never a bare ``ValueError``), so
@@ -336,13 +337,17 @@ class FluidFabric:
     flow halves when its pressure reaches one packet, which
     desynchronises the flows the way per-flow drop-tail hits do.
 
-    The step kernel exploits how sparse congestion is: route sums read
-    a padded hop x flow table of link indices, drop fractions are
-    computed only on overflowing links, a single overflowing link that
-    every route crosses (an incast bottleneck) skips the drop route sum,
-    and halving touches only the flows whose pressure reached one
-    packet.  Its floats are bit-identical to a dense evaluation with
-    ``np.add.reduceat`` route sums.
+    The step kernel exploits how sparse congestion is and how much
+    routes overlap: route sums read a padded hop table of link indices
+    and sum each distinct hop-1.. suffix once for all the flows that
+    share it, drop fractions are computed only on overflowing links, a
+    single overflowing link that every route crosses (an incast
+    bottleneck) skips the drop route sum, and halving touches only the
+    flows whose pressure reached one packet.  Its floats are
+    bit-identical to a dense evaluation with ``np.add.reduceat`` route
+    sums.  The per-link results (:attr:`link_utilization`,
+    :attr:`link_drop_prob`) are arrays; a caller that feeds them to a
+    DES should convert the values it uses to Python floats.
 
     Parameters
     ----------
@@ -407,9 +412,10 @@ class FluidFabric:
         self.mss = int(mss)
         self._cap = cap
         self._qcap = qcap
-        # (link, flow) pairs in flow order: the order bincount sums in
+        # (link, flow) pairs in flow order: the order bincount sums in;
+        # np.repeat(per_flow, lens) lays a per-flow value out along them
         self._link_of = link_of
-        self._flow_of = flow_of
+        self._lens = lens
         # reduceat offsets: start of each flow's slice in link_of
         self._offsets = np.concatenate(([0], np.cumsum(lens)[:-1]))
         # Padded hop x flow table of link indices; link L is a padding
@@ -417,14 +423,21 @@ class FluidFabric:
         # row0 + ((row1 + row2) + ...) gives the floats of reduceat,
         # which adds a route's later hops in order and then the first,
         # for routes of up to _TABLE_HOPS hops; numpy sums longer ones
-        # pairwise, so they keep reduceat itself.
+        # pairwise, so they keep reduceat itself.  Flows that share
+        # hops 1.. (all flows into one server, say) share that suffix
+        # sum: it is computed once per distinct suffix, with the same
+        # operations in the same order, so the floats do not change.
+        self._first: Optional[np.ndarray] = None
         if lens.max() <= _TABLE_HOPS:
             hops = np.full((max(2, int(lens.max())), n), L, dtype=np.intp)
             hops[np.arange(link_of.size) - np.repeat(self._offsets, lens),
                  flow_of] = link_of
-            self._hops: Optional[np.ndarray] = hops
-        else:
-            self._hops = None
+            suffixes, suffix_of = np.unique(hops[1:].T, axis=0,
+                                            return_inverse=True)
+            self._first = hops[0]
+            # hop x suffix table, and each flow's suffix
+            self._suffixes = np.ascontiguousarray(suffixes.T)
+            self._suffix_of = suffix_of.reshape(n)
         base = np.broadcast_to(np.asarray(base_rtt_s, dtype=float), (n,)).copy()
         if not np.all((base > 0) & (base < np.inf)):
             raise ProtocolError("base RTT must be positive and finite")
@@ -508,15 +521,15 @@ class FluidFabric:
         """Sum ``per_link`` (one value per link, then the padding link's
         0) along every route into ``out``; the floats of
         ``np.add.reduceat(per_link[link_of], offsets)``."""
-        hops = self._hops
-        if hops is None:
+        first = self._first
+        if first is None:
             out[:] = np.add.reduceat(per_link[self._link_of], self._offsets)
             return out
-        g = per_link[hops]
-        rest = g[1]
-        for row in g[2:]:
+        g = per_link[self._suffixes]
+        rest = g[0]
+        for row in g[1:]:
             rest += row
-        return np.add(g[0], rest, out=out)
+        return np.add(per_link[first], rest[self._suffix_of], out=out)
 
     def step(self, dt: float) -> None:
         """Advance the fluid state by ``dt`` seconds.
@@ -533,28 +546,29 @@ class FluidFabric:
         cap, qcap, q = self._cap, self._qcap, self._q
         base, wmax, w = self._base_rtt, self._wmax, self._w
         ssthresh, pressure = self._ssthresh, self._pressure
-        link_of, flow_of, link_count = (self._link_of, self._flow_of,
-                                        self._link_count)
+        link_of, lens, link_count = (self._link_of, self._lens,
+                                     self._link_count)
         qdelay, drop = self._qdelay, self._drop
         rtt, rates, grow, bits, slow = (self._rtt, self._rates, self._grow,
                                         self._bits, self._slow)
         free = np.maximum(cap - self._cross, 0.02 * cap)
         arr_acc = np.zeros(L)
         drop_acc = np.zeros(L)
-        no_flows = flow_of[:0]
+        no_flows = lens[:0]
+        qdelay_links = qdelay[:L]
         for _ in range(substeps):
             # until every flow has started, idle flows send nothing and
             # keep their window (w + 0 is w, already within wmax)
             ramp = self.now < self._last_start
             if ramp:
                 active = self._start <= self.now
-            np.divide(q, cap, out=qdelay[:L])
+            np.divide(q, cap, out=qdelay_links)
             self._route_sum(qdelay, rtt)
             rtt += base
             np.divide(w, rtt, out=rates)
             if ramp:
                 rates *= active
-            arrivals = np.bincount(link_of, weights=rates[flow_of],
+            arrivals = np.bincount(link_of, weights=np.repeat(rates, lens),
                                    minlength=L)
             arr_acc += arrivals
             queued = arrivals - free
@@ -566,7 +580,7 @@ class FluidFabric:
             # goodput is cut by that sum; when one overflowing link lies
             # on every route, that sum is its drop fraction p for every
             # flow.  `bits` gets goodput * mss.
-            over = np.flatnonzero(q > qcap)
+            over = (q > qcap).nonzero()[0]
             halved = no_flows
             if over.size == 0:
                 np.multiply(rates, mss, out=bits)
@@ -579,7 +593,7 @@ class FluidFabric:
                 np.multiply(rates, sub, out=grow)
                 grow *= p
                 pressure += grow
-                halved = np.flatnonzero(pressure >= 1.0)
+                halved = (pressure >= 1.0).nonzero()[0]
                 np.multiply(rates, 1.0 - p, out=bits)
                 bits *= mss
             else:
@@ -594,13 +608,12 @@ class FluidFabric:
                 np.multiply(rates, sub, out=grow)
                 grow *= psum
                 pressure += grow
-                halved = np.flatnonzero(pressure >= 1.0)
+                halved = (pressure >= 1.0).nonzero()[0]
                 np.subtract(1.0, psum, out=bits)
                 np.maximum(bits, 0.0, out=bits)
                 bits *= rates
                 bits *= mss
-            bits *= 8.0
-            bits *= sub
+            bits *= 8.0 * sub
             self.delivered_bits += bits
             # A flow halves when its pressure reaches one packet; every
             # pressure that did not just grow is still below one.

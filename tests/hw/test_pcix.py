@@ -57,6 +57,27 @@ def test_invalid_transfer_args(bus):
         bus.transfer_time(0, mmrbc=512)
 
 
+def test_charge_transfer_holds_the_transfer_time(bus):
+    """Back-to-back charges queue by exactly transfer_time each, for a
+    size seen before (the memoised hold) and a new one alike."""
+    t_9018 = bus.transfer_time(9018, 4096)
+    t_1518 = bus.transfer_time(1518, 512)
+    assert bus.charge_transfer(9018, 4096) == (0.0, t_9018)
+    assert bus.charge_transfer(9018, 4096) == (t_9018, t_9018 + t_9018)
+    end = t_9018 + t_9018
+    assert bus.charge_transfer(1518, 512) == (end, end + t_1518)
+
+
+@pytest.mark.parametrize("nbytes, mmrbc", [(100, 777), (0, 512)])
+def test_charge_transfer_rejects_bad_args_every_time(bus, nbytes, mmrbc):
+    for _ in range(2):
+        with pytest.raises(ConfigError):
+            bus.charge_transfer(nbytes, mmrbc)
+    # the refused charges took no bus time
+    assert bus.charge_transfer(4096, 4096) == (
+        0.0, bus.transfer_time(4096, 4096))
+
+
 def test_dma_serializes_on_the_bus():
     env = Environment()
     bus = PciXBus(env, clock_mhz=133)

@@ -5,8 +5,9 @@ import pytest
 from repro.errors import ProtocolError
 from repro.net.coupling import QueueCoupling
 from repro.net.fabric import build_fat_tree, build_torus3d
-from repro.net.hybrid import (FabricSimulation, HYBRID_ENV, alltoall_pairs,
-                              bisection_pairs, hybrid_enabled, incast_pairs)
+from repro.net.hybrid import (FabricSimulation, FluidCoupler, HYBRID_ENV,
+                              alltoall_pairs, bisection_pairs,
+                              hybrid_enabled, incast_pairs)
 
 
 class TestWorkloadGenerators:
@@ -145,6 +146,29 @@ class TestHybridFidelity:
                                mode="hybrid").run(duration_s=0.05)
         assert hyb.background_goodput_bps > 0
         assert hyb.foreground_goodput_bps < solo.aggregate_goodput_bps
+
+    def test_des_state_holds_python_floats(self, monkeypatch):
+        # The fluid hands its link state to the DES as Python floats, so
+        # no NumPy scalar reaches the coin flips, the serializers'
+        # free_at or the event times they schedule.
+        couplers = []
+        init = FluidCoupler.__init__
+
+        def recording_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            couplers.append(self)
+
+        monkeypatch.setattr(FluidCoupler, "__init__", recording_init)
+        topo = build_fat_tree(4)
+        r = FabricSimulation(topo, incast_pairs(topo, 32), n_foreground=8,
+                             mode="hybrid").run(duration_s=0.02)
+        assert r.coupler_ticks > 0 and len(couplers) == 1
+        links = list(couplers[0].shared_links.values())
+        assert links and any(link.serviced for link in links)
+        for link in links:
+            assert type(link._free_at) is float
+            assert type(link.coupling.background_utilization) is float
+            assert type(link.coupling.background_drop_prob) is float
 
 
 class TestQueueCoupling:

@@ -2,29 +2,20 @@
 
 import pytest
 
-from repro.errors import MeasurementError
 from repro.sim import (
     CounterMonitor,
-    Environment,
     RngStreams,
     TraceBuffer,
 )
 
 
 class TestCounterMonitor:
-    def test_rate_over_span(self):
-        env = Environment()
-        c = CounterMonitor(env)
-        c.add(10)
-        env.run(until=2.0)
-        c.add(10)
-        assert c.total == 20
-        assert c.rate() == pytest.approx(10.0)
-
-    def test_empty_counter_raises(self):
-        c = CounterMonitor(Environment())
-        with pytest.raises(MeasurementError):
-            c.rate()
+    def test_add_counts_events_and_total(self):
+        c = CounterMonitor("link.bytes")
+        assert (c.events, c.total) == (0, 0.0)
+        c.add()
+        c.add(9018)
+        assert (c.name, c.events, c.total) == ("link.bytes", 2, 9019.0)
 
 
 class TestRngStreams:
