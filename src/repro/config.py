@@ -8,7 +8,7 @@
 * TCP socket buffer sizes (``/proc/sys/net/ipv4/tcp_rmem`` etc.),
 * interrupt-coalescing delay,
 * TCP timestamps and window scaling,
-* transmit queue length, TSO, NAPI, checksum offload.
+* transmit queue length, checksum offload.
 
 The named constructors (:meth:`TuningConfig.stock`, ...) correspond to the
 paper's cumulative optimization steps in §3.3.
@@ -48,21 +48,10 @@ class TuningConfig:
     tcp_rmem: int = KB(64)
     tcp_wmem: int = KB(64)
     interrupt_coalescing_us: float = 5.0
-    #: adaptive (ITR-style) interrupt moderation: the delay tracks the
-    #: observed arrival rate instead of the fixed value above —
-    #: resolving the Fig. 6/7 latency-vs-load trade (extension).
-    adaptive_coalescing: bool = False
     tcp_timestamps: bool = True
     window_scaling: bool = True
     txqueuelen: int = 100
-    tso: bool = False
-    napi: bool = False
     checksum_offload: bool = True
-    delayed_ack: bool = True
-    #: RFC 2018 selective acknowledgments (``net.ipv4.tcp_sack``).
-    #: Off by default so the calibrated runs use plain NewReno recovery;
-    #: turn on to study multi-loss recovery behaviour.
-    sack: bool = False
     # --- §3.5.3 / §5 forward-looking offloads (extensions) ---
     #: aLAST-style header-parsing engine: the adapter places payloads of
     #: established connections directly in user memory; only headers

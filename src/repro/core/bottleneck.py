@@ -162,7 +162,7 @@ class BottleneckStudy:
         env = Environment()
         bb = BackToBack.create(env, self.config, spec=self.server_spec,
                                calibration=self.calibration)
-        bb.b.set_default_handler(lambda skb, batch: None)
+        bb.b.set_default_handler(lambda skb: None)
         return pktgen_run(env, bb.a, dst_address="hostB.eth0",
                           packet_bytes=8160, packets=packets)
 

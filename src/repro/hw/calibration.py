@@ -208,19 +208,17 @@ class CostModel:
             self._pkt_cache["rx_irq"] = t
         return t
 
-    def rx_segment_s(self, payload: int, batch: int = 1) -> float:
+    def rx_segment_s(self, payload: int) -> float:
         """Stack processing of one received data segment: protocol work,
         skb allocation (driver replenishes the ring), per-byte data
-        movement; ``batch`` frames per poll discounts the protocol part
-        under NAPI."""
-        key = (payload, batch)
-        t = self._rx_seg_cache.get(key)
+        movement."""
+        t = self._rx_seg_cache.get(payload)
         if t is None:
-            t = self._rx_segment_uncached(payload, batch)
-            self._rx_seg_cache[key] = t
+            t = self._rx_segment_uncached(payload)
+            self._rx_seg_cache[payload] = t
         return t
 
-    def _rx_segment_uncached(self, payload: int, batch: int) -> float:
+    def _rx_segment_uncached(self, payload: int) -> float:
         cal = self.cal
         if self.config.os_bypass:
             return (self._pkt(cal.os_bypass_pkt_usghz)
@@ -228,8 +226,7 @@ class CostModel:
         per_pkt = cal.rx_tcp_usghz
         if self.config.tcp_timestamps:
             per_pkt += cal.timestamp_usghz
-        factor = self.kernel.rx_batch_cost_factor(batch)
-        t = self._pkt(per_pkt) * factor
+        t = self._pkt(per_pkt)
         if self.config.header_splitting:
             # only a small header skb is allocated; the payload lands
             # directly in the user buffer

@@ -20,7 +20,6 @@ from repro.hw.calibration import Calibration, CostModel, DEFAULT_CALIBRATION
 from repro.hw.cpu import CpuComplex
 from repro.hw.pcix import PciXBus
 from repro.hw.presets import HostSpec
-from repro.oskernel.allocator import BuddyAllocator
 from repro.oskernel.skbuff import SkBuff
 from repro.sim.engine import Environment
 from repro.sim.trace import TraceBuffer
@@ -28,7 +27,7 @@ from repro.telemetry.session import active_metrics, register_trace
 
 __all__ = ["Host"]
 
-RxHandler = Callable[[SkBuff, int], None]
+RxHandler = Callable[[SkBuff], None]
 
 
 class Host:
@@ -52,19 +51,13 @@ class Host:
         self.costs = CostModel(spec, config, calibration)
         self.cpu = CpuComplex(env, spec, name=f"{self.name}.cpu")
         # One trace ring per host, shared by its whole stack (NIC, bus,
-        # allocator, TCP endpoints) — the simulated MAGNET ring.
+        # TCP endpoints) — the simulated MAGNET ring.
         self.trace = TraceBuffer(enabled=False)
         register_trace(self.name, self.trace)
         self.pcix = PciXBus(env, spec.pcix_mhz,
                             burst_overhead_s=spec.pcix_burst_overhead_ns * 1e-9,
                             name=f"{self.name}.pcix", trace=self.trace)
         self._extra_buses: List[PciXBus] = []
-        ghz = spec.cpu_ghz
-        cal = self.costs.cal
-        self.allocator = BuddyAllocator(
-            base_cost_s=cal.alloc_base_usghz * 1e-6 / ghz,
-            order_penalty_s=cal.alloc_order_usghz * 1e-6 / ghz,
-            trace=self.trace, clock=env)
         metrics = active_metrics()
         self._c_rx_dispatch = (
             metrics.counter("host.rx.dispatch", host=self.name)
@@ -147,9 +140,9 @@ class Host:
             # hop it makes through ``then`` may run directly; the frames
             # before it must leave their hops on the lane.
             if i < last:
-                env.call_nested(handler, skb, n)
+                env.call_nested(handler, skb)
             else:
-                handler(skb, n)
+                handler(skb)
 
     # -- reporting -------------------------------------------------------------
     def load(self) -> float:

@@ -2,15 +2,13 @@
 
 The 10GbE adapter (Figure 1 of the paper) couples a DMA engine on the
 PCI-X side with the MAC/PCS/SerDes/optics chain on the wire side and
-offloads TCP/IP checksums and (optionally) TCP segmentation.  The model
-reproduces the externally visible timing:
+offloads TCP/IP checksums.  The model reproduces the externally visible
+timing:
 
 * every frame crosses the host's PCI-X bus in MMRBC-sized bursts,
 * the adapter adds a fixed internal traverse latency,
 * received frames raise interrupts through a coalescing timer
-  (the 5 µs delay the paper turns off to save 5 µs of latency), and
-* TSO lets the host hand down a large virtual segment that the adapter
-  re-segments at wire speed.
+  (the 5 µs delay the paper turns off to save 5 µs of latency).
 """
 
 from __future__ import annotations
@@ -73,14 +71,13 @@ class TenGigAdapter:
             self._c_rx = metrics.counter("nic.rx.frames", nic=self.name)
             self._c_rxdrop = metrics.counter("nic.rx.drops", nic=self.name)
             self._c_irq = metrics.counter("nic.interrupts", nic=self.name)
-            self._c_tso = metrics.counter("nic.tso.splits", nic=self.name)
             self._c_train = metrics.counter("nic.tx_train_frames",
                                             nic=self.name)
             self._h_batch = metrics.histogram("irq.batch", nic=self.name)
             self._h_train = metrics.histogram("nic.train", nic=self.name)
         else:
             self._c_tx = self._c_txdrop = self._c_rx = None
-            self._c_rxdrop = self._c_irq = self._c_tso = None
+            self._c_rxdrop = self._c_irq = None
             self._c_train = self._h_batch = self._h_train = None
         # Train-batched transmit engine: a plain backlog deque drained
         # by a callback chain (see _tx_service).
@@ -103,8 +100,7 @@ class TenGigAdapter:
         self._irq_timer_armed = False
         from repro.oskernel.interrupts import InterruptModerator
         self.moderator = InterruptModerator(
-            base_delay_s=cfg.interrupt_coalescing_us * 1e-6,
-            adaptive=cfg.adaptive_coalescing)
+            delay_s=cfg.interrupt_coalescing_us * 1e-6)
         register_chaos_target("nic", self.name, self)
         host.register_adapter(self)
 
@@ -221,23 +217,15 @@ class TenGigAdapter:
 
     def _tx_dma_done(self, skb: SkBuff, mmrbc: int) -> None:
         self.pcix.account(skb.frame_bytes, mmrbc)
-        frames = self._wire_frames(skb)
+        self._egress.transmit(skb)
+        self.tx_frames.add()
+        if self._c_tx is not None:
+            self._c_tx.inc()
         trace = self.trace
-        if len(frames) > 1:
-            if self._c_tso is not None:
-                self._c_tso.inc()
-            if trace.enabled:
-                trace.post(self.env.now, "nic.tso.split", skb.ident,
-                           frames=len(frames), payload=skb.payload)
-        for frame in frames:
-            self._egress.transmit(frame)
-            self.tx_frames.add()
-            if self._c_tx is not None:
-                self._c_tx.inc()
-            if trace.enabled:
-                trace.post(self.env.now, "nic.tx.wire", frame.ident,
-                           nbytes=frame.frame_bytes)
-        self._train.add(len(frames))
+        if trace.enabled:
+            trace.post(self.env.now, "nic.tx.wire", skb.ident,
+                       nbytes=skb.frame_bytes)
+        self._train.add()
         if self._backlog:
             self._tx_service()
         else:
@@ -258,32 +246,13 @@ class TenGigAdapter:
         trace = self.trace
         if trace.enabled:
             trace.post(self.env.now, "nic.tx.train", None,
-                       frames=train.frames, wire_frames=train.wire_frames)
+                       frames=train.frames)
 
     def mean_train_size(self) -> float:
         """Average frames per closed transmit train (0 when none)."""
         if self.tx_trains.events == 0:
             return 0.0
         return self.tx_train_frames.total / self.tx_trains.events
-
-    def _wire_frames(self, skb: SkBuff) -> List[SkBuff]:
-        """Re-segment a TSO super-segment into wire frames; ordinary
-        frames pass through untouched."""
-        cfg = self.host.config
-        max_payload = cfg.mtu - skb.headers
-        if skb.payload <= max_payload or skb.kind != "data":
-            return [skb]
-        frames: List[SkBuff] = []
-        offset = 0
-        while offset < skb.payload:
-            chunk = min(max_payload, skb.payload - offset)
-            frames.append(SkBuff(
-                payload=chunk, headers=skb.headers, kind=skb.kind,
-                seq=skb.seq + offset, end_seq=skb.seq + offset + chunk,
-                ack=skb.ack, conn=skb.conn,
-                meta=dict(skb.meta, tso_parent=skb.ident)))
-            offset += chunk
-        return frames
 
     # -- receive -------------------------------------------------------------------
     def receive_frame(self, skb: SkBuff) -> None:
@@ -329,11 +298,11 @@ class TenGigAdapter:
             trace.post(self.env.now, "nic.rx.dma", skb.ident,
                        nbytes=skb.frame_bytes)
         self._rx_pending.append(skb)
-        self.moderator.note_arrival(self.env.now)
+        self.moderator.note_arrival()
         self._arm_interrupt()
 
     def _arm_interrupt(self) -> None:
-        coalesce = self.moderator.arming_delay_s()
+        coalesce = self.moderator.delay_s
         if coalesce <= 0:
             self._fire_interrupt()
             return

@@ -64,18 +64,16 @@ class SegmentTrain:
     frames.
     """
 
-    __slots__ = ("opened_at", "frames", "wire_frames", "closed_at")
+    __slots__ = ("opened_at", "frames", "closed_at")
 
     def __init__(self, opened_at: float):
         self.opened_at = opened_at
-        self.frames = 0        # skbs handed to the DMA engine
-        self.wire_frames = 0   # frames on the wire (TSO splits included)
+        self.frames = 0        # frames handed to the DMA engine
         self.closed_at: Optional[float] = None
 
-    def add(self, wire_frames: int = 1) -> None:
-        """Account one DMA'd skb that produced ``wire_frames`` frames."""
+    def add(self) -> None:
+        """Account one DMA'd frame."""
         self.frames += 1
-        self.wire_frames += wire_frames
 
     def close(self, at_time: float) -> None:
         """Mark the train complete (backlog drained)."""
@@ -86,5 +84,4 @@ class SegmentTrain:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "open" if self.closed_at is None else "closed"
-        return (f"<SegmentTrain {state} frames={self.frames} "
-                f"wire={self.wire_frames}>")
+        return f"<SegmentTrain {state} frames={self.frames}>"

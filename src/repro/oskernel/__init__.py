@@ -3,8 +3,7 @@
 This package models the *software* half of the paper's data path: the
 power-of-two sk_buff allocator whose block sizes explain the 8160-byte
 MTU result, truesize-based socket-buffer accounting, the SMP/UP kernel
-distinction, syscall and copy costs, and the old-API vs NAPI receive
-paths.
+distinction, and syscall and copy costs.
 """
 
 from repro.oskernel.allocator import BuddyAllocator, block_size_for, block_order

@@ -1,91 +1,35 @@
-"""Interrupt moderation: fixed and adaptive coalescing policies.
+"""Interrupt moderation: the fixed coalescing delay.
 
 The paper's adapters use a fixed interrupt delay (5 µs, the Fig. 6/7
 knob): every delay microsecond bought CPU relief at full load and cost
-exactly that microsecond at low load.  Later e1000-class hardware
-shipped *adaptive* moderation (ITR): the delay tracks the observed
-arrival rate, so a quiet link interrupts immediately while a saturated
-one batches aggressively — resolving the latency/throughput trade the
-paper had to choose between.
+exactly that microsecond at low load.
 
-:class:`InterruptModerator` implements both policies behind one
-interface; the NIC consults it for the delay to arm after each first
-unannounced frame.
+:class:`InterruptModerator` holds that delay, which the NIC arms after
+each first unannounced frame, and counts the frames it moderated.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.errors import ConfigError
-from repro.units import us
 
-__all__ = ["InterruptModerator", "ADAPTIVE_MAX_DELAY_S"]
-
-#: Ceiling for the adaptive policy's delay.
-ADAPTIVE_MAX_DELAY_S = us(20.0)
-
-#: EWMA weight for inter-arrival tracking.
-_EWMA_ALPHA = 0.25
-
-#: Arrival gaps above this are "idle"; interrupt immediately.  Saturated
-#: 10GbE inter-arrival gaps are 1-13 µs (16 KB frames at line rate), so
-#: anything slower is request-response traffic that wants low latency.
-_IDLE_GAP_S = us(15.0)
+__all__ = ["InterruptModerator"]
 
 
 class InterruptModerator:
-    """Decides the coalescing delay for each interrupt arming.
+    """The coalescing delay of one adapter.
 
     Parameters
     ----------
-    base_delay_s:
+    delay_s:
         The configured fixed delay (the paper's 5 µs).
-    adaptive:
-        When True, scale the delay with the observed packet rate
-        instead of using the fixed value.
     """
 
-    def __init__(self, base_delay_s: float, adaptive: bool = False,
-                 max_delay_s: float = ADAPTIVE_MAX_DELAY_S):
-        if base_delay_s < 0:
+    def __init__(self, delay_s: float):
+        if delay_s < 0:
             raise ConfigError("coalescing delay cannot be negative")
-        if max_delay_s < 0:
-            raise ConfigError("max delay cannot be negative")
-        self.base_delay_s = base_delay_s
-        self.adaptive = adaptive
-        self.max_delay_s = max_delay_s
-        self._last_arrival_s: Optional[float] = None
-        self._ewma_gap_s: Optional[float] = None
+        self.delay_s = delay_s
         self.arrivals = 0
 
-    def note_arrival(self, now_s: float) -> None:
-        """Record a frame arrival (drives the adaptive estimate)."""
+    def note_arrival(self) -> None:
+        """Count one received frame."""
         self.arrivals += 1
-        if self._last_arrival_s is not None:
-            gap = now_s - self._last_arrival_s
-            if gap >= 0:
-                if self._ewma_gap_s is None:
-                    self._ewma_gap_s = gap
-                else:
-                    self._ewma_gap_s += _EWMA_ALPHA * (gap - self._ewma_gap_s)
-        self._last_arrival_s = now_s
-
-    def arming_delay_s(self) -> float:
-        """The delay to use for the next interrupt arming."""
-        if not self.adaptive:
-            return self.base_delay_s
-        gap = self._ewma_gap_s
-        if gap is None or gap >= _IDLE_GAP_S:
-            # quiet link: do not tax latency
-            return 0.0
-        # busy link: wait long enough to batch a few frames, capped
-        delay = 3.0 * gap
-        return min(delay, self.max_delay_s)
-
-    @property
-    def estimated_rate_pps(self) -> float:
-        """Current packet-rate estimate (0 when unknown/idle)."""
-        if not self._ewma_gap_s:
-            return 0.0
-        return 1.0 / self._ewma_gap_s

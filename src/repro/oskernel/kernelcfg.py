@@ -1,4 +1,4 @@
-"""Kernel build configuration: SMP vs UP, old-API vs NAPI receive.
+"""Kernel build configuration: SMP vs UP.
 
 The paper's "counterintuitive optimization" replaces the SMP kernel with
 a uniprocessor build: the P4 Xeon SMP architecture pins each interrupt to
@@ -18,8 +18,7 @@ from dataclasses import dataclass
 
 from repro.config import TuningConfig
 
-__all__ = ["KernelConfig", "SMP_PER_PACKET_TAX", "SMP_IRQ_TAX",
-           "NAPI_RX_DISCOUNT"]
+__all__ = ["KernelConfig", "SMP_PER_PACKET_TAX", "SMP_IRQ_TAX"]
 
 #: SMP locking / cache-bounce multiplier on per-packet costs.  Calibrated
 #: so the UP switch reproduces the paper's ~10% (9000 MTU) and ~20-25%
@@ -29,22 +28,17 @@ SMP_PER_PACKET_TAX = 1.18
 #: SMP multiplier on interrupt entry/exit (all interrupts land on CPU0).
 SMP_IRQ_TAX = 1.35
 
-#: NAPI processes packets outside interrupt context: discount on the
-#: per-packet receive cost when multiple frames are handled per poll.
-NAPI_RX_DISCOUNT = 0.75
-
 
 @dataclass(frozen=True)
 class KernelConfig:
     """Derived kernel-build properties for a tuning state."""
 
     smp: bool
-    napi: bool
 
     @classmethod
     def from_tuning(cls, config: TuningConfig) -> "KernelConfig":
         """Kernel build matching a :class:`TuningConfig`."""
-        return cls(smp=config.smp_kernel, napi=config.napi)
+        return cls(smp=config.smp_kernel)
 
     @property
     def per_packet_tax(self) -> float:
@@ -56,23 +50,6 @@ class KernelConfig:
         """Multiplier on interrupt handling costs."""
         return SMP_IRQ_TAX if self.smp else 1.0
 
-    def rx_batch_cost_factor(self, batch: int) -> float:
-        """Per-packet receive cost factor when ``batch`` frames are
-        processed in one interrupt/poll.
-
-        The old API queues every frame separately in interrupt context,
-        so batching does not help.  NAPI only notes "packets are ready"
-        in the interrupt and processes the batch in softirq context,
-        cutting the per-packet cost for every frame after the first.
-        """
-        if batch < 1:
-            raise ValueError(f"batch must be >= 1, got {batch}")
-        if not self.napi or batch == 1:
-            return 1.0
-        # first frame full price, the rest discounted
-        return (1.0 + (batch - 1) * NAPI_RX_DISCOUNT) / batch
-
     def describe(self) -> str:
-        """Short label, e.g. ``"UP+NAPI"``."""
-        base = "SMP" if self.smp else "UP"
-        return f"{base}+NAPI" if self.napi else base
+        """Short label: ``"SMP"`` or ``"UP"``."""
+        return "SMP" if self.smp else "UP"

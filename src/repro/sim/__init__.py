@@ -7,7 +7,7 @@ The engine is deterministic — equal-time events fire in schedule order
 — which makes every experiment in this repository exactly reproducible.
 """
 
-from repro.sim.engine import (Environment, Event, Timeout, Process, Interrupt,
+from repro.sim.engine import (Environment, Event, Timeout, Process,
                               PeriodicCall)
 from repro.sim.monitor import CounterMonitor
 from repro.sim.pool import job_context, resolve_jobs, sweep
@@ -22,7 +22,6 @@ __all__ = [
     "Event",
     "Timeout",
     "Process",
-    "Interrupt",
     "PeriodicCall",
     "CounterMonitor",
     "RngStreams",

@@ -54,8 +54,7 @@ from repro.errors import ScheduleInPastError, SimulationError
 from repro.telemetry.profiling import component_of as _component_of
 from repro.telemetry.session import attach_environment as _attach_environment
 
-__all__ = ["Environment", "Event", "Timeout", "Process", "Interrupt",
-           "PeriodicCall"]
+__all__ = ["Environment", "Event", "Timeout", "Process", "PeriodicCall"]
 
 _heappush = heapq.heappush
 _heappop = heapq.heappop
@@ -123,14 +122,6 @@ class PeriodicCall:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "active" if self._active else "cancelled"
         return f"<PeriodicCall every {self.interval}s {state} fires={self.fires}>"
-
-
-class Interrupt(Exception):
-    """Thrown into a process by :meth:`Process.interrupt`."""
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
 
 
 class Event:
@@ -251,7 +242,7 @@ class Process(Event):
     processes can ``result = yield env.process(child())``.
     """
 
-    __slots__ = ("_generator", "_waiting_on", "name")
+    __slots__ = ("_generator", "name")
 
     def __init__(self, env: "Environment",
                  generator: Generator[Event, Any, Any],
@@ -260,7 +251,6 @@ class Process(Event):
         if not hasattr(generator, "send"):
             raise TypeError(f"process() requires a generator, got {generator!r}")
         self._generator = generator
-        self._waiting_on: Optional[Event] = None
         self.name = name or getattr(generator, "__name__", "process")
         # Bootstrap: resume the process at the current time (fast path —
         # the init event needs none of succeed()'s re-trigger checks).
@@ -274,29 +264,8 @@ class Process(Event):
         """True while the generator has not finished."""
         return not self._triggered
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time.
-
-        The event the process was waiting on is detached (its callback
-        removed) so it cannot resume the process a second time.
-        """
-        if self._triggered:
-            raise SimulationError(f"cannot interrupt finished process {self.name!r}")
-        waiting = self._waiting_on
-        if waiting is not None and waiting.callbacks is not None:
-            try:
-                waiting.callbacks.remove(self._resume)
-            except ValueError:
-                pass
-        self._waiting_on = None
-        wake = Event(self.env)
-        wake.succeed(value=Interrupt(cause))
-        wake._ok = False  # deliver via throw()
-        wake.add_callback(self._resume)
-
     # -- engine internals ---------------------------------------------------
     def _resume(self, event: Event) -> None:
-        self._waiting_on = None
         gen = self._generator
         try:
             if event._ok:
@@ -322,7 +291,6 @@ class Process(Event):
             self._finish(False, SimulationError(
                 f"process {self.name!r} yielded an event from another environment"))
             return
-        self._waiting_on = target
         target.add_callback(self._resume)
 
     def _finish(self, ok: bool, value: Any) -> None:

@@ -79,9 +79,9 @@ class TcpConnection:
         src_host.register_handler(self.conn_id, self._at_sender)
 
     # -- dispatch -----------------------------------------------------------------
-    def _at_receiver(self, skb: SkBuff, batch: int) -> None:
+    def _at_receiver(self, skb: SkBuff) -> None:
         if skb.kind == "data":
-            self.receiver.on_data_frame(skb, batch)
+            self.receiver.on_data_frame(skb)
         elif skb.kind == "syn":
             self.env.process(self._answer_syn(skb),
                              name=f"{self.name}.synack")
@@ -89,9 +89,9 @@ class TcpConnection:
             raise ProtocolError(
                 f"{self.name}: unexpected {skb.kind!r} frame at receiver")
 
-    def _at_sender(self, skb: SkBuff, batch: int) -> None:
+    def _at_sender(self, skb: SkBuff) -> None:
         if skb.kind == "ack":
-            self.sender.on_ack_frame(skb, batch)
+            self.sender.on_ack_frame(skb)
         elif skb.kind == "synack":
             ev = self._handshake_done
             if ev is not None and not ev.triggered:

@@ -46,7 +46,7 @@ class TcpReceiver:
             window_scaling=host.config.window_scaling)
         self.rcv_nxt = 0
         self._ooo: Dict[int, SkBuff] = {}
-        self._rx_backlog: Deque[Tuple[SkBuff, int]] = deque()
+        self._rx_backlog: Deque[SkBuff] = deque()
         self._rx_busy = False
         self._unacked_segments = 0
         self._delack_armed = False
@@ -81,41 +81,40 @@ class TcpReceiver:
             self._g_rmem = None
 
     # -- frame entry ---------------------------------------------------------
-    def on_data_frame(self, skb: SkBuff, batch: int = 1) -> None:
+    def on_data_frame(self, skb: SkBuff) -> None:
         """A data segment arrived (called from interrupt dispatch).
 
         Segments enter a per-connection queue drained by one processing
         loop — in-order TCP processing even on hosts whose CPU complex
         services several flows in parallel (Itanium-II)."""
         if self._rx_busy:
-            self._rx_backlog.append((skb, batch))
+            self._rx_backlog.append(skb)
         else:
             # A tail hop before processing: the host's batch dispatch
             # calls the last frame's handler as its entry's last action
             # and runs the others nested, so their hops stay on the lane.
             self._rx_busy = True
-            self.env.then(self._rx_begin, skb, batch)
+            self.env.then(self._rx_begin, skb)
 
     # -- processing chain -------------------------------------------------------
-    def _rx_begin(self, skb: SkBuff, batch: int) -> None:
+    def _rx_begin(self, skb: SkBuff) -> None:
         host = self.host
         env = self.env
-        end = host.cpu.charge(host.costs.rx_segment_s(skb.payload, batch))
+        end = host.cpu.charge(host.costs.rx_segment_s(skb.payload))
         if end <= env._now:
-            self._rx_process(skb, batch)
+            self._rx_process(skb)
         else:
-            env.schedule_call(end - env._now, self._rx_process, skb, batch)
+            env.schedule_call(end - env._now, self._rx_process, skb)
 
     def _rx_done(self) -> None:
         if self._rx_backlog:
-            skb, batch = self._rx_backlog.popleft()
             # A tail hop: every path into _rx_done (the ACK chain's
             # continuation, the end of _rx_process) calls it last.
-            self.env.then(self._rx_begin, skb, batch)
+            self.env.then(self._rx_begin, self._rx_backlog.popleft())
         else:
             self._rx_busy = False
 
-    def _rx_process(self, skb: SkBuff, batch: int) -> None:
+    def _rx_process(self, skb: SkBuff) -> None:
         """Segment processing once its CPU charge has completed."""
         host = self.host
         if self._c_seg is not None:
@@ -272,20 +271,6 @@ class TcpReceiver:
         self._waiters = waiting
 
     # -- ACK generation ---------------------------------------------------------
-    def _sack_blocks(self, limit: int = 4):
-        """RFC 2018 blocks from the out-of-order queue (merged,
-        most-recent-first capped at ``limit`` like real option space)."""
-        if not self._ooo:
-            return []
-        edges = sorted((skb.seq, skb.end_seq) for skb in self._ooo.values())
-        blocks = [list(edges[0])]
-        for start, end in edges[1:]:
-            if start <= blocks[-1][1]:
-                blocks[-1][1] = max(blocks[-1][1], end)
-            else:
-                blocks.append([start, end])
-        return [tuple(b) for b in blocks[-limit:]]
-
     def _ack_begin(self, then: Optional[Callable[[], None]]) -> None:
         """Send an ACK: state resets at call time, the ACK itself is
         emitted when the generation CPU charge completes, then
@@ -303,13 +288,10 @@ class TcpReceiver:
     def _ack_emit(self, then: Optional[Callable[[], None]]) -> None:
         host = self.host
         win = self.window.advertise()
-        meta = {"dst": self.src_address, "win": win}
-        if host.config.sack and self._ooo:
-            meta["sack"] = self._sack_blocks()
         ack = SkBuff(payload=0,
                      headers=ip_tcp_header_bytes(host.config.tcp_timestamps),
                      kind="ack", ack=self.rcv_nxt, conn=self.conn,
-                     meta=meta)
+                     meta={"dst": self.src_address, "win": win})
         self.acks_sent += 1
         if self._c_ack is not None:
             self._c_ack.inc()

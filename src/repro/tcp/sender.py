@@ -25,9 +25,6 @@ __all__ = ["TcpSender", "MIN_RTO_S"]
 #: Linux 2.4 minimum retransmission timeout (HZ/5).
 MIN_RTO_S = ms(200)
 
-#: Largest virtual segment handed to the adapter under TSO (64 KB).
-TSO_MAX_PAYLOAD = 65536 - 256
-
 
 class TcpSender:
     """One direction's transmit state machine.
@@ -49,7 +46,6 @@ class TcpSender:
         self.mss = profile.effective_mss
         self.headers = profile.mtu - profile.effective_mss  # IP+TCP+opts
         self.wmem = host.config.tcp_wmem
-        self.tso = host.config.tso
         self.cwnd = RenoCongestion(self.mss)
         self.rwnd_bytes = initial_rwnd
         # sequence state
@@ -114,10 +110,9 @@ class TcpSender:
                        nbytes=nbytes)
             trace.post(self.env.now, "copy.tx", self._conn_label,
                        nbytes=nbytes)
-        max_seg = TSO_MAX_PAYLOAD if self.tso else self.mss
         offset = 0
         while offset < nbytes:
-            size = min(max_seg, nbytes - offset)
+            size = min(self.mss, nbytes - offset)
             skb = SkBuff(payload=size, headers=self.headers,
                          kind="data", seq=self.queued_seq,
                          end_seq=self.queued_seq + size, conn=self.conn,
@@ -241,7 +236,7 @@ class TcpSender:
                               else "avoidance"))
 
     # -- ACK path ---------------------------------------------------------------
-    def on_ack_frame(self, skb: SkBuff, batch: int = 1) -> None:
+    def on_ack_frame(self, skb: SkBuff) -> None:
         """An ACK arrived at this host (called from interrupt dispatch)."""
         # A tail hop (the host's batch dispatch runs every frame but
         # the last nested), then an arithmetic CPU charge chained into
@@ -261,9 +256,6 @@ class TcpSender:
         new_window = skb.meta.get("win", self.rwnd_bytes)
         window_changed = new_window != self.rwnd_bytes
         self.rwnd_bytes = new_window
-        sack_blocks = skb.meta.get("sack")
-        if sack_blocks:
-            self._mark_sacked(sack_blocks)
         ack = skb.ack
         if ack > self.snd_una:
             self._advance_una(ack)
@@ -312,25 +304,10 @@ class TcpSender:
             self._rto_armed = False
 
     # -- loss recovery ------------------------------------------------------------
-    def _mark_sacked(self, blocks) -> None:
-        """RFC 2018 scoreboard: segments covered by a SACK block are
-        not retransmitted."""
-        for skb in self.inflight.values():
-            if skb.meta.get("sacked"):
-                continue
-            for start, end in blocks:
-                if start <= skb.seq and skb.end_seq <= end:
-                    skb.meta["sacked"] = True
-                    break
-
     def _retransmit_head(self) -> None:
-        head = None
-        for skb in self.inflight.values():
-            if not skb.meta.get("sacked"):
-                head = skb
-                break
-        if head is None:
+        if not self.inflight:
             return
+        head = next(iter(self.inflight.values()))
         clone = head.copy_for_retransmit()
         clone.meta["dst"] = self.dst_address
         self.retransmitted += 1

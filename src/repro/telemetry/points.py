@@ -40,11 +40,9 @@ _POINTS: Tuple[Tuple[str, str, str], ...] = (
     ("nic.tx.queue", "hw", "Frame accepted into the adapter tx queue"),
     ("nic.tx.drop", "hw", "Frame dropped at the full adapter tx queue"),
     ("nic.tx.wire", "hw", "Frame serialized onto the wire"),
-    ("nic.tso.split", "hw",
-     "TSO engine split an oversized send into wire-MTU frames"),
     ("nic.tx.train", "hw",
      "Transmit engine closed a segment train (frames DMA'd back-to-back "
-     "as one burst; wire_frames counts TSO splits)"),
+     "as one burst)"),
     ("nic.tx_train_frames", "hw",
      "Counter point: frames carried by closed transmit trains"),
     # -- hardware: NIC rx + interrupts ---------------------------------------

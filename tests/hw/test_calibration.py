@@ -40,11 +40,6 @@ class TestScaling:
             checksum_offload=False))
         assert no_offload.rx_segment_s(8948) > offload.rx_segment_s(8948)
 
-    def test_napi_discounts_batched_rx(self):
-        napi = cm(TuningConfig.uniprocessor(9000).replace(napi=True))
-        assert napi.rx_segment_s(8948, batch=8) < napi.rx_segment_s(8948,
-                                                                    batch=1)
-
     def test_allocator_order_penalty_visible(self):
         model = cm(TuningConfig.fully_tuned(9000))
         # 9000-MTU frames land in order-2 blocks; 8160 in order-1

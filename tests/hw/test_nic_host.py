@@ -47,7 +47,7 @@ def test_send_without_egress_rejected():
 def test_frame_travels_host_to_host():
     env, a, b, nic_a, nic_b = make_host_pair()
     got = []
-    b.register_handler("c1", lambda skb, batch: got.append((skb, env.now)))
+    b.register_handler("c1", lambda skb: got.append((skb, env.now)))
     skb = SkBuff(payload=1000, headers=52, conn="c1", meta={"dst": "B.eth0"})
     nic_a.send(skb)
     env.run()
@@ -61,12 +61,20 @@ def test_interrupt_coalescing_batches_frames():
     cfg = TuningConfig.stock(9000).replace(interrupt_coalescing_us=5.0)
     env, a, b, nic_a, nic_b = make_host_pair(cfg)
     batches = []
-    b.register_handler("c1", lambda skb, batch: batches.append(batch))
+    deliver = b.deliver_rx
+
+    def record(adapter, batch):
+        batches.append(len(batch))
+        deliver(adapter, batch)
+
+    b.deliver_rx = record
+    got = []
+    b.register_handler("c1", got.append)
     for _ in range(4):
         nic_a.send(SkBuff(payload=64, headers=52, conn="c1",
                           meta={"dst": "B.eth0"}))
     env.run()
-    assert sum(1 for _ in batches) == 4
+    assert len(got) == sum(batches) == 4
     # at least one interrupt served more than one frame
     assert max(batches) >= 2
     assert nic_b.interrupts.total < 4
@@ -75,7 +83,7 @@ def test_interrupt_coalescing_batches_frames():
 def test_no_coalescing_one_interrupt_per_frame():
     cfg = TuningConfig.stock(9000).replace(interrupt_coalescing_us=0.0)
     env, a, b, nic_a, nic_b = make_host_pair(cfg)
-    b.register_handler("c1", lambda skb, batch: None)
+    b.register_handler("c1", lambda skb: None)
     for _ in range(4):
         nic_a.send(SkBuff(payload=64, headers=52, conn="c1",
                           meta={"dst": "B.eth0"}))
@@ -86,7 +94,7 @@ def test_no_coalescing_one_interrupt_per_frame():
 def test_txqueue_overflow_drops_nonblocking_sends():
     cfg = TuningConfig.stock(9000).replace(txqueuelen=2)
     env, a, b, nic_a, nic_b = make_host_pair(cfg)
-    b.register_handler("c1", lambda skb, batch: None)
+    b.register_handler("c1", lambda skb: None)
     accepted = sum(
         nic_a.send(SkBuff(payload=8000, headers=52, conn="c1",
                           meta={"dst": "B.eth0"}))
@@ -99,7 +107,7 @@ def test_txqueue_overflow_drops_nonblocking_sends():
 def test_blocking_enqueue_applies_backpressure():
     cfg = TuningConfig.stock(9000).replace(txqueuelen=2)
     env, a, b, nic_a, nic_b = make_host_pair(cfg)
-    b.register_handler("c1", lambda skb, batch: None)
+    b.register_handler("c1", lambda skb: None)
     sent = []
 
     def produce(i):
@@ -127,7 +135,7 @@ def test_full_txqueue_accepts_in_the_order_of_the_event_form():
     Event-returning enqueue gave, recorded to the float bit."""
     cfg = TuningConfig.stock(9000).replace(txqueuelen=2)
     env, a, b, nic_a, nic_b = make_host_pair(cfg)
-    b.register_handler("c1", lambda skb, batch: None)
+    b.register_handler("c1", lambda skb: None)
     log = []
 
     def burst():
@@ -157,7 +165,7 @@ def test_full_txqueue_accepts_in_the_order_of_the_event_form():
 
 def test_tail_enqueue_runs_done_and_engine_start_directly():
     env, a, b, nic_a, nic_b = make_host_pair()
-    b.register_handler("c1", lambda skb, batch: None)
+    b.register_handler("c1", lambda skb: None)
     log = []
 
     def entry():
@@ -176,22 +184,6 @@ def test_tail_enqueue_runs_done_and_engine_start_directly():
     assert nic_a.tx_frames.total == 1
 
 
-def test_tso_resegments_super_frames():
-    cfg = TuningConfig.stock(9000).replace(tso=True)
-    env, a, b, nic_a, nic_b = make_host_pair(cfg)
-    got = []
-    b.register_handler("c1", lambda skb, batch: got.append(skb))
-    super_skb = SkBuff(payload=30000, headers=52, kind="data",
-                       seq=0, end_seq=30000, conn="c1",
-                       meta={"dst": "B.eth0"})
-    nic_a.send(super_skb)
-    env.run()
-    assert len(got) == 4  # ceil(30000 / 8948)
-    assert sum(f.payload for f in got) == 30000
-    assert [f.seq for f in got] == sorted(f.seq for f in got)
-    assert all(f.payload + f.headers <= cfg.mtu for f in got)
-
-
 def test_host_requires_handler():
     env, a, b, nic_a, nic_b = make_host_pair()
     nic_a.send(SkBuff(payload=100, headers=52, conn="mystery",
@@ -203,7 +195,7 @@ def test_host_requires_handler():
 def test_default_handler_catches_unregistered():
     env, a, b, nic_a, nic_b = make_host_pair()
     got = []
-    b.set_default_handler(lambda skb, batch: got.append(skb))
+    b.set_default_handler(lambda skb: got.append(skb))
     nic_a.send(SkBuff(payload=100, headers=52, conn="mystery",
                       meta={"dst": "B.eth0"}))
     env.run()

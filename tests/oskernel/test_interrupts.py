@@ -1,87 +1,19 @@
-"""Tests for interrupt moderation (fixed and adaptive)."""
+"""Tests for interrupt moderation (the fixed coalescing delay)."""
 
 import pytest
 
-from repro.config import TuningConfig
 from repro.errors import ConfigError
-from repro.net.topology import BackToBack
 from repro.oskernel.interrupts import InterruptModerator
-from repro.sim import Environment
-from repro.tcp.connection import TcpConnection
-from repro.tools.netpipe import netpipe_latency
-from repro.tools.nttcp import nttcp_run
 from repro.units import us
 
 
 class TestModeratorPolicy:
     def test_fixed_policy_returns_base_delay(self):
-        mod = InterruptModerator(base_delay_s=us(5), adaptive=False)
-        assert mod.arming_delay_s() == us(5)
-        mod.note_arrival(0.0)
-        mod.note_arrival(us(1))
-        assert mod.arming_delay_s() == us(5)
-
-    def test_adaptive_quiet_link_interrupts_immediately(self):
-        mod = InterruptModerator(base_delay_s=us(5), adaptive=True)
-        assert mod.arming_delay_s() == 0.0       # no history yet
-        mod.note_arrival(0.0)
-        mod.note_arrival(0.001)                   # 1 ms gap: idle
-        assert mod.arming_delay_s() == 0.0
-
-    def test_adaptive_busy_link_batches(self):
-        mod = InterruptModerator(base_delay_s=us(5), adaptive=True)
-        t = 0.0
-        for _ in range(50):
-            mod.note_arrival(t)
-            t += us(2)                            # 500k pps
-        delay = mod.arming_delay_s()
-        assert 0 < delay <= mod.max_delay_s
-        assert delay == pytest.approx(3 * us(2), rel=0.1)
-
-    def test_adaptive_delay_capped(self):
-        mod = InterruptModerator(base_delay_s=us(5), adaptive=True,
-                                 max_delay_s=us(10))
-        t = 0.0
-        for _ in range(50):
-            mod.note_arrival(t)
-            t += us(8)
-        assert mod.arming_delay_s() == us(10)
-
-    def test_rate_estimate(self):
-        mod = InterruptModerator(base_delay_s=0, adaptive=True)
-        t = 0.0
-        for _ in range(100):
-            mod.note_arrival(t)
-            t += us(10)
-        assert mod.estimated_rate_pps == pytest.approx(1e5, rel=0.05)
+        mod = InterruptModerator(delay_s=us(5))
+        mod.note_arrival()
+        mod.note_arrival()
+        assert mod.delay_s == us(5)
 
     def test_validation(self):
         with pytest.raises(ConfigError):
-            InterruptModerator(base_delay_s=-1)
-        with pytest.raises(ConfigError):
-            InterruptModerator(base_delay_s=0, max_delay_s=-1)
-
-
-class TestAdaptiveEndToEnd:
-    def test_low_latency_without_giving_up_coalescing(self):
-        """Adaptive moderation matches the coalescing-off latency
-        (Fig. 7's 14 µs) on an idle link..."""
-        cfg = TuningConfig(mtu=1500, mmrbc=4096, smp_kernel=False,
-                           adaptive_coalescing=True)
-        env = Environment()
-        bb = BackToBack.create(env, cfg)
-        fwd = TcpConnection(env, bb.a, bb.b)
-        bwd = TcpConnection(env, bb.b, bb.a)
-        lat = netpipe_latency(env, fwd, bwd, payload=1, iterations=4)
-        assert lat.latency_us == pytest.approx(14.0, abs=1.5)
-
-    def test_batching_survives_under_load(self):
-        """...while a saturated link still amortises interrupts."""
-        cfg = TuningConfig.oversized_windows(1500).replace(
-            adaptive_coalescing=True)
-        env = Environment()
-        bb = BackToBack.create(env, cfg)
-        conn = TcpConnection(env, bb.a, bb.b)
-        nttcp_run(env, conn, payload=1448, count=512)
-        nic = bb.b.nic
-        assert nic.interrupts.total < nic.rx_frames.total * 0.9
+            InterruptModerator(delay_s=-1)

@@ -1,11 +1,8 @@
 """Unit tests for SMP/UP kernel configuration."""
 
-import pytest
-
 from repro.config import TuningConfig
 from repro.oskernel.kernelcfg import (
     KernelConfig,
-    NAPI_RX_DISCOUNT,
     SMP_IRQ_TAX,
     SMP_PER_PACKET_TAX,
 )
@@ -13,50 +10,23 @@ from repro.oskernel.kernelcfg import (
 
 def test_from_tuning():
     smp = KernelConfig.from_tuning(TuningConfig.stock())
-    assert smp.smp and not smp.napi
+    assert smp.smp
     up = KernelConfig.from_tuning(TuningConfig.uniprocessor())
     assert not up.smp
 
 
 def test_smp_taxes_applied():
-    smp = KernelConfig(smp=True, napi=False)
+    smp = KernelConfig(smp=True)
     assert smp.per_packet_tax == SMP_PER_PACKET_TAX > 1.0
     assert smp.irq_tax == SMP_IRQ_TAX > 1.0
 
 
 def test_up_is_tax_free():
-    up = KernelConfig(smp=False, napi=False)
+    up = KernelConfig(smp=False)
     assert up.per_packet_tax == 1.0
     assert up.irq_tax == 1.0
 
 
-def test_old_api_gets_no_batch_discount():
-    old = KernelConfig(smp=False, napi=False)
-    assert old.rx_batch_cost_factor(1) == 1.0
-    assert old.rx_batch_cost_factor(8) == 1.0
-
-
-def test_napi_discounts_batches():
-    napi = KernelConfig(smp=False, napi=True)
-    assert napi.rx_batch_cost_factor(1) == 1.0
-    f4 = napi.rx_batch_cost_factor(4)
-    assert f4 < 1.0
-    # first frame full price, rest discounted
-    expected = (1 + 3 * NAPI_RX_DISCOUNT) / 4
-    assert f4 == pytest.approx(expected)
-
-
-def test_napi_discount_monotone_in_batch():
-    napi = KernelConfig(smp=False, napi=True)
-    factors = [napi.rx_batch_cost_factor(b) for b in (1, 2, 4, 8, 16)]
-    assert factors == sorted(factors, reverse=True)
-
-
-def test_invalid_batch_rejected():
-    with pytest.raises(ValueError):
-        KernelConfig(smp=False, napi=True).rx_batch_cost_factor(0)
-
-
 def test_describe():
-    assert KernelConfig(smp=True, napi=False).describe() == "SMP"
-    assert KernelConfig(smp=False, napi=True).describe() == "UP+NAPI"
+    assert KernelConfig(smp=True).describe() == "SMP"
+    assert KernelConfig(smp=False).describe() == "UP"

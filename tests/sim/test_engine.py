@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ScheduleInPastError, SimulationError
-from repro.sim import Environment, Interrupt
+from repro.sim import Environment
 
 
 def test_clock_starts_at_zero():
@@ -164,41 +164,6 @@ def test_process_exception_delivered_to_waiter():
     env.process(waiter())
     env.run()
     assert caught == ["kaput"]
-
-
-def test_interrupt_wakes_sleeping_process():
-    env = Environment()
-    log = []
-
-    def sleeper():
-        try:
-            yield env.timeout(100.0)
-            log.append("slept")
-        except Interrupt as intr:
-            log.append(("interrupted", intr.cause, env.now))
-
-    proc = env.process(sleeper())
-
-    def interrupter():
-        yield env.timeout(2.0)
-        proc.interrupt("wakeup")
-
-    env.process(interrupter())
-    env.run()
-    assert ("interrupted", "wakeup", 2.0) in log
-    assert "slept" not in log
-
-
-def test_interrupt_finished_process_rejected():
-    env = Environment()
-
-    def quick():
-        yield env.timeout(0.1)
-
-    proc = env.process(quick())
-    env.run()
-    with pytest.raises(SimulationError):
-        proc.interrupt()
 
 
 def test_run_until_event_returns_value():

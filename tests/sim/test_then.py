@@ -255,8 +255,7 @@ def test_rx_backlog_chain_keeps_the_stack_flat(monkeypatch):
     env = Environment()
     cfg = TuningConfig.oversized_windows(9000)
     host = Host(env, PE2650, cfg, name="R")
-    monkeypatch.setattr(host.costs, "rx_segment_s",
-                        lambda payload, batch=1: 0.0)
+    monkeypatch.setattr(host.costs, "rx_segment_s", lambda payload: 0.0)
     monkeypatch.setattr(host.costs, "rx_ack_gen_s", lambda: 0.0)
     rx = TcpReceiver(env, host, _SinkNic(), conn=1, src_address="peer",
                      profile=MtuProfile(mtu=9000, timestamps=True),
@@ -264,9 +263,9 @@ def test_rx_backlog_chain_keeps_the_stack_flat(monkeypatch):
     depths = []
     begin = rx._rx_begin
 
-    def traced_begin(skb, batch):
+    def traced_begin(skb):
         depths.append(_depth())
-        begin(skb, batch)
+        begin(skb)
 
     monkeypatch.setattr(rx, "_rx_begin", traced_begin)
     segments = 4 * sys.getrecursionlimit()
@@ -305,7 +304,7 @@ def test_interrupt_batch_keeps_the_stack_flat(monkeypatch):
         # the interrupt cost stays: the batch dispatch is its own entry
         monkeypatch.setattr(host.costs, "rx_ack_gen_s", lambda: 0.0)
         monkeypatch.setattr(host.costs, "rx_segment_s",
-                            lambda payload, batch=1: 0.0)
+                            lambda payload: 0.0)
         if not use_then:
             monkeypatch.setattr(
                 env, "then",
@@ -318,9 +317,9 @@ def test_interrupt_batch_keeps_the_stack_flat(monkeypatch):
         depths = []
         begin = rx._rx_begin
 
-        def traced_begin(skb, batch, begin=begin, depths=depths):
+        def traced_begin(skb, begin=begin, depths=depths):
             depths.append(_depth())
-            begin(skb, batch)
+            begin(skb)
 
         monkeypatch.setattr(rx, "_rx_begin", traced_begin)
         batch = [SkBuff(payload=payload, headers=64, kind="data",

@@ -97,14 +97,6 @@ def test_retransmission_rate_zero_without_loss():
     assert conn.retransmission_rate() == 0.0
 
 
-def test_tso_reduces_segments_sent_by_host():
-    cfg = TuningConfig.oversized_windows(9000).replace(tso=True)
-    env, conn = transfer(cfg, 60000, 8)
-    # host hands down one super-segment per write
-    assert conn.sender.segments_sent == 8
-    assert conn.receiver.bytes_delivered == 60000 * 8
-
-
 def test_two_connections_share_host_independently():
     env = Environment()
     bb = BackToBack.create(env, TuningConfig.fully_tuned(9000))

@@ -46,9 +46,9 @@ def make_sender(env, config=None, rwnd=KB(192)):
     return sender, nic, host
 
 
-def ack(sender, ack_seq, win=KB(192), **meta):
+def ack(sender, ack_seq, win=KB(192)):
     skb = SkBuff(payload=0, headers=52, kind="ack", ack=ack_seq,
-                 conn=1, meta={"win": win, **meta})
+                 conn=1, meta={"win": win})
     sender.on_ack_frame(skb)
 
 
@@ -148,23 +148,6 @@ class TestSenderUnit:
         env.run(until=0.04)
         assert done["flag"]
         assert sender.wmem_used <= KB(32)
-
-    def test_sacked_segments_skipped_on_retransmit(self):
-        env = Environment()
-        cfg = TuningConfig.oversized_windows(9000).replace(sack=True)
-        sender, nic, _ = make_sender(env, config=cfg)
-
-        def app():
-            yield from sender.write(8948 * 8)
-
-        env.process(app())
-        env.run(until=0.05)
-        # SACK says segment 2 (seq 8948..17896) arrived; segment 1 lost
-        for _ in range(3):
-            ack(sender, 0, sack=[(8948, 17896)])
-        env.run(until=0.1)
-        retransmits = [s for s in nic.sent if s.meta.get("retransmit")]
-        assert [r.seq for r in retransmits] == [0]
 
 
 def make_receiver(env, config=None):

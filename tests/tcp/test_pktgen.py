@@ -12,7 +12,7 @@ from repro.tcp.pktgen import pktgen_run
 def make_bb(cfg=None):
     env = Environment()
     bb = BackToBack.create(env, cfg or TuningConfig.with_pcix_burst(9000))
-    bb.b.set_default_handler(lambda skb, batch: None)
+    bb.b.set_default_handler(lambda skb: None)
     return env, bb
 
 

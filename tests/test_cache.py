@@ -27,8 +27,8 @@ class TestStableKey:
         for change in ({"mtu": 9000}, {"mmrbc": 512},
                        {"smp_kernel": True}, {"tcp_rmem": 65536},
                        {"interrupt_coalescing_us": 0.0},
-                       {"tcp_timestamps": False}, {"tso": True},
-                       {"txqueuelen": 5000}, {"sack": True}):
+                       {"tcp_timestamps": False}, {"window_scaling": False},
+                       {"txqueuelen": 5000}, {"checksum_offload": False}):
             key = stable_key(base.replace(**change))
             assert key not in seen, change
             seen.add(key)

@@ -1,9 +1,15 @@
 """Unit tests for TuningConfig."""
 
+import ast
+import dataclasses
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.config import MAX_ADAPTER_MTU, TuningConfig, VALID_MMRBC
 from repro.errors import ConfigError
+from repro.oskernel.sysctl import SysctlTable
 from repro.units import KB
 
 
@@ -99,3 +105,28 @@ def test_as_dict_roundtrip():
     d = cfg.as_dict()
     assert d["mtu"] == 8160
     assert TuningConfig(**d) == cfg
+
+
+def _attributes_read_outside_config():
+    """Every ``x.name`` read in the package's modules but config.py."""
+    package = Path(repro.__file__).parent
+    names = set()
+    for path in package.rglob("*.py"):
+        if path == package / "config.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) \
+                    and isinstance(node.ctx, ast.Load):
+                names.add(node.attr)
+    return names
+
+
+def test_every_field_is_read_by_the_model():
+    """A field nothing reads is a switch that changes only the cache
+    key: each one must reach the model as an attribute read or
+    through the sysctl map."""
+    read = _attributes_read_outside_config()
+    read |= {field for _, field in SysctlTable._KEYS.values()}
+    unread = [f.name for f in dataclasses.fields(TuningConfig)
+              if f.name not in read]
+    assert unread == []
