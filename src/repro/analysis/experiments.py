@@ -564,10 +564,10 @@ def _fast_tcp(quick: bool = True) -> ExperimentOutput:
     """Beyond the paper: FAST TCP (the co-authors' follow-up) vs Reno
     on the record path — the fix for Table 1's recovery times."""
     from repro.analysis.tables import format_table
-    from repro.tcp.fast import simulate_fluid_fast
-    from repro.tcp.fluid import FluidParams, simulate_fluid
+    from repro.tcp.analytic import bandwidth_delay_product
+    from repro.tcp.fluid import FastParams, FluidParams, simulate_fluid
 
-    bdp = Gbps(2.38) * 0.18 / 8.0
+    bdp = bandwidth_delay_product(Gbps(2.38), 0.18)
     duration = 600.0 if quick else 1800.0
     rows = []
     for queue in (200, 400, 1024):
@@ -576,8 +576,7 @@ def _fast_tcp(quick: bool = True) -> ExperimentOutput:
                         queue_packets=queue)
         reno = simulate_fluid(p, duration, warmup_s=duration / 5)
         # FAST's alpha (target standing queue) must fit the buffer
-        from repro.tcp.fast import FastParams
-        fast = simulate_fluid_fast(
+        fast = simulate_fluid(
             p, duration, warmup_s=duration / 5,
             fast=FastParams(alpha_packets=min(200.0, queue / 2.0)))
         rows.append({

@@ -22,9 +22,7 @@ from typing import Dict, List
 from repro.config import TuningConfig
 from repro.errors import MeasurementError
 from repro.hw.calibration import Calibration, CostModel, DEFAULT_CALIBRATION
-from repro.hw.pcix import BURST_OVERHEAD_S
 from repro.hw.presets import HostSpec, PE2650
-from repro.oskernel.skbuff import ETH_OVERHEAD_WIRE
 from repro.tcp.mss import mss_for_mtu
 from repro.units import Gbps
 
@@ -60,19 +58,21 @@ class StackProfile:
         return sum(s.microseconds for s in self.stages
                    if not where or s.where == where)
 
-    def bottleneck(self) -> str:
-        """The location whose serial work is largest (what binds)."""
+    def _by_where(self) -> Dict[str, float]:
+        """Serial seconds per location."""
         by_where: Dict[str, float] = {}
         for s in self.stages:
             by_where[s.where] = by_where.get(s.where, 0.0) + s.seconds
+        return by_where
+
+    def bottleneck(self) -> str:
+        """The location whose serial work is largest (what binds)."""
+        by_where = self._by_where()
         return max(by_where, key=by_where.get)
 
     def predicted_goodput_bps(self) -> float:
         """Payload rate implied by the binding location."""
-        by_where: Dict[str, float] = {}
-        for s in self.stages:
-            by_where[s.where] = by_where.get(s.where, 0.0) + s.seconds
-        worst = max(by_where.values())
+        worst = max(self._by_where().values())
         if worst <= 0:
             raise MeasurementError("profile has no positive costs")
         return self.payload * 8.0 / worst
@@ -109,11 +109,11 @@ class StackProfiler:
         if payload <= 0:
             payload = mss
         frame = costs.frame_bytes(payload)
-        cal = costs.cal
 
         # decompose tx_segment_s into its documented parts
         tx_total = costs.tx_segment_s(payload)
-        tx_alloc = costs.alloc_cost_s(frame)
+        # direct data placement allocates no skb on either side
+        tx_alloc = 0.0 if config.os_bypass else costs.alloc_cost_s(frame)
         tx_copy = payload * costs._tx_byte_s * costs.kernel.per_packet_tax
         tx_proto = max(0.0, tx_total - tx_alloc - tx_copy)
 
@@ -126,14 +126,7 @@ class StackProfiler:
             rx_alloc = costs.alloc_cost_s(frame)
         rx_bytes = payload * costs._rx_byte_s * costs.kernel.per_packet_tax
         rx_proto = max(0.0, rx_total - rx_alloc - rx_bytes)
-
-        if config.csa:
-            from repro.hw.csa import MCH_LINK_BPS, MCH_TRANSFER_OVERHEAD_S
-            dma = (frame * 8.0 / MCH_LINK_BPS + MCH_TRANSFER_OVERHEAD_S)
-        else:
-            bursts = -(-frame // config.mmrbc)
-            dma = (frame * 8.0 / (self.spec.pcix_mhz * 1e6 * 64)
-                   + bursts * BURST_OVERHEAD_S)
+        dma = costs.dma_hold_s(frame)
 
         stages = [
             StageCost("write() syscall", "sender CPU",
@@ -146,8 +139,7 @@ class StackProfiler:
                       0.5 * costs.tx_ack_rx_s(), False),
             StageCost("DMA to adapter", "sender bus", dma, True),
             StageCost("wire serialization", "wire",
-                      (frame + ETH_OVERHEAD_WIRE) * 8.0 / self.wire_bps,
-                      True),
+                      costs.wire_time_s(frame, self.wire_bps), True),
             StageCost("DMA to host memory", "receiver bus", dma, True),
             StageCost("interrupt service (amortised)", "receiver CPU",
                       costs.rx_irq_s(), False),

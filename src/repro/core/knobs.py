@@ -62,12 +62,6 @@ def _parse_optional_str(raw: Optional[str]) -> Optional[str]:
     return raw.strip() if raw and raw.strip() else None
 
 
-def _parse_optional_float(raw: Optional[str]) -> Optional[float]:
-    if raw is None or not raw.strip():
-        return None
-    return float(raw)  # call sites map ValueError to their error types
-
-
 def _parse_optional_int(raw: Optional[str]) -> Optional[int]:
     if raw is None or not raw.strip():
         return None
@@ -165,11 +159,6 @@ _register_env(
                 "hybrid and all-DES results legitimately differ under "
                 "background load, so the setting must reach cache "
                 "keys.")
-_register_env(
-    "REPRO_STREAM_TICK", None, _parse_optional_float,
-    affects_results=False, keyed_via="none",
-    description="Telemetry heartbeat cadence in simulated seconds "
-                "(observability only; never feeds back into the run).")
 _register_env(
     "REPRO_SERVE_HOLD", None, _parse_optional_str,
     affects_results=False, keyed_via="none",

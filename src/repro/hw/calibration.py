@@ -39,10 +39,13 @@ from dataclasses import dataclass
 
 from repro.config import TuningConfig
 from repro.errors import ConfigError
+from repro.hw.csa import mch_hold_s
 from repro.hw.memory import MemorySubsystem
+from repro.hw.pcix import pcix_hold_s
 from repro.hw.presets import HostSpec
 from repro.oskernel.kernelcfg import KernelConfig
-from repro.units import us
+from repro.oskernel.skbuff import ETH_OVERHEAD_WIRE
+from repro.units import transfer_time, us
 
 __all__ = ["CostModel", "Calibration", "DEFAULT_CALIBRATION"]
 
@@ -282,6 +285,21 @@ class CostModel:
             self._frame_bytes_cache[payload] = n
         return n
 
+    def dma_hold_s(self, frame_bytes: int) -> float:
+        """Bus hold of one DMA transfer of ``frame_bytes``: the memory
+        hub's under CSA (§3.5.3), else the host's PCI-X bus's at the
+        configured MMRBC — the hold the DES adapter's bus charges."""
+        if self.config.csa:
+            return mch_hold_s(frame_bytes)
+        return pcix_hold_s(frame_bytes, self.config.mmrbc, self.spec.pcix_mhz,
+                           self.spec.pcix_burst_overhead_ns * 1e-9)
+
+    @staticmethod
+    def wire_time_s(frame_bytes: int, wire_bps: float) -> float:
+        """Serialization of one frame of ``frame_bytes``, preamble and
+        inter-frame gap included, as an Ethernet link charges it."""
+        return transfer_time(frame_bytes + ETH_OVERHEAD_WIRE, wire_bps)
+
     def pktgen_loop_s(self) -> float:
         """Kernel packet-generator per-packet loop cost (single copy,
         bypasses the whole stack — §3.5.2)."""
@@ -317,14 +335,18 @@ class CostModel:
         return skb.truesize
 
     # -- diagnostics ----------------------------------------------------------
+    def rx_per_segment_s(self, payload: int) -> float:
+        """Receiver CPU budget per data segment with one interrupt and
+        one reader wakeup each and an ACK every second segment."""
+        return (self.rx_irq_s()
+                + self.rx_segment_s(payload)
+                + 0.5 * self.rx_ack_gen_s()
+                + self.rx_wake_s())
+
     def rx_capacity_bps(self, mss: int) -> float:
         """Receiver CPU capacity for MSS-sized segments: the analytic
         ceiling the DES approaches with ample windows."""
-        per_seg = (self.rx_irq_s()
-                   + self.rx_segment_s(mss)
-                   + 0.5 * self.rx_ack_gen_s()
-                   + self.rx_wake_s())
-        return mss * 8.0 / per_seg
+        return mss * 8.0 / self.rx_per_segment_s(mss)
 
     def tx_capacity_bps(self, mss: int) -> float:
         """Sender CPU capacity for MSS-sized segments."""

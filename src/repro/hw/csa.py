@@ -10,7 +10,9 @@ the MCH allows for the bypass of the I/O bus."
 :class:`~repro.hw.pcix.PciXBus` in the adapter's DMA path: a dedicated
 hub interface with no burst-size sensitivity and a small fixed
 per-transfer cost.  It removes both the MMRBC bottleneck and the
-PCI-X-as-error-source concern the paper raises.
+PCI-X-as-error-source concern the paper raises.  It shares the bus's
+FIFO timeline, hold memo, counters and DMA protocol; only the hold
+(:func:`mch_hold_s`) and the ``mch.dma`` telemetry names differ.
 """
 
 from __future__ import annotations
@@ -18,13 +20,12 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.errors import ConfigError
+from repro.hw.pcix import PciXBus
 from repro.sim.engine import Environment
-from repro.sim.timeline import FifoTimeline
 from repro.sim.trace import TraceBuffer
-from repro.telemetry.session import active_metrics
 from repro.units import Gbps, ns
 
-__all__ = ["MchLink"]
+__all__ = ["MchLink", "mch_hold_s"]
 
 #: Dedicated hub-interface bandwidth (a CSA-era MCH port scaled to the
 #: 10GbE generation: wide enough never to bind before the wire).
@@ -34,7 +35,13 @@ MCH_LINK_BPS = Gbps(16)
 MCH_TRANSFER_OVERHEAD_S = ns(120)
 
 
-class MchLink:
+def mch_hold_s(nbytes: int, link_bps: float = MCH_LINK_BPS,
+               overhead_s: float = MCH_TRANSFER_OVERHEAD_S) -> float:
+    """Hub-occupancy seconds for one transfer of ``nbytes``."""
+    return nbytes * 8.0 / link_bps + overhead_s
+
+
+class MchLink(PciXBus):
     """A memory-controller-hub attachment point for one adapter."""
 
     def __init__(self, env: Environment, link_bps: float = MCH_LINK_BPS,
@@ -45,24 +52,9 @@ class MchLink:
             raise ConfigError("MCH link bandwidth must be positive")
         if overhead_s < 0:
             raise ConfigError("MCH overhead cannot be negative")
-        self.env = env
         self.link_bps = link_bps
         self.overhead_s = overhead_s
-        self.bus = FifoTimeline(env, capacity=1, name=name)
-        self.name = name
-        self.trace = trace
-        self.bytes_moved = 0
-        metrics = active_metrics()
-        if metrics is not None:
-            self._c_dma = metrics.counter("mch.dma.transfers", bus=name)
-            self._c_bytes = metrics.counter("mch.dma.bytes", bus=name)
-        else:
-            self._c_dma = self._c_bytes = None
-
-    @property
-    def peak_bps(self) -> float:
-        """Raw hub-interface bandwidth."""
-        return self.link_bps
+        self._attach(env, name, trace, "mch.dma")
 
     def transfer_time(self, nbytes: int, mmrbc: int = 0) -> float:
         """Hub-occupancy seconds for one transfer.
@@ -72,33 +64,8 @@ class MchLink:
         """
         if nbytes <= 0:
             raise ConfigError(f"transfer size must be positive, got {nbytes}")
-        return nbytes * 8.0 / self.link_bps + self.overhead_s
+        return mch_hold_s(nbytes, self.link_bps, self.overhead_s)
 
-    def effective_bps(self, nbytes: int, mmrbc: int = 0) -> float:
-        """Effective bandwidth for back-to-back transfers."""
-        return nbytes * 8.0 / self.transfer_time(nbytes, mmrbc)
-
-    def charge_transfer(self, nbytes: int, mmrbc: int = 0):
-        """Commit one FIFO hub hold arithmetically; return (start, end)."""
-        return self.bus.charge(self.transfer_time(nbytes, mmrbc))
-
-    def account(self, nbytes: int, mmrbc: int = 0) -> None:
-        """Record a completed transfer (counters + trace)."""
-        self.bytes_moved += nbytes
-        if self._c_dma is not None:
-            self._c_dma.inc()
-            self._c_bytes.inc(nbytes)
-        trace = self.trace
-        if trace is not None and trace.enabled:
-            trace.post(self.env.now, "mch.dma", None, bus=self.name,
-                       nbytes=nbytes)
-
-    def dma(self, nbytes: int, mmrbc: int = 0):
-        """Process: occupy the hub for one transfer."""
-        _, end = self.charge_transfer(nbytes, mmrbc)
-        yield self.env._fast_timeout(end - self.env._now)
-        self.account(nbytes, mmrbc)
-
-    def utilization(self) -> float:
-        """Busy fraction since t=0."""
-        return self.bus.utilization()
+    def _post(self, trace: TraceBuffer, nbytes: int, mmrbc: int) -> None:
+        trace.post(self.env.now, "mch.dma", None, bus=self.name,
+                   nbytes=nbytes)

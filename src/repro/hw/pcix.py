@@ -12,6 +12,10 @@ receive DMA (memory writes) of one host contend on it, as do two
 adapters installed on the *same* segment.  The paper's dual-adapter test
 used independent buses, which :class:`~repro.hw.host.Host` models by
 instantiating one :class:`PciXBus` per adapter.
+
+:func:`pcix_hold_s` is the bus-hold formula itself, shared by the DES
+bus and the closed-form tiers (through
+:meth:`~repro.hw.calibration.CostModel.dma_hold_s`).
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from repro.sim.trace import TraceBuffer
 from repro.telemetry.session import active_metrics
 from repro.units import ns
 
-__all__ = ["PciXBus", "BURST_OVERHEAD_S"]
+__all__ = ["PciXBus", "BURST_OVERHEAD_S", "pcix_peak_bps", "pcix_hold_s"]
 
 #: Fixed per-burst overhead: arbitration, address phase, attribute phase,
 #: target initial latency and split-completion turnaround.  Calibrated so
@@ -34,6 +38,21 @@ __all__ = ["PciXBus", "BURST_OVERHEAD_S"]
 #: and ~7.1 Gb/s with 4096-byte bursts, bracketing the paper's stock and
 #: optimized 9000-MTU results.
 BURST_OVERHEAD_S = ns(960)
+
+
+def pcix_peak_bps(clock_mhz: int) -> float:
+    """Raw PCI-X bandwidth: clock x 64 bit."""
+    return clock_mhz * 1e6 * 64
+
+
+def pcix_hold_s(nbytes: int, mmrbc: int, clock_mhz: int,
+                burst_overhead_s: float) -> float:
+    """Bus-occupancy seconds to DMA ``nbytes`` with ``mmrbc`` bursts.
+
+    The data time at the raw bus rate plus a fixed overhead per burst of
+    at most ``mmrbc`` bytes."""
+    bursts = -(-nbytes // mmrbc)  # ceil division
+    return nbytes * 8.0 / pcix_peak_bps(clock_mhz) + bursts * burst_overhead_s
 
 
 class PciXBus:
@@ -48,28 +67,33 @@ class PciXBus:
                               f"got {clock_mhz}")
         if burst_overhead_s < 0:
             raise ConfigError("burst overhead cannot be negative")
-        self.env = env
         self.clock_mhz = clock_mhz
         self.burst_overhead_s = burst_overhead_s
+        self._attach(env, name, trace, "pcix.dma")
+
+    def _attach(self, env: Environment, name: str,
+                trace: Optional[TraceBuffer], point: str) -> None:
+        """Build the FIFO timeline, hold memo and ``<point>.*`` counters."""
+        self.env = env
         self.bus = FifoTimeline(env, capacity=1, name=name)
         self.name = name
         self.trace = trace
         self.bytes_moved = 0
         # bus hold per (nbytes, mmrbc): a transfer charges a few dozen
-        # distinct pairs hundreds of thousands of times, and clock and
-        # burst overhead are fixed once the bus is built
+        # distinct pairs hundreds of thousands of times, and the timing
+        # parameters are fixed once the bus is built
         self._holds: Dict[Tuple[int, int], float] = {}
         metrics = active_metrics()
         if metrics is not None:
-            self._c_dma = metrics.counter("pcix.dma.transfers", bus=name)
-            self._c_bytes = metrics.counter("pcix.dma.bytes", bus=name)
+            self._c_dma = metrics.counter(f"{point}.transfers", bus=name)
+            self._c_bytes = metrics.counter(f"{point}.bytes", bus=name)
         else:
             self._c_dma = self._c_bytes = None
 
     @property
     def peak_bps(self) -> float:
         """Raw bandwidth: clock x 64 bit."""
-        return self.clock_mhz * 1e6 * 64
+        return pcix_peak_bps(self.clock_mhz)
 
     # -- timing ---------------------------------------------------------------
     def transfer_time(self, nbytes: int, mmrbc: int) -> float:
@@ -78,8 +102,8 @@ class PciXBus:
             raise ConfigError(f"invalid MMRBC {mmrbc}")
         if nbytes <= 0:
             raise ConfigError(f"transfer size must be positive, got {nbytes}")
-        bursts = -(-nbytes // mmrbc)  # ceil division
-        return nbytes * 8.0 / self.peak_bps + bursts * self.burst_overhead_s
+        return pcix_hold_s(nbytes, mmrbc, self.clock_mhz,
+                           self.burst_overhead_s)
 
     def effective_bps(self, nbytes: int, mmrbc: int) -> float:
         """Effective bandwidth for back-to-back ``nbytes`` transfers."""
@@ -111,8 +135,11 @@ class PciXBus:
             self._c_bytes.inc(nbytes)
         trace = self.trace
         if trace is not None and trace.enabled:
-            trace.post(self.env.now, "pcix.dma", None, bus=self.name,
-                       nbytes=nbytes, bursts=-(-nbytes // mmrbc), mmrbc=mmrbc)
+            self._post(trace, nbytes, mmrbc)
+
+    def _post(self, trace: TraceBuffer, nbytes: int, mmrbc: int) -> None:
+        trace.post(self.env.now, "pcix.dma", None, bus=self.name,
+                   nbytes=nbytes, bursts=-(-nbytes // mmrbc), mmrbc=mmrbc)
 
     def dma(self, nbytes: int, mmrbc: int):
         """Process: occupy the bus for one DMA transfer.

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 from repro.errors import ConfigError
 from repro.hw.chipset import CHIPSETS, Chipset
+from repro.hw.pcix import pcix_peak_bps
 
 __all__ = ["HostSpec", "PE2650", "PE4600", "INTEL_E7505", "ITANIUM2",
            "WAN_HOST", "GBE_HOST"]
@@ -90,7 +91,7 @@ class HostSpec:
     @property
     def pcix_peak_bps(self) -> float:
         """Raw PCI-X bandwidth: clock x 64 bit."""
-        return self.pcix_mhz * 1e6 * 64
+        return pcix_peak_bps(self.pcix_mhz)
 
     @property
     def stream_copy_bps(self) -> float:

@@ -17,14 +17,11 @@ These are the paper's own back-of-envelope models, implemented exactly:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.config import TuningConfig
 from repro.errors import ProtocolError
 from repro.hw.calibration import Calibration, CostModel, DEFAULT_CALIBRATION
-from repro.hw.pcix import BURST_OVERHEAD_S
 from repro.hw.presets import HostSpec
-from repro.oskernel.skbuff import ETH_HEADER, ETH_OVERHEAD_WIRE
 from repro.tcp.mss import mss_for_mtu
 from repro.tcp.window import sws_aligned, window_from_space
 from repro.units import Gbps
@@ -129,7 +126,8 @@ def predict_throughput_bps(spec: HostSpec, config: TuningConfig,
     """Steady-state goodput of one NTTCP-style flow (fluid model).
 
     Takes the minimum of the competing capacities — receiver CPU, both
-    hosts' PCI-X, sender CPU, the wire — and applies the window
+    hosts' I/O bus (PCI-X, or the memory hub under CSA), sender CPU,
+    the wire — and applies the window
     limitation ``W_bytes / RTT_eff`` where the usable window follows the
     truesize/SWS arithmetic of §3.5.1.  It reproduces curve *shapes*
     cheaply; absolute accuracy is the DES's job.
@@ -143,22 +141,16 @@ def predict_throughput_bps(spec: HostSpec, config: TuningConfig,
     total_payload = payload
 
     # per-write costs along each resource
-    def frame(s: int) -> int:
-        return costs.frame_bytes(s)
-
-    rx_cpu = sum(costs.rx_irq_s() + costs.rx_segment_s(s)
-                 + 0.5 * costs.rx_ack_gen_s() + costs.rx_wake_s()
-                 for s in sizes)
+    frames = [costs.frame_bytes(s) for s in sizes]
+    rx_cpu = sum(costs.rx_per_segment_s(s) for s in sizes)
     tx_cpu = costs.tx_syscall_s() + sum(costs.tx_segment_s(s) for s in sizes)
-    pci = sum(frame(s) * 8.0 / (spec.pcix_mhz * 1e6 * 64)
-              + -(-frame(s) // config.mmrbc) * BURST_OVERHEAD_S
-              for s in sizes)
-    wire = sum((frame(s) + ETH_OVERHEAD_WIRE) * 8.0 / wire_bps for s in sizes)
-    capacity = total_payload * 8.0 / max(rx_cpu, tx_cpu, pci, wire)
+    bus = sum(costs.dma_hold_s(f) for f in frames)
+    wire = sum(costs.wire_time_s(f, wire_bps) for f in frames)
+    capacity = total_payload * 8.0 / max(rx_cpu, tx_cpu, bus, wire)
 
     # window limitation: usable bytes in flight
     from repro.oskernel.allocator import block_size_for
-    truesize = block_size_for(frame(sizes[0]))
+    truesize = block_size_for(frames[0])
     usable_space = window_from_space(config.tcp_rmem)
     advertised = sws_aligned(usable_space, mss + (config.mtu - mss - 40))
     if advertised <= 0:
@@ -169,7 +161,7 @@ def predict_throughput_bps(spec: HostSpec, config: TuningConfig,
     # sndbuf truesize limit
     wmem_segments = max(1, config.tcp_wmem // truesize)
     in_flight = min(in_flight, wmem_segments * seg)
-    service = max(rx_cpu, pci) / n_seg
+    service = max(rx_cpu, bus) / n_seg
     rtt_eff = base_rtt_s + (in_flight / seg) * service * 0.5
     window_limit = in_flight * 8.0 / rtt_eff
 

@@ -116,15 +116,6 @@ class RenoCongestion:
         self.in_recovery = False
         self.timeouts += 1
 
-    # -- analytics ---------------------------------------------------------------
-    def recovery_time_s(self, rtt_s: float, target_segments: float) -> float:
-        """Time for additive increase to grow back to ``target_segments``
-        from the current window: one segment per RTT (Table 1 model)."""
-        if rtt_s <= 0:
-            raise ProtocolError("RTT must be positive")
-        deficit = max(0.0, target_segments - self.cwnd)
-        return deficit * rtt_s
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         phase = ("recovery" if self.in_recovery
                  else "slow-start" if self.in_slow_start

@@ -7,7 +7,8 @@ captured by the classic fluid model iterated per RTT:
 
 * sending rate = W / RTT_eff, RTT_eff = base RTT + queue/C,
 * queue integrates (rate - C), loss when the queue exceeds its capacity,
-* W: x2 per RTT in slow start, +1 per RTT in avoidance, halved on loss,
+* W: x2 per RTT in slow start, +1 per RTT in avoidance, halved on loss
+  (or, for one flow, FAST TCP's delay law — :class:`FastParams`),
 * W capped by the socket-buffer window (the paper's tuning instrument:
   "we turn to the flow-control window to implicitly cap the
   congestion-window size to the bandwidth-delay product").
@@ -50,7 +51,7 @@ import numpy as np
 
 from repro.errors import ProtocolError
 
-__all__ = ["FluidParams", "FluidResult", "simulate_fluid",
+__all__ = ["FluidParams", "FluidResult", "FastParams", "simulate_fluid",
            "MultiFlowResult", "simulate_fluid_multiflow", "FluidFabric"]
 
 #: Longest route :class:`FluidFabric` sums through its hop table.
@@ -78,16 +79,6 @@ class FluidParams:
             raise ProtocolError("window cap must be positive")
         if self.queue_packets < 1:
             raise ProtocolError("queue must hold at least one packet")
-
-    @property
-    def bdp_bytes(self) -> float:
-        """Bandwidth-delay product of the path."""
-        return self.bottleneck_bps * self.base_rtt_s / 8.0
-
-    @property
-    def bdp_segments(self) -> float:
-        """BDP in segments."""
-        return self.bdp_bytes / self.mss
 
     @property
     def capacity_pps(self) -> float:
@@ -119,14 +110,49 @@ class FluidResult:
         return float(np.dot(self.throughput_bps[:-1], dt) / 8.0)
 
 
+@dataclass(frozen=True)
+class FastParams:
+    """FAST TCP controller constants.
+
+    The Caltech co-authors of this paper followed the 2003 record with
+    FAST TCP, which takes queueing *delay* rather than loss as its
+    congestion signal and holds the window at
+
+        w  <-  min(2w, (1 - gamma) * w + gamma * (baseRTT/RTT * w + alpha))
+
+    so it needs no Table 1 recovery: with no multiplicative decrease in
+    steady state it re-converges at once after a loss.
+
+    Attributes
+    ----------
+    alpha_packets:
+        Target number of this flow's packets queued at the bottleneck
+        (FAST's fairness/throughput knob).
+    gamma:
+        Update smoothing (0 < gamma <= 1).
+    """
+
+    alpha_packets: float = 200.0
+    gamma: float = 0.5
+
+    def __post_init__(self) -> None:
+        if self.alpha_packets <= 0:
+            raise ProtocolError("alpha must be positive")
+        if not 0 < self.gamma <= 1:
+            raise ProtocolError("gamma must be in (0, 1]")
+
+
 def simulate_fluid(params: FluidParams, duration_s: float,
                    warmup_s: float = 0.0,
-                   force_loss_at_s: Optional[float] = None) -> FluidResult:
+                   force_loss_at_s: Optional[float] = None,
+                   fast: Optional[FastParams] = None) -> FluidResult:
     """Iterate the fluid model for ``duration_s``.
 
     ``force_loss_at_s`` injects one loss event at the given time — the
     Table 1 experiment (recovery from a single packet loss).
     ``warmup_s`` excludes the slow-start ramp from the mean throughput.
+    The window follows Reno's AIMD law, or FAST's delay law when
+    ``fast`` is given; a loss halves either.
     """
     if duration_s <= 0:
         raise ProtocolError("duration must be positive")
@@ -172,7 +198,14 @@ def simulate_fluid(params: FluidParams, duration_s: float,
         else:
             # growth per dt, scaled from per-RTT increments
             frac = dt / rtt_eff
-            if w_now < ssthresh:
+            if fast is not None:
+                # FAST: move toward the delay law's window at its pace
+                target = ((params.base_rtt_s / rtt_eff) * w_now
+                          + fast.alpha_packets)
+                w_next = min(2.0 * w_now, (1.0 - fast.gamma) * w_now
+                             + fast.gamma * target)
+                w_now = w_now + (w_next - w_now) * frac
+            elif w_now < ssthresh:
                 w_now += w_now * frac          # slow start: x2 per RTT
             else:
                 w_now += 1.0 * frac            # avoidance: +1 per RTT
@@ -494,7 +527,7 @@ class FluidFabric:
                 f"({self.n_links}), got shape {cross.shape}")
         if not np.all(np.isfinite(cross)):
             raise ProtocolError("cross traffic rates must be finite")
-        np.clip(cross, 0.0, None, out=self._cross)
+        np.maximum(cross, 0.0, out=self._cross)
 
     @property
     def queue_packets(self) -> np.ndarray:
@@ -636,8 +669,10 @@ class FluidFabric:
             self.now += sub
         self.link_arrival_pps = arr_acc / substeps
         served = np.minimum(self.link_arrival_pps, free)
-        self.link_utilization = np.clip(served / cap, 0.0, 0.95)
-        self.link_drop_prob = np.clip(drop_acc / substeps, 0.0, 0.95)
+        self.link_utilization = np.minimum(np.maximum(served / cap, 0.0),
+                                           0.95)
+        self.link_drop_prob = np.minimum(
+            np.maximum(drop_acc / substeps, 0.0), 0.95)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<FluidFabric flows={self.n_flows} links={self.n_links} "

@@ -40,7 +40,7 @@ from repro.telemetry.session import (TelemetrySession, active_bus,
                                      register_trace, telemetry_session)
 from repro.telemetry.stream import (BUNDLE_FORMAT, RunBundle, RunRecorder,
                                     StreamTap, Subscription, TelemetryBus,
-                                    load_bundle, stream_tick_s)
+                                    load_bundle)
 from repro.telemetry.timeline import (TimelineFolder, build_timelines,
                                       write_timeline)
 
@@ -53,7 +53,7 @@ __all__ = [
     "active_session", "active_metrics", "active_bus", "register_trace",
     "attach_environment",
     "TelemetryBus", "Subscription", "StreamTap", "RunRecorder", "RunBundle",
-    "load_bundle", "BUNDLE_FORMAT", "stream_tick_s",
+    "load_bundle", "BUNDLE_FORMAT",
     "write_jsonl", "read_jsonl", "chrome_trace_dict", "write_chrome_trace",
     "build_timelines", "write_timeline", "TimelineFolder",
 ]

@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import gzip
 import json
-import math
 import os
 import pathlib
 import shutil
@@ -52,16 +51,13 @@ from repro.errors import MeasurementError
 from repro.telemetry.registry import diff_snapshots
 
 __all__ = ["TelemetryBus", "Subscription", "StreamTap", "RunRecorder",
-           "RunBundle", "load_bundle", "BUNDLE_FORMAT", "STREAM_TICK_ENV",
+           "RunBundle", "load_bundle", "BUNDLE_FORMAT",
            "DEFAULT_STREAM_TICK_S"]
 
 PathLike = Union[str, pathlib.Path]
 
 #: Bundle format tag written into every manifest (bump on layout change).
 BUNDLE_FORMAT = "reprorun-v1"
-
-#: Environment variable overriding the heartbeat cadence (sim seconds).
-STREAM_TICK_ENV = "REPRO_STREAM_TICK"
 
 #: Default heartbeat interval in *simulation* seconds.  The reference
 #: workloads simulate milliseconds-to-seconds of wire time, so 1 ms
@@ -70,24 +66,6 @@ DEFAULT_STREAM_TICK_S = 1e-3
 
 #: Default per-subscriber ring bound (events pending, not yet drained).
 DEFAULT_RING = 65_536
-
-
-def stream_tick_s() -> float:
-    """The configured heartbeat interval (``REPRO_STREAM_TICK`` or the
-    default), validated to be positive and finite."""
-    # lazy: core imports telemetry
-    from repro.core.knobs import env_raw, env_value
-    try:
-        tick = env_value(STREAM_TICK_ENV)
-    except ValueError:
-        tick = math.nan  # not a number: refused below
-    if tick is None:
-        return DEFAULT_STREAM_TICK_S
-    if not (math.isfinite(tick) and tick > 0):
-        raise MeasurementError(
-            f"{STREAM_TICK_ENV} must be a positive finite number of "
-            f"seconds, got {env_raw(STREAM_TICK_ENV)!r}")
-    return tick
 
 
 class Subscription:
@@ -268,7 +246,7 @@ class StreamTap:
         self.bus = bus
         self.session = session
         self.env = env
-        self.interval_s = stream_tick_s()
+        self.interval_s = DEFAULT_STREAM_TICK_S
         self._last_metrics: List[Dict[str, Any]] = []
         self.ticks = 0
         # while_pending: the heartbeat must never be the event keeping

@@ -4,6 +4,8 @@ import pytest
 
 from repro.config import TuningConfig
 from repro.analysis.stackprofile import StackProfiler
+from repro.hw.calibration import CostModel
+from repro.hw.presets import PE2650
 
 
 @pytest.fixture(scope="module")
@@ -43,6 +45,29 @@ def test_implied_goodput_tracks_measured_peaks(profiler):
     for cfg, expect in cases:
         implied = profiler.profile(cfg).predicted_goodput_bps() / 1e9
         assert implied == pytest.approx(expect, rel=0.10)
+
+
+@pytest.mark.parametrize("config", [
+    TuningConfig.stock(1500),
+    TuningConfig.stock(9000),
+    TuningConfig.fully_tuned(9000),
+    TuningConfig.fully_tuned(8160),
+    TuningConfig.with_header_splitting(8160),
+    TuningConfig.os_bypass_projection(9000),
+], ids=["stock-1500", "stock-9000", "tuned-9000", "tuned-8160",
+        "header-split", "os-bypass"])
+def test_cpu_stages_sum_to_the_cost_model(profiler, config):
+    """Each side's CPU stages split the cost model's per-segment budget
+    and add nothing to it (OS-bypass allocates no skb on either side)."""
+    prof = profiler.profile(config)
+    costs = CostModel(PE2650, config)
+    sender = (costs.tx_syscall_s() + costs.tx_segment_s(prof.payload)
+              + 0.5 * costs.tx_ack_rx_s())
+    assert all(s.seconds >= 0 for s in prof.stages)
+    assert prof.total_us("sender CPU") * 1e-6 == pytest.approx(sender,
+                                                               rel=1e-12)
+    assert prof.total_us("receiver CPU") * 1e-6 == pytest.approx(
+        costs.rx_per_segment_s(prof.payload), rel=1e-12)
 
 
 def test_os_bypass_strips_cpu_stages(profiler):

@@ -23,7 +23,7 @@ def test_registry_covers_the_runtime_switches():
         "REPRO_JOBS", "REPRO_CACHE",
         "REPRO_CACHE_DIR", "REPRO_CACHE_MAX_BYTES",
         "REPRO_CODE_FINGERPRINT", "REPRO_CHAOS", "REPRO_HYBRID",
-        "REPRO_STREAM_TICK", "REPRO_SERVE_HOLD",
+        "REPRO_SERVE_HOLD",
     }
     assert set(ENV_KNOBS) == expected
 

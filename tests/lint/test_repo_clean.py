@@ -37,7 +37,8 @@ def test_committed_baseline_is_empty():
 
 def test_src_repro_is_lint_clean():
     result = lint_paths([SRC_REPRO], baseline=load_baseline(BASELINE))
-    assert result.files > 100  # the whole package, not a subtree
+    # the whole package, not a subtree
+    assert result.files == len(list(SRC_REPRO.rglob("*.py")))
     rendered = "\n".join(f.render() for f in result.findings)
     assert result.ok, f"reprolint found new violations:\n{rendered}"
 

@@ -111,3 +111,13 @@ class TestPredictThroughput:
     def test_invalid_payload(self):
         with pytest.raises(ProtocolError):
             predict_throughput_bps(PE2650, TuningConfig.stock(), 0)
+
+    def test_csa_lifts_the_mmrbc_512_bus_ceiling(self):
+        """With the adapter on the memory hub the 512-byte burst limit no
+        longer binds, so the prediction follows the host, not the bus."""
+        def predict(csa):
+            return predict_throughput_bps(
+                PE2650, TuningConfig(mtu=9000, mmrbc=512, csa=csa), 8948)
+        pcix, csa = predict(False), predict(True)
+        assert pcix == pytest.approx(2.78e9, rel=0.01)
+        assert csa > pcix * 1.1

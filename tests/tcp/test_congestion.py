@@ -91,14 +91,6 @@ def test_max_cwnd_cap():
     assert cc.cwnd == 10.0
 
 
-def test_recovery_time_model():
-    cc = RenoCongestion(mss=1448)
-    cc.cwnd = 50.0
-    # needs 50 more segments at 1/RTT with RTT=0.1
-    assert cc.recovery_time_s(0.1, 100.0) == pytest.approx(5.0)
-    assert cc.recovery_time_s(0.1, 10.0) == 0.0
-
-
 def test_invalid_arguments():
     with pytest.raises(ProtocolError):
         RenoCongestion(mss=0)
@@ -107,5 +99,3 @@ def test_invalid_arguments():
     cc = RenoCongestion(mss=1448)
     with pytest.raises(ProtocolError):
         cc.on_ack(-1)
-    with pytest.raises(ProtocolError):
-        cc.recovery_time_s(0.0, 10.0)

@@ -1,16 +1,18 @@
-"""Tests for the FAST TCP fluid model."""
+"""Tests for the FAST TCP window law of the fluid model."""
 
 import numpy as np
 import pytest
 
 from repro.errors import ProtocolError
-from repro.tcp.fast import FastParams, simulate_fluid_fast
-from repro.tcp.fluid import FluidParams, simulate_fluid
+from repro.tcp.analytic import bandwidth_delay_product
+from repro.tcp.fluid import FastParams, FluidParams, simulate_fluid
 from repro.units import Gbps
+
+FAST = FastParams()
 
 
 def wan(queue=400, buffer_x_bdp=4.0):
-    bdp = Gbps(2.38) * 0.18 / 8
+    bdp = bandwidth_delay_product(Gbps(2.38), 0.18)
     return FluidParams(bottleneck_bps=Gbps(2.38), base_rtt_s=0.18,
                        mss=8948, max_window_bytes=buffer_x_bdp * bdp,
                        queue_packets=queue)
@@ -24,7 +26,7 @@ def test_params_validation():
     with pytest.raises(ProtocolError):
         FastParams(gamma=1.5)
     with pytest.raises(ProtocolError):
-        simulate_fluid_fast(wan(), duration_s=0)
+        simulate_fluid(wan(), duration_s=0, fast=FAST)
 
 
 def test_fast_converges_lossfree_where_reno_oscillates():
@@ -33,7 +35,7 @@ def test_fast_converges_lossfree_where_reno_oscillates():
     alpha queued packets and full rate."""
     p = wan()
     reno = simulate_fluid(p, 900.0, warmup_s=120.0)
-    fast = simulate_fluid_fast(p, 900.0, warmup_s=120.0)
+    fast = simulate_fluid(p, 900.0, warmup_s=120.0, fast=FAST)
     assert reno.losses >= 1
     assert fast.losses == 0
     assert fast.mean_throughput_bps == pytest.approx(Gbps(2.38), rel=0.01)
@@ -42,8 +44,8 @@ def test_fast_converges_lossfree_where_reno_oscillates():
 
 def test_fast_steady_queue_near_alpha():
     fp = FastParams(alpha_packets=150.0)
-    result = simulate_fluid_fast(wan(queue=1000), 600.0, fast=fp,
-                                 warmup_s=200.0)
+    result = simulate_fluid(wan(queue=1000), 600.0, fast=fp,
+                            warmup_s=200.0)
     steady = result.queue_packets[-50:]
     assert np.mean(steady) == pytest.approx(150.0, rel=0.15)
 
@@ -52,8 +54,8 @@ def test_fast_recovers_from_loss_in_seconds_not_hours():
     """Table 1 gives Reno ~38-45 min at this BDP; FAST re-converges in
     a handful of RTTs."""
     p = wan()
-    result = simulate_fluid_fast(p, 420.0, warmup_s=60.0,
-                                 force_loss_at_s=300.0)
+    result = simulate_fluid(p, 420.0, warmup_s=60.0,
+                            force_loss_at_s=300.0, fast=FAST)
     assert result.losses == 1
     t, thr = result.time_s, result.throughput_bps
     i0 = int(np.searchsorted(t, 300.0))
@@ -69,7 +71,7 @@ def test_fast_recovers_from_loss_in_seconds_not_hours():
 
 def test_fast_respects_window_cap():
     p = wan(buffer_x_bdp=0.25)
-    result = simulate_fluid_fast(p, 300.0, warmup_s=60.0)
+    result = simulate_fluid(p, 300.0, warmup_s=60.0, fast=FAST)
     cap_segments = p.max_window_bytes / p.mss
     assert result.window_segments.max() <= cap_segments * 1.001
     assert result.mean_throughput_bps < Gbps(0.7)
@@ -77,10 +79,10 @@ def test_fast_respects_window_cap():
 
 def test_alpha_scales_throughput_share_intuition():
     """Bigger alpha -> bigger standing queue (single flow: same rate)."""
-    small = simulate_fluid_fast(wan(queue=2000), 400.0,
-                                fast=FastParams(alpha_packets=50),
-                                warmup_s=150.0)
-    large = simulate_fluid_fast(wan(queue=2000), 400.0,
-                                fast=FastParams(alpha_packets=400),
-                                warmup_s=150.0)
+    small = simulate_fluid(wan(queue=2000), 400.0,
+                           fast=FastParams(alpha_packets=50),
+                           warmup_s=150.0)
+    large = simulate_fluid(wan(queue=2000), 400.0,
+                           fast=FastParams(alpha_packets=400),
+                           warmup_s=150.0)
     assert large.queue_packets[-10:].mean() > small.queue_packets[-10:].mean()

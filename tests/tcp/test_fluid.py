@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ProtocolError
+from repro.tcp.analytic import bandwidth_delay_product
 from repro.tcp.fluid import FluidParams, simulate_fluid
 from repro.units import Gbps, MB
 
@@ -13,7 +14,7 @@ def wan_params(**overrides):
         bottleneck_bps=Gbps(2.38),
         base_rtt_s=0.180,
         mss=8948,
-        max_window_bytes=Gbps(2.38) * 0.180 / 8,
+        max_window_bytes=bandwidth_delay_product(Gbps(2.38), 0.180),
         queue_packets=1024,
     )
     base.update(overrides)
@@ -22,8 +23,8 @@ def wan_params(**overrides):
 
 def test_bdp_arithmetic():
     p = wan_params()
-    assert p.bdp_bytes == pytest.approx(Gbps(2.38) * 0.180 / 8)
-    assert p.bdp_segments == pytest.approx(p.bdp_bytes / 8948)
+    assert p.max_window_bytes == pytest.approx(53.55e6)
+    assert p.max_window_bytes / p.mss == pytest.approx(5984.6, abs=0.1)
 
 
 def test_bdp_window_saturates_without_loss():
@@ -40,7 +41,7 @@ def test_tiny_window_throughput_is_window_over_rtt():
 
 
 def test_oversized_window_provokes_losses():
-    p = wan_params(max_window_bytes=3 * wan_params().bdp_bytes,
+    p = wan_params(max_window_bytes=3 * wan_params().max_window_bytes,
                    queue_packets=256)
     result = simulate_fluid(p, duration_s=300.0, warmup_s=30.0)
     assert result.losses >= 1

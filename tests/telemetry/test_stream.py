@@ -19,11 +19,7 @@ from repro.telemetry import (
     load_bundle,
     telemetry_session,
 )
-from repro.telemetry.stream import (
-    DEFAULT_STREAM_TICK_S,
-    STREAM_TICK_ENV,
-    stream_tick_s,
-)
+from repro.telemetry.stream import DEFAULT_STREAM_TICK_S, StreamTap
 from repro.tools.nttcp import nttcp_run
 
 
@@ -132,19 +128,9 @@ class TestDiffSnapshots:
 
 
 class TestStreamTick:
-    def test_default(self, monkeypatch):
-        monkeypatch.delenv(STREAM_TICK_ENV, raising=False)
-        assert stream_tick_s() == DEFAULT_STREAM_TICK_S
-
-    def test_override(self, monkeypatch):
-        monkeypatch.setenv(STREAM_TICK_ENV, "0.5")
-        assert stream_tick_s() == 0.5
-
-    @pytest.mark.parametrize("bad", ["zero", "-1", "0", "nan", "inf"])
-    def test_invalid_rejected(self, monkeypatch, bad):
-        monkeypatch.setenv(STREAM_TICK_ENV, bad)
-        with pytest.raises(MeasurementError):
-            stream_tick_s()
+    def test_default(self):
+        tap = StreamTap(TelemetryBus(), None, Environment())
+        assert tap.interval_s == DEFAULT_STREAM_TICK_S
 
 
 class TestLiveSession:
