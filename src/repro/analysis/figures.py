@@ -32,16 +32,6 @@ class Series:
         if not len(self.x):
             raise MeasurementError(f"series {self.label!r} is empty")
 
-    @property
-    def peak(self) -> float:
-        """Largest y value."""
-        return float(np.max(self.y))
-
-    @property
-    def mean(self) -> float:
-        """Mean y value."""
-        return float(np.mean(self.y))
-
 
 @dataclass
 class Figure:

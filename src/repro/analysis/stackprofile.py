@@ -114,7 +114,7 @@ class StackProfiler:
         tx_total = costs.tx_segment_s(payload)
         # direct data placement allocates no skb on either side
         tx_alloc = 0.0 if config.os_bypass else costs.alloc_cost_s(frame)
-        tx_copy = payload * costs._tx_byte_s * costs.kernel.per_packet_tax
+        tx_copy = costs.tx_copy_s(payload)
         tx_proto = max(0.0, tx_total - tx_alloc - tx_copy)
 
         rx_total = costs.rx_segment_s(payload)
@@ -124,7 +124,7 @@ class StackProfiler:
             rx_alloc = costs.alloc_cost_s(128)
         else:
             rx_alloc = costs.alloc_cost_s(frame)
-        rx_bytes = payload * costs._rx_byte_s * costs.kernel.per_packet_tax
+        rx_bytes = costs.rx_copy_s(payload)
         rx_proto = max(0.0, rx_total - rx_alloc - rx_bytes)
         dma = costs.dma_hold_s(frame)
 

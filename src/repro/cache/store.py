@@ -100,12 +100,6 @@ class CacheStats:
     evictions: int = 0
     hot_hits: int = 0
 
-    @property
-    def hit_rate(self) -> float:
-        """Hits over lookups (0.0 when no lookups happened)."""
-        lookups = self.hits + self.misses
-        return self.hits / lookups if lookups else 0.0
-
 
 class _HotTier:
     """In-process LRU of recently read values (returned by reference)."""

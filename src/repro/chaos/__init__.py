@@ -27,7 +27,6 @@ __all__ = [
     "FAULT_KINDS", "FaultSpec", "FaultPlan",
     "ChaosSession", "ChaosInjector", "ArmedFault", "chaos_session",
     "FaultWindow", "FaultRecovery", "analyze_goodput", "render_scorecard",
-    "count_retransmits", "cwnd_trough", "enrich_with_telemetry",
     "LossTap", "DuplicateTap", "ReorderTap", "SinkTap",
     "CHAOS_ENV", "active_chaos", "active_plan_fingerprint",
 ]
@@ -44,9 +43,6 @@ _LAZY = {
     "FaultRecovery": "repro.chaos.analyzer",
     "analyze_goodput": "repro.chaos.analyzer",
     "render_scorecard": "repro.chaos.analyzer",
-    "count_retransmits": "repro.chaos.analyzer",
-    "cwnd_trough": "repro.chaos.analyzer",
-    "enrich_with_telemetry": "repro.chaos.analyzer",
     "LossTap": "repro.chaos.taps",
     "DuplicateTap": "repro.chaos.taps",
     "ReorderTap": "repro.chaos.taps",
@@ -65,7 +61,3 @@ def __getattr__(name: str) -> Any:
     value = getattr(importlib.import_module(module_name), name)
     globals()[name] = value
     return value
-
-
-def __dir__() -> list:
-    return sorted(set(globals()) | set(__all__))

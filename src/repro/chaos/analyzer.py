@@ -18,14 +18,14 @@ speed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 from repro.chaos.plan import FaultSpec
 from repro.errors import ChaosError
 
 __all__ = ["FaultWindow", "FaultRecovery", "analyze_goodput",
-           "count_retransmits", "cwnd_trough", "render_scorecard"]
+           "render_scorecard"]
 
 
 @dataclass(frozen=True)
@@ -63,15 +63,6 @@ class FaultRecovery:
     goodput_lost_bits: float
     recovery_slope_bps_per_s: float
     score: int
-    retransmits: Optional[int] = None
-    cwnd_trough: Optional[float] = None
-
-    @property
-    def trough_fraction(self) -> float:
-        """Trough goodput as a fraction of baseline."""
-        if self.baseline_bps <= 0:
-            return 0.0
-        return self.trough_bps / self.baseline_bps
 
 
 def _normalize_fault(entry: Any, position: int) -> FaultWindow:
@@ -199,44 +190,6 @@ def _analyze_one(times: List[float], rates: List[float], fault: FaultWindow,
 
 
 # -- telemetry enrichment --------------------------------------------------------
-def count_retransmits(events: Iterable[Tuple], start_s: float,
-                      end_s: float = float("inf")) -> int:
-    """Retransmission-storm size: ``tcp.tx.retransmit`` events in
-    ``[start_s, end_s)`` of a telemetry session's event list."""
-    count = 0
-    for _track, time, point, _subject, _detail in events:
-        if point == "tcp.tx.retransmit" and start_s <= time < end_s:
-            count += 1
-    return count
-
-
-def cwnd_trough(events: Iterable[Tuple], start_s: float,
-                end_s: float = float("inf")) -> Optional[float]:
-    """Lowest congestion window (segments) reported by
-    ``tcp.cwnd.update`` events in ``[start_s, end_s)``, or ``None``."""
-    lowest: Optional[float] = None
-    for _track, time, point, _subject, detail in events:
-        if point == "tcp.cwnd.update" and start_s <= time < end_s:
-            cwnd = detail.get("cwnd")
-            if cwnd is not None and (lowest is None or cwnd < lowest):
-                lowest = float(cwnd)
-    return lowest
-
-
-def enrich_with_telemetry(recoveries: Iterable[FaultRecovery],
-                          events: Sequence[Tuple]) -> List[FaultRecovery]:
-    """Fill ``retransmits``/``cwnd_trough`` from a telemetry event list
-    (each fault's window runs from onset to its recovery instant)."""
-    out = []
-    for rec in recoveries:
-        until = rec.start_s + rec.time_to_recover_s
-        out.append(replace(
-            rec,
-            retransmits=count_retransmits(events, rec.start_s, until),
-            cwnd_trough=cwnd_trough(events, rec.start_s, until)))
-    return out
-
-
 # -- rendering -------------------------------------------------------------------
 def _fmt_rate(bps: float) -> str:
     if bps >= 1e9:
@@ -258,17 +211,16 @@ def render_scorecard(recoveries: Sequence[FaultRecovery],
                      title: str = "Resilience scorecard") -> str:
     """Fixed-width per-fault table for reports and the demo script."""
     header = (f"{'fault':<22} {'baseline':>10} {'trough':>10} "
-              f"{'recover':>9} {'lost':>10} {'rtx':>5} {'score':>5}")
+              f"{'recover':>9} {'lost':>10} {'score':>5}")
     lines = [title, "=" * len(header), header, "-" * len(header)]
     for rec in recoveries:
         name = f"#{rec.index} {rec.kind}"
         if rec.label:
             name += f" ({rec.label})"
         ttr = _fmt_time(rec.time_to_recover_s) if rec.recovered else "never"
-        rtx = "-" if rec.retransmits is None else str(rec.retransmits)
         lines.append(
             f"{name[:22]:<22} {_fmt_rate(rec.baseline_bps):>10} "
             f"{_fmt_rate(rec.trough_bps):>10} {ttr:>9} "
-            f"{rec.goodput_lost_bits / 8e9:>8.2f}GB {rtx:>5} "
+            f"{rec.goodput_lost_bits / 8e9:>8.2f}GB "
             f"{rec.score:>5}")
     return "\n".join(lines)

@@ -309,11 +309,6 @@ class ChaosSession:
         """The injector attached to ``env``, if any."""
         return self._injectors.get(env)
 
-    @property
-    def injectors(self) -> List[ChaosInjector]:
-        """All live injectors, construction order not guaranteed."""
-        return list(self._injectors.values())
-
 
 @contextlib.contextmanager
 def chaos_session(plan: Union[FaultPlan, Dict[str, Any], str, Any]

@@ -33,7 +33,7 @@ import json
 import os
 import pathlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Tuple, Union
+from typing import Any, Dict, Tuple, Union
 
 from repro.errors import ChaosError
 
@@ -222,10 +222,6 @@ class FaultPlan:
             "faults": [spec.to_dict() for spec in self.faults],
         }
 
-    def to_json(self, indent: int = 2) -> str:
-        """JSON text of :meth:`to_dict`."""
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "FaultPlan":
         """Build a plan from a plain dict, rejecting unknown keys."""
@@ -274,8 +270,3 @@ class FaultPlan:
         canon = json.dumps(self.to_dict(), sort_keys=True,
                            separators=(",", ":"))
         return hashlib.sha256(canon.encode()).hexdigest()
-
-    def with_faults(self, faults: Iterable[FaultSpec]) -> "FaultPlan":
-        """A copy of this plan with ``faults`` replaced."""
-        return FaultPlan(name=self.name, seed=self.seed,
-                         faults=tuple(faults))

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Any, Dict
+from typing import Any
 
 from repro.errors import ConfigError
 from repro.units import KB
@@ -96,10 +96,6 @@ class TuningConfig:
         buf = f"{self.tcp_rmem // 1024}kbuf"
         return f"{self.mtu}MTU,{kernel},{self.mmrbc}PCI,{buf}"
 
-    def as_dict(self) -> Dict[str, Any]:
-        """Plain-dict view (for reports and tests)."""
-        return dataclasses.asdict(self)
-
     # -- the paper's named configurations (§3.3) ------------------------------
     @classmethod
     def stock(cls, mtu: int = 1500) -> "TuningConfig":
@@ -110,11 +106,6 @@ class TuningConfig:
     def with_pcix_burst(cls, mtu: int = 9000) -> "TuningConfig":
         """Stock + MMRBC raised to 4096 bytes."""
         return cls(mtu=mtu, mmrbc=4096)
-
-    @classmethod
-    def uniprocessor(cls, mtu: int = 9000) -> "TuningConfig":
-        """+ uniprocessor kernel (the paper's counterintuitive step)."""
-        return cls(mtu=mtu, mmrbc=4096, smp_kernel=False)
 
     @classmethod
     def oversized_windows(cls, mtu: int = 9000,
@@ -129,12 +120,6 @@ class TuningConfig:
         8160 bytes that produced the paper's 4.11 Gb/s peak."""
         return cls(mtu=mtu, mmrbc=4096, smp_kernel=False,
                    tcp_rmem=KB(256), tcp_wmem=KB(256))
-
-    @classmethod
-    def low_latency(cls, mtu: int = 1500) -> "TuningConfig":
-        """Latency-oriented: interrupt coalescing disabled (Fig. 7)."""
-        return cls(mtu=mtu, mmrbc=4096, smp_kernel=False,
-                   interrupt_coalescing_us=0.0)
 
     @classmethod
     def with_header_splitting(cls, mtu: int = 8160) -> "TuningConfig":

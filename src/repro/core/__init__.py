@@ -14,7 +14,7 @@
 from repro.core.optimizations import OptimizationStep, LAN_OPTIMIZATION_LADDER
 from repro.core.casestudy import CaseStudy, StepResult, SweepCurve
 from repro.core.latencyreport import LatencyStudy, LatencyCurve
-from repro.core.bottleneck import BottleneckStudy, BottleneckReport
+from repro.core.bottleneck import BottleneckStudy
 from repro.core.comparison import InterconnectComparison, INTERCONNECTS
 from repro.core.wanrecord import WanRecordRun, WanOutcome
 from repro.core.landspeed import land_speed_record_metric, LSR_2003
@@ -28,7 +28,6 @@ __all__ = [
     "LatencyStudy",
     "LatencyCurve",
     "BottleneckStudy",
-    "BottleneckReport",
     "InterconnectComparison",
     "INTERCONNECTS",
     "WanRecordRun",

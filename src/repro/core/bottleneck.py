@@ -33,7 +33,7 @@ from repro.tcp.pktgen import PktgenResult, pktgen_run
 from repro.tools.stream_bench import StreamResult, stream_bench
 from repro.units import Gbps
 
-__all__ = ["BottleneckStudy", "BottleneckReport", "AggregateResult"]
+__all__ = ["BottleneckStudy", "AggregateResult"]
 
 
 @dataclass(frozen=True)
@@ -50,37 +50,6 @@ class AggregateResult:
     def aggregate_gbps(self) -> float:
         """Total goodput in Gb/s."""
         return self.aggregate_bps / 1e9
-
-
-@dataclass
-class BottleneckReport:
-    """Everything §3.5.2 measures, in one record."""
-
-    rx_aggregate: AggregateResult
-    tx_aggregate: AggregateResult
-    dual_adapter: AggregateResult
-    stream: Dict[str, StreamResult]
-    pktgen: PktgenResult
-    single_flow_bps: float
-
-    @property
-    def paths_symmetric(self) -> bool:
-        """Receive and transmit within 10% — the paper's 'statistically
-        equal performance'."""
-        rx, tx = self.rx_aggregate.aggregate_bps, self.tx_aggregate.aggregate_bps
-        return abs(rx - tx) / max(rx, tx) < 0.10
-
-    @property
-    def bus_ruled_out(self) -> bool:
-        """Dual independent buses no better than one (within 10%)."""
-        one = self.rx_aggregate.aggregate_bps
-        two = self.dual_adapter.aggregate_bps
-        return (two - one) / one < 0.10
-
-    @property
-    def tcp_fraction_of_pktgen(self) -> float:
-        """Observed TCP vs the single-copy generator (~0.75 in §3.5.2)."""
-        return self.single_flow_bps / self.pktgen.rate_bps
 
 
 class BottleneckStudy:
@@ -175,15 +144,3 @@ class BottleneckStudy:
                                calibration=self.calibration)
         conn = TcpConnection(env, bb.a, bb.b)
         return nttcp_run(env, conn, payload, 1024).goodput_bps
-
-    # -- the full report ---------------------------------------------------------
-    def run(self) -> BottleneckReport:
-        """All four probes."""
-        return BottleneckReport(
-            rx_aggregate=self.receive_path(),
-            tx_aggregate=self.transmit_path(),
-            dual_adapter=self.dual_adapters(),
-            stream=self.stream_comparison(),
-            pktgen=self.pktgen_ceiling(),
-            single_flow_bps=self.single_flow(),
-        )

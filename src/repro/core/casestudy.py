@@ -101,10 +101,6 @@ class StepResult:
     step: OptimizationStep
     curves: Dict[int, SweepCurve] = field(default_factory=dict)
 
-    def peak(self, mtu: int) -> float:
-        """Measured peak for an MTU."""
-        return self.curves[mtu].peak_gbps
-
     def paper_peak(self, mtu: int) -> Optional[float]:
         """The paper's reported peak for the same step/MTU, if any."""
         return self.step.paper_peaks_gbps.get(mtu)

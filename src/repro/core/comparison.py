@@ -87,11 +87,6 @@ class InterconnectComparison:
         peer = self._peer(key)
         return self.tengbe.unidirectional_bps / peer.unidirectional_bps - 1.0
 
-    def latency_advantage(self, key: str) -> float:
-        """Fractional latency advantage (positive = we are faster)."""
-        peer = self._peer(key)
-        return 1.0 - self.tengbe.latency_s / peer.latency_s
-
     def latency_ratio(self, key: str) -> float:
         """Ours / theirs (the conclusion's '1.7x slower than
         Myrinet/GM' is this ratio)."""

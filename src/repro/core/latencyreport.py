@@ -109,14 +109,3 @@ class LatencyStudy:
         curve.points.extend(sweep(_latency_point, tasks,
                                   cache_ns="netpipe-latency"))
         return curve
-
-    def figure6(self) -> List[LatencyCurve]:
-        """Latency with the 5 µs coalescing delay: back-to-back and
-        through the switch."""
-        return [self.measure(coalescing_us=5.0, through_switch=False),
-                self.measure(coalescing_us=5.0, through_switch=True)]
-
-    def figure7(self) -> List[LatencyCurve]:
-        """Latency with interrupt coalescing disabled."""
-        return [self.measure(coalescing_us=0.0, through_switch=False),
-                self.measure(coalescing_us=0.0, through_switch=True)]

@@ -71,11 +71,6 @@ class WanOutcome:
         return self.throughput_bps / 1e9
 
     @property
-    def terabyte_under_an_hour(self) -> bool:
-        """The paper's headline claim."""
-        return self.terabyte_time_s < 3600.0
-
-    @property
     def beats_previous_record(self) -> float:
         """Multiple of the pre-2003 record (the paper claims 2.5x)."""
         return self.lsr_metric / LSR_2002.metric

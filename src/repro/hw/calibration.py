@@ -128,10 +128,14 @@ class CostModel:
             self._rx_byte_s = (
                 calibration.rx_byte_fsb_ns_mhz / spec.fsb_mhz * 1e-9
                 * calibration.header_split_byte_fraction)
+        # The SMP kernel taxes per-byte work too, except under direct
+        # data placement, which moves bytes outside the kernel.
+        self._byte_tax = self.kernel.per_packet_tax
         if config.os_bypass:
             # §5 projection: direct data placement on both sides.
             self._rx_byte_s = calibration.os_bypass_byte_s
             self._tx_byte_s = calibration.os_bypass_byte_s
+            self._byte_tax = 1.0
         # Every cost method is a pure function of the (spec, config,
         # calibration) triple frozen at construction (the per-byte terms
         # above already bake that assumption in), so the hot per-segment
@@ -170,17 +174,20 @@ class CostModel:
             self._tx_seg_cache[payload] = t
         return t
 
+    def tx_copy_s(self, payload: int) -> float:
+        """User->kernel copy of one segment's payload."""
+        return payload * self._tx_byte_s * self._byte_tax
+
     def _tx_segment_uncached(self, payload: int) -> float:
         cal = self.cal
         if self.config.os_bypass:
-            return (self._pkt(cal.os_bypass_pkt_usghz)
-                    + payload * self._tx_byte_s)
+            return self._pkt(cal.os_bypass_pkt_usghz) + self.tx_copy_s(payload)
         per_pkt = cal.tx_tcp_usghz + cal.tx_desc_usghz
         if self.config.tcp_timestamps:
             per_pkt += cal.timestamp_usghz
         t = self._pkt(per_pkt)
         t += self.alloc_cost_s(self.frame_bytes(payload))
-        t += payload * self._tx_byte_s * self.kernel.per_packet_tax
+        t += self.tx_copy_s(payload)
         if not self.config.checksum_offload:
             t += self.memory.copy_engine().checksum_time(payload)
         return t
@@ -221,11 +228,14 @@ class CostModel:
             self._rx_seg_cache[payload] = t
         return t
 
+    def rx_copy_s(self, payload: int) -> float:
+        """Per-byte data movement (FSB + copy) of one received segment."""
+        return payload * self._rx_byte_s * self._byte_tax
+
     def _rx_segment_uncached(self, payload: int) -> float:
         cal = self.cal
         if self.config.os_bypass:
-            return (self._pkt(cal.os_bypass_pkt_usghz)
-                    + payload * self._rx_byte_s)
+            return self._pkt(cal.os_bypass_pkt_usghz) + self.rx_copy_s(payload)
         per_pkt = cal.rx_tcp_usghz
         if self.config.tcp_timestamps:
             per_pkt += cal.timestamp_usghz
@@ -236,7 +246,7 @@ class CostModel:
             t += self.alloc_cost_s(128)
         else:
             t += self.alloc_cost_s(self.frame_bytes(payload))
-        t += payload * self._rx_byte_s * self.kernel.per_packet_tax
+        t += self.rx_copy_s(payload)
         if not self.config.checksum_offload:
             t += self.memory.copy_engine().checksum_time(payload)
         return t
@@ -292,7 +302,7 @@ class CostModel:
         if self.config.csa:
             return mch_hold_s(frame_bytes)
         return pcix_hold_s(frame_bytes, self.config.mmrbc, self.spec.pcix_mhz,
-                           self.spec.pcix_burst_overhead_ns * 1e-9)
+                           self.spec.pcix_burst_overhead_s)
 
     @staticmethod
     def wire_time_s(frame_bytes: int, wire_bps: float) -> float:

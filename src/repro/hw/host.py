@@ -55,7 +55,7 @@ class Host:
         self.trace = TraceBuffer(enabled=False)
         register_trace(self.name, self.trace)
         self.pcix = PciXBus(env, spec.pcix_mhz,
-                            burst_overhead_s=spec.pcix_burst_overhead_ns * 1e-9,
+                            burst_overhead_s=spec.pcix_burst_overhead_s,
                             name=f"{self.name}.pcix", trace=self.trace)
         self._extra_buses: List[PciXBus] = []
         metrics = active_metrics()
@@ -71,7 +71,7 @@ class Host:
         """An independent PCI-X segment (the paper's dual-adapter test
         put each adapter on its own bus)."""
         bus = PciXBus(self.env, self.spec.pcix_mhz,
-                      burst_overhead_s=self.spec.pcix_burst_overhead_ns * 1e-9,
+                      burst_overhead_s=self.spec.pcix_burst_overhead_s,
                       name=f"{self.name}.pcix{len(self._extra_buses) + 1}",
                       trace=self.trace)
         self._extra_buses.append(bus)
@@ -145,9 +145,5 @@ class Host:
                 handler(skb)
 
     # -- reporting -------------------------------------------------------------
-    def load(self) -> float:
-        """Current-window CPU load (see :meth:`CpuComplex.load`)."""
-        return self.cpu.load()
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Host {self.name} ({self.spec.name}, {self.config.describe()})>"

@@ -6,25 +6,21 @@ points instead at the *front-side bus* — "the CPU's ability to move, but
 not process, data".  The model therefore separates:
 
 * ``stream_copy_bps`` — bulk copy bandwidth (memcpy, checksum), and
-* ``fsb_touch_bps``  — the FSB-limited rate at which the kernel's
-  per-byte bookkeeping (descriptor walks, skb touches, cache fills
-  during protocol processing) proceeds; it scales with FSB clock.
+* the FSB-limited rate at which the kernel's per-byte bookkeeping
+  (descriptor walks, skb touches, cache fills during protocol
+  processing) proceeds; it scales with FSB clock, and
+  :class:`~repro.hw.calibration.CostModel` prices it
+  (``Calibration.rx_byte_fsb_ns_mhz``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import ConfigError
 from repro.hw.presets import HostSpec
 from repro.oskernel.copyengine import CopyEngine
 
-__all__ = ["MemorySubsystem", "FSB_TOUCH_BITS_PER_HZ"]
-
-#: Effective per-byte FSB-limited stack touch rate: bits/s per Hz of FSB
-#: clock.  Calibrated (with the copy term) against the PE2650's tuned
-#: peaks and the E7505's out-of-box 4.64 Gb/s — see hw/calibration.py.
-FSB_TOUCH_BITS_PER_HZ = 37.5
+__all__ = ["MemorySubsystem"]
 
 
 @dataclass(frozen=True)
@@ -43,11 +39,6 @@ class MemorySubsystem:
         """STREAM copy figure this platform measures."""
         return self.spec.stream_copy_bps
 
-    @property
-    def fsb_touch_bps(self) -> float:
-        """FSB-limited stack data-touch bandwidth."""
-        return self.spec.fsb_mhz * 1e6 * FSB_TOUCH_BITS_PER_HZ
-
     def copy_engine(self) -> CopyEngine:
         """A :class:`CopyEngine` priced for this memory system."""
         return CopyEngine(stream_copy_bps=self.stream_copy_bps)
@@ -59,9 +50,3 @@ class MemorySubsystem:
         perform; the simulated measurement is exact.
         """
         return self.stream_copy_bps
-
-    def fsb_touch_time(self, nbytes: int) -> float:
-        """Seconds of FSB-limited stack touching for ``nbytes``."""
-        if nbytes < 0:
-            raise ConfigError(f"negative size {nbytes}")
-        return nbytes * 8.0 / self.fsb_touch_bps

@@ -28,16 +28,8 @@ from repro.sim.engine import Environment
 from repro.sim.timeline import FifoTimeline
 from repro.sim.trace import TraceBuffer
 from repro.telemetry.session import active_metrics
-from repro.units import ns
 
-__all__ = ["PciXBus", "BURST_OVERHEAD_S", "pcix_peak_bps", "pcix_hold_s"]
-
-#: Fixed per-burst overhead: arbitration, address phase, attribute phase,
-#: target initial latency and split-completion turnaround.  Calibrated so
-#: a 133 MHz bus moves 9018-byte frames at ~2.8 Gb/s with 512-byte bursts
-#: and ~7.1 Gb/s with 4096-byte bursts, bracketing the paper's stock and
-#: optimized 9000-MTU results.
-BURST_OVERHEAD_S = ns(960)
+__all__ = ["PciXBus", "pcix_peak_bps", "pcix_hold_s"]
 
 
 def pcix_peak_bps(clock_mhz: int) -> float:
@@ -59,7 +51,7 @@ class PciXBus:
     """One PCI-X segment (64-bit wide) shared by its devices."""
 
     def __init__(self, env: Environment, clock_mhz: int,
-                 burst_overhead_s: float = BURST_OVERHEAD_S,
+                 burst_overhead_s: float,
                  name: str = "pcix",
                  trace: Optional[TraceBuffer] = None):
         if clock_mhz not in (33, 66, 100, 133):
@@ -90,11 +82,6 @@ class PciXBus:
         else:
             self._c_dma = self._c_bytes = None
 
-    @property
-    def peak_bps(self) -> float:
-        """Raw bandwidth: clock x 64 bit."""
-        return pcix_peak_bps(self.clock_mhz)
-
     # -- timing ---------------------------------------------------------------
     def transfer_time(self, nbytes: int, mmrbc: int) -> float:
         """Bus-occupancy seconds to DMA ``nbytes`` with ``mmrbc`` bursts."""
@@ -104,10 +91,6 @@ class PciXBus:
             raise ConfigError(f"transfer size must be positive, got {nbytes}")
         return pcix_hold_s(nbytes, mmrbc, self.clock_mhz,
                            self.burst_overhead_s)
-
-    def effective_bps(self, nbytes: int, mmrbc: int) -> float:
-        """Effective bandwidth for back-to-back ``nbytes`` transfers."""
-        return nbytes * 8.0 / self.transfer_time(nbytes, mmrbc)
 
     # -- DES protocol ------------------------------------------------------------
     def charge_transfer(self, nbytes: int, mmrbc: int):

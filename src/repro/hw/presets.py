@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 from repro.errors import ConfigError
 from repro.hw.chipset import CHIPSETS, Chipset
-from repro.hw.pcix import pcix_peak_bps
 
 __all__ = ["HostSpec", "PE2650", "PE4600", "INTEL_E7505", "ITANIUM2",
            "WAN_HOST", "GBE_HOST"]
@@ -56,10 +55,14 @@ class HostSpec:
     pcix_mhz: int
     memory_gb: int = 1
     parallel_rx_cpus: int = 1
-    #: Per-burst PCI-X overhead in nanoseconds.  The ServerWorks bridges
-    #: of the Dell boxes pay ~960 ns per burst (calibrated against the
-    #: stock Fig. 3 ceiling); the Itanium-II's zx1-class chipset has a
-    #: substantially better PCI-X implementation.
+    #: Per-burst PCI-X overhead in nanoseconds: arbitration, address and
+    #: attribute phases, target initial latency and split-completion
+    #: turnaround.  The ServerWorks bridges of the Dell boxes pay ~960 ns
+    #: per burst, so a 133 MHz bus moves 9018-byte frames at ~2.8 Gb/s
+    #: with 512-byte bursts and ~7.1 Gb/s with 4096-byte bursts,
+    #: bracketing the stock and optimized 9000-MTU Fig. 3 results; the
+    #: Itanium-II's zx1-class chipset has a substantially better PCI-X
+    #: implementation.
     pcix_burst_overhead_ns: float = 960.0
 
     def __post_init__(self) -> None:
@@ -89,9 +92,9 @@ class HostSpec:
         return CHIPSETS[self.chipset]
 
     @property
-    def pcix_peak_bps(self) -> float:
-        """Raw PCI-X bandwidth: clock x 64 bit."""
-        return pcix_peak_bps(self.pcix_mhz)
+    def pcix_burst_overhead_s(self) -> float:
+        """Per-burst PCI-X overhead in seconds."""
+        return self.pcix_burst_overhead_ns * 1e-9
 
     @property
     def stream_copy_bps(self) -> float:

@@ -111,7 +111,3 @@ class EthernetLink:
         if ip_size > self.mtu:
             raise LinkError(
                 f"{self.name}: frame of {ip_size} bytes exceeds MTU {self.mtu}")
-
-    def utilization(self) -> float:
-        """Busy fraction of the serializer since t=0."""
-        return self._txline.utilization()

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from repro.errors import TopologyError
 from repro.units import Gbps
@@ -115,26 +115,9 @@ class FabricTopology:
 
     # -- inspection ---------------------------------------------------------
     @property
-    def n_nodes(self) -> int:
-        """Total node count (hosts + switches)."""
-        return len(self._adjacency)
-
-    @property
     def n_links(self) -> int:
         """Total *directed* link count."""
         return len(self.links)
-
-    def link_id(self, src: str, dst: str) -> int:
-        """Index of the directed link ``src -> dst``."""
-        try:
-            return self._link_index[(src, dst)]
-        except KeyError:
-            raise TopologyError(
-                f"{self.name}: no link {src}->{dst}") from None
-
-    def neighbors(self, node: str) -> Sequence[str]:
-        """Nodes reachable over one outgoing link (insertion order)."""
-        return tuple(self._adjacency[node])
 
     # -- routing ------------------------------------------------------------
     def _dists_to(self, dst: str) -> Dict[str, int]:
@@ -193,13 +176,6 @@ class FabricTopology:
             path.append(self._link_index[(node, nxt)])
             node = nxt
         return path
-
-    def route_nodes(self, src: str, dst: str, flow_id: int = 0) -> List[str]:
-        """The node sequence of :meth:`route` (``src`` .. ``dst``)."""
-        nodes = [src]
-        for idx in self.route(src, dst, flow_id):
-            nodes.append(self.links[idx].dst)
-        return nodes
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<FabricTopology {self.name!r} hosts={len(self.hosts)} "

@@ -186,7 +186,3 @@ class Switch:
             raise TopologyError(
                 f"{self.name}: no forwarding entry for {dst!r}")
         self._ports[port_id].enqueue(skb)
-
-    def total_drops(self) -> int:
-        """Frames dropped across all ports."""
-        return sum(int(p.drops.total) for p in self._ports.values())

@@ -208,11 +208,6 @@ class WanTestbed:
     forward: WanPath
     reverse: WanPath
 
-    @property
-    def rtt_s(self) -> float:
-        """Propagation-only round-trip time of the path."""
-        return self.forward.propagation_s + self.reverse.propagation_s
-
 
 def build_wan_path(env: Environment, config: TuningConfig,
                    spec: HostSpec = WAN_HOST,

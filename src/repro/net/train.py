@@ -79,9 +79,6 @@ class SegmentTrain:
         """Mark the train complete (backlog drained)."""
         self.closed_at = at_time
 
-    def __len__(self) -> int:
-        return self.frames
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "open" if self.closed_at is None else "closed"
         return f"<SegmentTrain {state} frames={self.frames}>"

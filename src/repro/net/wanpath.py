@@ -112,10 +112,6 @@ class PosCircuit:
                        circuit=self.name, nbytes=skb.frame_bytes)
         self._sink.receive_frame(skb)
 
-    def utilization(self) -> float:
-        """Busy fraction of the circuit."""
-        return self._txline.utilization()
-
 
 class Router:
     """A drop-tail output-queued router hop.
@@ -241,16 +237,6 @@ class WanPath:
     def connect(self, sink: FrameSink) -> None:
         """Attach the receiving host's NIC at Geneva."""
         self.oc48.connect(sink)
-
-    @property
-    def propagation_s(self) -> float:
-        """One-way propagation of the whole path."""
-        return self.oc192.propagation_s + self.oc48.propagation_s
-
-    @property
-    def bottleneck_bps(self) -> float:
-        """Payload rate of the slowest circuit."""
-        return min(self.oc192.payload_bps, self.oc48.payload_bps)
 
     @property
     def drops(self) -> int:

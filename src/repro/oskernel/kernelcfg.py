@@ -49,7 +49,3 @@ class KernelConfig:
     def irq_tax(self) -> float:
         """Multiplier on interrupt handling costs."""
         return SMP_IRQ_TAX if self.smp else 1.0
-
-    def describe(self) -> str:
-        """Short label: ``"SMP"`` or ``"UP"``."""
-        return "SMP" if self.smp else "UP"

@@ -74,7 +74,6 @@ class SysctlTable:
 
     def __init__(self) -> None:
         self._values: Dict[str, object] = {}
-        self._raw: Dict[str, str] = {}
 
     @staticmethod
     def _normalize(key: str) -> str:
@@ -91,16 +90,6 @@ class SysctlTable:
             raise SysctlError(f"unknown sysctl {key!r}")
         parser, attr = entry
         self._values[attr] = parser(value)
-        self._raw[norm] = value
-
-    def read(self, key: str) -> str:
-        """Last raw value written (``cat /proc/sys/<key>``)."""
-        norm = self._normalize(key)
-        if norm not in self._KEYS:
-            raise SysctlError(f"unknown sysctl {key!r}")
-        if norm not in self._raw:
-            raise SysctlError(f"sysctl {key!r} has not been written")
-        return self._raw[norm]
 
     def apply(self, config: TuningConfig) -> TuningConfig:
         """``config`` with every accumulated write applied."""

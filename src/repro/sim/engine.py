@@ -259,11 +259,6 @@ class Process(Event):
         init.callbacks.append(self._resume)
         env._schedule_at(init, env._now)
 
-    @property
-    def is_alive(self) -> bool:
-        """True while the generator has not finished."""
-        return not self._triggered
-
     # -- engine internals ---------------------------------------------------
     def _resume(self, event: Event) -> None:
         gen = self._generator
@@ -304,7 +299,7 @@ class Process(Event):
             self.env._record_crash(self, value)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Process {self.name!r} alive={self.is_alive}>"
+        return f"<Process {self.name!r} alive={not self._triggered}>"
 
 
 def _label(fn: Callable[..., Any]) -> str:

@@ -27,11 +27,6 @@ class RngStreams:
         self._seed = int(seed)
         self._streams: Dict[str, np.random.Generator] = {}
 
-    @property
-    def seed(self) -> int:
-        """The root seed."""
-        return self._seed
-
     def get(self, name: str) -> np.random.Generator:
         """The stream for ``name`` (created on first use)."""
         gen = self._streams.get(name)
@@ -43,7 +38,3 @@ class RngStreams:
             gen = np.random.default_rng(ss)
             self._streams[name] = gen
         return gen
-
-    def reset(self) -> None:
-        """Forget all streams; subsequent ``get`` calls start fresh."""
-        self._streams.clear()

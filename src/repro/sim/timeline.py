@@ -82,11 +82,6 @@ class FifoTimeline:
         self.charge_count += 1
         return start, end
 
-    @property
-    def busy_until(self) -> float:
-        """Instant the last-committed hold completes."""
-        return max(self._ends)
-
     # -- accounting -------------------------------------------------------------
     def busy_elapsed(self) -> float:
         """Holder-seconds consumed up to the current time.
@@ -114,4 +109,4 @@ class FifoTimeline:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<FifoTimeline {self.name!r} capacity={self.capacity} "
-                f"busy_until={self.busy_until:.9f}>")
+                f"busy_until={max(self._ends):.9f}>")

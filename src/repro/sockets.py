@@ -4,7 +4,7 @@ The paper's selling point for 10GbE over Myrinet/QsNet is that it is "a
 general-purpose, TCP/IP-based solution to applications, a solution that
 does not require any modification to application codes".  This module
 honours that by giving simulation users the sockets idiom they already
-know: a :class:`SimSocket` with ``send``/``recv``/``sendall`` that work
+know: a :class:`SimSocket` with ``sendall``/``recv``/``recv_exactly`` that work
 as byte *counts* (the simulator models timing, not payload contents).
 
 Usage from a process::
@@ -40,16 +40,8 @@ class SimSocket:
         self.connection = connection
         self.role = role
         self._recv_cursor = 0
-        self._closed = False
 
     # -- sending --------------------------------------------------------------
-    def send(self, nbytes: int):
-        """Process: queue up to ``nbytes`` (blocks on the socket buffer,
-        like a blocking ``send``); returns ``nbytes``."""
-        self._require("tx")
-        yield from self.connection.write(nbytes)
-        return nbytes
-
     def sendall(self, nbytes: int, chunk: int = 65536):
         """Process: send ``nbytes`` in ``chunk``-sized writes."""
         self._require("tx")
@@ -90,21 +82,7 @@ class SimSocket:
             remaining -= got
         return nbytes
 
-    # -- lifecycle ------------------------------------------------------------
-    def close(self) -> None:
-        """Mark the socket closed; further operations raise."""
-        self._closed = True
-
-    @property
-    def bytes_outstanding(self) -> int:
-        """TX: unacknowledged bytes.  RX: delivered-but-unconsumed."""
-        if self.role == "tx":
-            return self.connection.sender.bytes_in_flight
-        return self.connection.receiver.bytes_delivered - self._recv_cursor
-
     def _require(self, role: str) -> None:
-        if self._closed:
-            raise ProtocolError("operation on a closed socket")
         if self.role != role:
             raise ProtocolError(
                 f"{'send' if role == 'tx' else 'recv'} on the "

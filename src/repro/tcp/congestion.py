@@ -58,11 +58,6 @@ class RenoCongestion:
         return max(1, int(self.cwnd))
 
     @property
-    def cwnd_bytes(self) -> int:
-        """MSS-aligned congestion window in bytes."""
-        return self.cwnd_segments * self.mss
-
-    @property
     def in_slow_start(self) -> bool:
         """True while cwnd < ssthresh."""
         return self.cwnd < self.ssthresh

@@ -82,9 +82,6 @@ class TcpConnection:
     def _at_receiver(self, skb: SkBuff) -> None:
         if skb.kind == "data":
             self.receiver.on_data_frame(skb)
-        elif skb.kind == "syn":
-            self.env.process(self._answer_syn(skb),
-                             name=f"{self.name}.synack")
         else:
             raise ProtocolError(
                 f"{self.name}: unexpected {skb.kind!r} frame at receiver")
@@ -92,48 +89,9 @@ class TcpConnection:
     def _at_sender(self, skb: SkBuff) -> None:
         if skb.kind == "ack":
             self.sender.on_ack_frame(skb)
-        elif skb.kind == "synack":
-            ev = self._handshake_done
-            if ev is not None and not ev.triggered:
-                ev.succeed(self.env.now)
         else:
             raise ProtocolError(
                 f"{self.name}: unexpected {skb.kind!r} frame at sender")
-
-    # -- connection establishment ---------------------------------------------------
-    _handshake_done = None
-
-    def handshake(self):
-        """Process: simulate the three-way handshake over the wire and
-        return the connect latency in seconds (SYN out, SYN/ACK back —
-        1 RTT as the application observes it; the final ACK piggybacks
-        on the first data segment).
-
-        Option negotiation itself (MSS, wscale) is still performed at
-        construction; this models the *timing*, which matters on the
-        180 ms WAN path (§4) far more than in the LAN.
-        """
-        env = self.env
-        src, dst = self.src_host, self.dst_host
-        start = env.now
-        self._handshake_done = env.event()
-        yield from src.cpu_work(src.costs.tx_syscall_s()
-                                + src.costs.tx_segment_s(0))
-        syn = SkBuff(payload=0, headers=60, kind="syn", conn=self.conn_id,
-                     meta={"dst": self.dst_host.nic.address})
-        self.sender.nic.send(syn)
-        yield self._handshake_done
-        return env.now - start
-
-    def _answer_syn(self, skb: SkBuff):
-        dst = self.dst_host
-        yield from dst.cpu_work(dst.costs.rx_segment_s(0)
-                                + dst.costs.rx_ack_gen_s())
-        synack = SkBuff(payload=0, headers=60, kind="synack",
-                        conn=self.conn_id,
-                        meta={"dst": self.src_host.nic.address,
-                              "win": self.receiver.window.current})
-        self.receiver.nic.send(synack)
 
     # -- application-facing API -----------------------------------------------------
     def write(self, nbytes: int):
@@ -157,22 +115,6 @@ class TcpConnection:
             yield wake
 
     # -- measurement -------------------------------------------------------------
-    @property
-    def mss(self) -> int:
-        """Effective segment payload size."""
-        return self.sender.mss
-
-    def goodput_bps(self) -> float:
-        """Application-level throughput at the receiver."""
-        return self.receiver.goodput_bps()
-
-    def retransmission_rate(self) -> float:
-        """Retransmitted fraction of all data segments sent."""
-        total = self.sender.segments_sent + self.sender.retransmitted
-        if total == 0:
-            return 0.0
-        return self.sender.retransmitted / total
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<TcpConnection {self.name} {self.src_host.name}->"
-                f"{self.dst_host.name} mss={self.mss}>")
+                f"{self.dst_host.name} mss={self.sender.mss}>")

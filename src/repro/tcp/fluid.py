@@ -97,18 +97,6 @@ class FluidResult:
     losses: int
     mean_throughput_bps: float
 
-    @property
-    def mean_throughput_gbps(self) -> float:
-        """Average goodput in Gb/s."""
-        return self.mean_throughput_bps / 1e9
-
-    def bytes_transferred(self) -> float:
-        """Total payload moved during the run."""
-        if len(self.time_s) < 2:
-            return 0.0
-        dt = np.diff(self.time_s)
-        return float(np.dot(self.throughput_bps[:-1], dt) / 8.0)
-
 
 @dataclass(frozen=True)
 class FastParams:
@@ -258,11 +246,6 @@ class MultiFlowResult:
     losses: int
     mean_aggregate_bps: float
     fairness: float                      # Jain's index over mean windows
-
-    @property
-    def mean_aggregate_gbps(self) -> float:
-        """Average aggregate goodput in Gb/s."""
-        return self.mean_aggregate_bps / 1e9
 
 
 def simulate_fluid_multiflow(params: FluidParams, n_flows: int,

@@ -17,8 +17,8 @@ replay")::
     from repro.telemetry import TelemetryBus, RunRecorder
 
     bus = TelemetryBus()
-    with RunRecorder(bus, "out.reprorun") as rec, \\
-            telemetry_session(trace=True, bus=bus):
+    rec = RunRecorder(bus, "out.reprorun")
+    with telemetry_session(trace=True, bus=bus):
         run_experiment("fig3")
     bundle = rec.close()
 

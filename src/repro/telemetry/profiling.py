@@ -9,8 +9,8 @@ processed event:
   entries, which carry no event),
 * callback counts and wall-clock seconds attributed to the *component*
   that ran.  A process callback is named after the process with the
-  instance prefix stripped (``conn1.synack`` → ``synack``) so every
-  connection's handshake responder aggregates into one row; any other
+  instance prefix stripped (``netpipe.ping`` → ``ping``) so the same
+  process of every instance aggregates into one row; any other
   callback after its function's qualified name
   (``TcpSender._pump_sent``, ``TenGigAdapter._rx_charge``),
 * the queue-depth high-water mark (pending entries at dispatch).
@@ -33,7 +33,7 @@ def component_of(name: str) -> str:
     """Aggregation key for a process name.
 
     Strips the per-object ``#ident`` suffix and the leading instance
-    segment: ``conn1.synack`` → ``synack``, ``oc192#17`` → ``oc192``,
+    segment: ``netpipe.ping`` → ``ping``, ``oc192#17`` → ``oc192``,
     ``pktgen`` → ``pktgen``.
     """
     name = name.split("#", 1)[0]
@@ -78,10 +78,6 @@ class EngineProfiler:
         self.heap_hwm = max(self.heap_hwm, data["heap_hwm"])
         self.events_total += data["events_total"]
         self.wall_time_s += data["wall_time_s"]
-
-    def merge(self, other: "EngineProfiler") -> None:
-        """Fold another profiler into this one."""
-        self.merge_snapshot(other.snapshot())
 
     # -- reporting ----------------------------------------------------------
     def render_table(self) -> str:

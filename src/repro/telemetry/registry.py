@@ -126,11 +126,6 @@ class Histogram:
                 return
         self.counts[-1] += 1
 
-    @property
-    def mean(self) -> float:
-        """Arithmetic mean of the observed samples (0 when empty)."""
-        return self.sum / self.count if self.count else 0.0
-
     def _data(self) -> Dict[str, Any]:
         return {"buckets": list(self.buckets), "counts": list(self.counts),
                 "count": self.count, "sum": self.sum}
@@ -214,10 +209,6 @@ class MetricsRegistry:
                 kwargs["buckets"] = tuple(entry["data"]["buckets"])
             metric = self._get(cls, entry["name"], entry["labels"], **kwargs)
             metric._merge(entry["data"])
-
-    def clear(self) -> None:
-        """Drop every registered series."""
-        self._metrics.clear()
 
 
 def merge_snapshots(snapshots: Sequence[List[Dict[str, Any]]]

@@ -387,12 +387,6 @@ class RunRecorder:
                 encoding="utf-8")
         return load_bundle(self.path)
 
-    def __enter__(self) -> "RunRecorder":
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self.close()
-
 
 class RunBundle:
     """A loaded ``.reprorun`` bundle: manifest + lazily-read events."""
@@ -432,17 +426,6 @@ class RunBundle:
         count = 0
         for event in self.iter_events():
             consumer(event)
-            count += 1
-        return count
-
-    def replay_onto(self, bus: TelemetryBus) -> int:
-        """Republish the recorded stream onto a live bus (events keep
-        their recorded payloads; the bus re-stamps ``seq``)."""
-        count = 0
-        for event in self.iter_events():
-            payload = {k: v for k, v in event.items()
-                       if k not in ("seq", "kind")}
-            bus.publish(event["kind"], payload)
             count += 1
         return count
 

@@ -44,8 +44,7 @@ def _conn_label(track: str, subject: Any, detail: Dict[str, Any]) -> str:
 class TimelineFolder:
     """Folds trace events into per-connection series, one at a time.
 
-    Feed it event tuples (:meth:`add`) or streamed bus event dicts
-    (:meth:`add_stream_event`) in any order; :meth:`document` sorts
+    Feed it event tuples (:meth:`add`) in any order; :meth:`document` sorts
     each series by time and returns the same ``repro-timeline-v1``
     payload as :func:`build_timelines`.
     """
@@ -69,13 +68,6 @@ class TimelineFolder:
         entry[name].append([time] + [detail.get(f) for f in fields])
         self.folded += 1
         return True
-
-    def add_stream_event(self, event: Dict[str, Any]) -> bool:
-        """Fold one bus/bundle event dict (ignores non-trace kinds)."""
-        if event.get("kind") != "trace":
-            return False
-        return self.add(event["track"], event["time"], event["point"],
-                        event.get("subject"), event.get("detail", {}))
 
     def document(self) -> Dict[str, Any]:
         """The plottable ``repro-timeline-v1`` document (sorted rows)."""

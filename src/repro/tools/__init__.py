@@ -2,7 +2,6 @@
 
 * :mod:`repro.tools.nttcp` — fixed-count payload-sweep throughput (the
   paper's primary tool).
-* :mod:`repro.tools.iperf` — fixed-duration stream throughput.
 * :mod:`repro.tools.netpipe` — ping-pong latency.
 * :mod:`repro.tools.stream_bench` — memory bandwidth.
 * :mod:`repro.tools.magnet` — kernel event tracing and path profiling.
@@ -13,7 +12,6 @@ CPU load, the paper's load-average reading, is
 """
 
 from repro.tools.nttcp import NttcpResult, nttcp_run
-from repro.tools.iperf import IperfResult, iperf_run
 from repro.tools.netpipe import NetpipeResult, netpipe_latency
 from repro.tools.stream_bench import stream_bench
 from repro.tools.magnet import Magnet
@@ -22,8 +20,6 @@ from repro.tools.tcpdump import Tcpdump
 __all__ = [
     "NttcpResult",
     "nttcp_run",
-    "IperfResult",
-    "iperf_run",
     "NetpipeResult",
     "netpipe_latency",
     "stream_bench",

@@ -69,11 +69,6 @@ class Magnet:
         for host in self.hosts:
             host.trace.enabled = False
 
-    def clear(self) -> None:
-        """Discard recorded events."""
-        for host in self.hosts:
-            host.trace.clear()
-
     # -- analyses --------------------------------------------------------------
     def path_histogram(self) -> Dict[str, int]:
         """How many events each instrumentation point saw."""

@@ -45,11 +45,6 @@ class NttcpResult:
         """Goodput in Gb/s (the paper's y-axis unit is Mbit/s)."""
         return self.goodput_bps / 1e9
 
-    @property
-    def goodput_mbps(self) -> float:
-        """Goodput in Mb/s."""
-        return self.goodput_bps / 1e6
-
 
 def nttcp_run(env: Environment, conn: TcpConnection, payload: int,
               count: int = DEFAULT_WRITE_COUNT) -> NttcpResult:
@@ -110,4 +105,3 @@ def default_payloads(mss: int, points: int = 24,
         if lo <= anchor <= hi:
             grid.add(anchor)
     return sorted(grid)
-

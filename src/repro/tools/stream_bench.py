@@ -30,11 +30,6 @@ class StreamResult:
         """Copy bandwidth in Gb/s (the unit §3.5.2 quotes)."""
         return self.copy_bps / 1e9
 
-    @property
-    def efficiency(self) -> float:
-        """Measured / theoretical."""
-        return self.copy_bps / self.theoretical_bps
-
 
 def stream_bench(spec: HostSpec) -> StreamResult:
     """Run the (simulated) STREAM copy benchmark on a platform."""

@@ -29,14 +29,6 @@ class CaptureRecord:
     payload: int
     window: Optional[int]
 
-    def summary(self) -> str:
-        """A tcpdump-style one-liner."""
-        if self.kind == "ack":
-            return (f"{self.time * 1e6:12.1f}us ack {self.ack}"
-                    f" win {self.window}")
-        return (f"{self.time * 1e6:12.1f}us {self.kind}"
-                f" {self.seq}:{self.end_seq}({self.payload})")
-
 
 class Tcpdump:
     """Passive tap on a link: records then forwards every frame."""
@@ -62,16 +54,9 @@ class Tcpdump:
             self.dropped += 1
         self._inner.receive_frame(skb)
 
-    def __len__(self) -> int:
-        return len(self.records)
-
     def acks(self) -> List[CaptureRecord]:
         """Only the ACK frames."""
         return [r for r in self.records if r.kind == "ack"]
-
-    def data(self) -> List[CaptureRecord]:
-        """Only the data frames."""
-        return [r for r in self.records if r.kind == "data"]
 
     def advertised_windows(self) -> List[int]:
         """The advertised-window series (the §3.5.1 evidence)."""

@@ -19,23 +19,13 @@ ten around.  Following the paper's conventions:
 from __future__ import annotations
 
 __all__ = [
-    "Kbps",
-    "Mbps",
     "Gbps",
-    "bits_per_sec",
-    "to_Gbps",
-    "to_Mbps",
     "KB",
     "MB",
-    "GB",
     "ns",
     "us",
     "ms",
-    "seconds",
-    "to_us",
-    "to_ms",
     "BITS_PER_BYTE",
-    "bytes_per_sec",
     "transfer_time",
 ]
 
@@ -44,39 +34,9 @@ BITS_PER_BYTE = 8
 
 # --- data rates (bit/s) --------------------------------------------------
 
-def Kbps(x: float) -> float:
-    """Kilobits per second to bit/s (decimal prefix)."""
-    return x * 1e3
-
-
-def Mbps(x: float) -> float:
-    """Megabits per second to bit/s (decimal prefix)."""
-    return x * 1e6
-
-
 def Gbps(x: float) -> float:
     """Gigabits per second to bit/s (decimal prefix)."""
     return x * 1e9
-
-
-def bits_per_sec(x: float) -> float:
-    """Identity helper for call sites that want to be explicit."""
-    return float(x)
-
-
-def to_Gbps(rate_bps: float) -> float:
-    """bit/s to Gb/s."""
-    return rate_bps / 1e9
-
-
-def to_Mbps(rate_bps: float) -> float:
-    """bit/s to Mb/s."""
-    return rate_bps / 1e6
-
-
-def bytes_per_sec(rate_bps: float) -> float:
-    """Convert a bit/s rate to bytes/s."""
-    return rate_bps / BITS_PER_BYTE
 
 
 # --- data sizes (bytes) --------------------------------------------------
@@ -89,11 +49,6 @@ def KB(x: float) -> int:
 def MB(x: float) -> int:
     """Mebibytes to bytes."""
     return int(x * 1024 * 1024)
-
-
-def GB(x: float) -> int:
-    """Gibibytes to bytes."""
-    return int(x * 1024 * 1024 * 1024)
 
 
 # --- times (seconds) -----------------------------------------------------
@@ -111,21 +66,6 @@ def us(x: float) -> float:
 def ms(x: float) -> float:
     """Milliseconds to seconds."""
     return x * 1e-3
-
-
-def seconds(x: float) -> float:
-    """Identity helper for symmetry with the other time units."""
-    return float(x)
-
-
-def to_us(t: float) -> float:
-    """Seconds to microseconds."""
-    return t * 1e6
-
-
-def to_ms(t: float) -> float:
-    """Seconds to milliseconds."""
-    return t * 1e3
 
 
 def transfer_time(nbytes: float, rate_bps: float) -> float:

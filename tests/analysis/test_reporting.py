@@ -43,11 +43,6 @@ class TestFigures:
         with pytest.raises(MeasurementError):
             Series("x", [], [])
 
-    def test_series_stats(self):
-        s = Series("x", [1, 2, 3], [1.0, 5.0, 3.0])
-        assert s.peak == 5.0
-        assert s.mean == 3.0
-
     def test_figure_render(self):
         fig = Figure(title="F", xlabel="payload", ylabel="Gb/s")
         fig.add(Series("a", [0, 100, 200], [1.0, 2.0, 3.0]))

@@ -4,7 +4,7 @@ import pytest
 
 from repro.config import TuningConfig
 from repro.analysis.stackprofile import StackProfiler
-from repro.hw.calibration import CostModel
+from repro.hw.calibration import DEFAULT_CALIBRATION, CostModel
 from repro.hw.presets import PE2650
 
 
@@ -74,6 +74,19 @@ def test_os_bypass_strips_cpu_stages(profiler):
     prof = profiler.profile(TuningConfig.os_bypass_projection(9000))
     assert prof.total_us("receiver CPU") < 1.0
     assert prof.bottleneck() in ("sender bus", "receiver bus")
+
+
+def test_os_bypass_moves_bytes_without_the_smp_tax(profiler):
+    """Direct data placement charges its bytes untaxed in the cost
+    model, so an SMP kernel's tax lands on the protocol stages only."""
+    config = TuningConfig.os_bypass_projection(9000).replace(smp_kernel=True)
+    prof = profiler.profile(config)
+    stage = {s.stage: s.seconds for s in prof.stages}
+    moved = prof.payload * DEFAULT_CALIBRATION.os_bypass_byte_s
+    assert CostModel(PE2650, config).kernel.per_packet_tax > 1.0
+    assert stage["user->kernel copy"] == pytest.approx(moved, rel=1e-12)
+    assert stage["data movement (FSB + copy)"] == pytest.approx(
+        moved, rel=1e-12)
 
 
 def test_header_split_moves_bottleneck_to_sender(profiler):

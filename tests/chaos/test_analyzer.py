@@ -3,8 +3,7 @@
 import pytest
 
 from repro.chaos import (FaultSpec, FaultWindow, analyze_goodput,
-                         count_retransmits, cwnd_trough,
-                         enrich_with_telemetry, render_scorecard)
+                         render_scorecard)
 from repro.errors import ChaosError
 
 
@@ -30,7 +29,6 @@ def test_vee_recovery_quantities():
     assert rec.trough_bps == pytest.approx(2e9)
     assert rec.recovered
     assert rec.time_to_recover_s == pytest.approx(10.0)
-    assert rec.trough_fraction == pytest.approx(0.2)
     # Shortfall integral of the linear climb: sum of (10-rate)*1s steps.
     expected_lost = sum(10e9 - r for r in rates[10:20])
     assert rec.goodput_lost_bits == pytest.approx(expected_lost)
@@ -81,29 +79,9 @@ def test_series_validation():
                         recovered_fraction=0.0)
 
 
-def test_telemetry_enrichment():
-    events = [
-        ("tcp", 10.5, "tcp.tx.retransmit", 1, {}),
-        ("tcp", 11.5, "tcp.tx.retransmit", 2, {}),
-        ("tcp", 50.0, "tcp.tx.retransmit", 3, {}),   # outside the window
-        ("tcp", 10.6, "tcp.cwnd.update", 1, {"cwnd": 18.0}),
-        ("tcp", 11.0, "tcp.cwnd.update", 1, {"cwnd": 3.0}),
-        ("tcp", 12.0, "tcp.cwnd.update", 1, {"cwnd": 7.0}),
-    ]
-    assert count_retransmits(events, 10.0, 20.0) == 2
-    assert cwnd_trough(events, 10.0, 20.0) == 3.0
-    assert cwnd_trough(events, 100.0) is None
-    times, rates = vee_series()
-    recs = analyze_goodput(times, rates, [(10.0, 11.0)])
-    enriched, = enrich_with_telemetry(recs, events)
-    assert enriched.retransmits == 2
-    assert enriched.cwnd_trough == 3.0
-
-
 def test_render_scorecard_smoke():
     times, rates = vee_series()
     recs = analyze_goodput(times, rates, [(10.0, 11.0)])
-    recs = enrich_with_telemetry(recs, [])
     text = render_scorecard(recs, title="Unit scorecard")
     assert "Unit scorecard" in text
     assert "baseline" in text and "score" in text

@@ -1,5 +1,6 @@
 """Unit tests for the chaos injector: windows, targets, activation."""
 
+import json
 import os
 
 import pytest
@@ -199,7 +200,7 @@ def _transfer(plan, count=16):
         env = Environment()
         bb = BackToBack.create(env, TuningConfig.oversized_windows(9000))
         conn = TcpConnection(env, bb.a, bb.b)
-        result = nttcp_run(env, conn, payload=conn.mss, count=count)
+        result = nttcp_run(env, conn, payload=conn.sender.mss, count=count)
         row = (session.injector_for(env).summary()[0]
                if session is not None else None)
     finally:
@@ -256,7 +257,7 @@ def test_chaos_session_accepts_dict_and_path(tmp_path):
     with chaos_session(plan.to_dict()) as session:
         assert session.plan == plan
     path = tmp_path / "plan.json"
-    path.write_text(plan.to_json())
+    path.write_text(json.dumps(plan.to_dict()))
     with chaos_session(path) as session:
         assert session.plan == plan
 
@@ -274,7 +275,7 @@ def test_empty_plan_attaches_no_injector():
 
 def test_env_var_arms_a_plan(tmp_path):
     path = tmp_path / "plan.json"
-    path.write_text(single_fault_plan().to_json())
+    path.write_text(json.dumps(single_fault_plan().to_dict()))
     os.environ[hooks.CHAOS_ENV] = str(path)
     try:
         env = Environment()

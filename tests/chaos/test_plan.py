@@ -1,5 +1,7 @@
 """Unit tests for the declarative fault-plan model."""
 
+import json
+
 import pytest
 
 from repro.chaos.plan import FAULT_KINDS, FaultPlan, FaultSpec
@@ -92,13 +94,6 @@ def test_plan_is_empty():
     assert not make_plan().is_empty
 
 
-def test_with_faults_replaces():
-    plan = make_plan()
-    emptied = plan.with_faults(())
-    assert emptied.is_empty
-    assert emptied.name == plan.name and emptied.seed == plan.seed
-
-
 # -- serialization ---------------------------------------------------------------
 
 def test_dict_round_trip():
@@ -109,7 +104,7 @@ def test_dict_round_trip():
 def test_json_round_trip():
     plan = make_plan(faults=(make_spec(), make_spec(kind="reorder_window",
                                                     delay_s=1e-3)))
-    assert FaultPlan.from_json(plan.to_json()) == plan
+    assert FaultPlan.from_json(json.dumps(plan.to_dict())) == plan
 
 
 def test_from_dict_string_kinds_coerced():
@@ -146,7 +141,7 @@ def test_invalid_json_reported():
 def test_load_from_file(tmp_path):
     path = tmp_path / "plan.json"
     plan = make_plan()
-    path.write_text(plan.to_json())
+    path.write_text(json.dumps(plan.to_dict()))
     assert FaultPlan.load(path) == plan
 
 
@@ -160,7 +155,7 @@ def test_load_missing_file_raises(tmp_path):
 def test_fingerprint_stable_across_construction_routes(tmp_path):
     plan = make_plan()
     path = tmp_path / "plan.json"
-    path.write_text(plan.to_json())
+    path.write_text(json.dumps(plan.to_dict()))
     assert plan.fingerprint() == FaultPlan.load(path).fingerprint()
     assert plan.fingerprint() == FaultPlan.from_dict(
         plan.to_dict()).fingerprint()

@@ -62,7 +62,7 @@ def test_ladder_tracks_paper_peaks(ladder_9000):
         paper = r.paper_peak(9000)
         if paper is not None:
             # within 35% of the paper's number at this scale
-            assert r.peak(9000) == pytest.approx(paper, rel=0.35)
+            assert r.curves[9000].peak_gbps == pytest.approx(paper, rel=0.35)
 
 
 def test_mtu_tuning_curves(study):

@@ -48,7 +48,7 @@ class TestBottleneckStudy:
     def test_dual_adapter_no_better(self, study):
         one = study.receive_path()
         two = study.dual_adapters()
-        assert two.aggregate_bps < one.aggregate_bps * 1.15
+        assert two.aggregate_bps < one.aggregate_bps * 1.10
 
     def test_pktgen_vs_tcp_ratio(self, study):
         pkt = study.pktgen_ceiling(packets=512)
@@ -60,12 +60,3 @@ class TestBottleneckStudy:
     def test_memory_bandwidth_ruled_out(self, study):
         stream = study.stream_comparison()
         assert stream["PE4600"].copy_bps > stream["PE2650"].copy_bps * 1.4
-
-    def test_full_report(self, study):
-        report = study.run()
-        assert report.paths_symmetric or abs(
-            report.rx_aggregate.aggregate_bps
-            - report.tx_aggregate.aggregate_bps) < 0.15 * \
-            report.rx_aggregate.aggregate_bps
-        assert report.bus_ruled_out
-        assert 0.5 < report.tcp_fraction_of_pktgen < 1.0

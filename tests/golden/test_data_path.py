@@ -36,7 +36,7 @@ def _transfer(mtu, count, setup=None):
     bb = BackToBack.create(env, TuningConfig.oversized_windows(mtu))
     conn = TcpConnection(env, bb.a, bb.b)
     extra = setup(env, bb) if setup else None
-    result = nttcp_run(env, conn, payload=conn.mss, count=count)
+    result = nttcp_run(env, conn, payload=conn.sender.mss, count=count)
     return env, result, extra
 
 

@@ -139,7 +139,8 @@ NBYTES = (1, 64, 511, 512, 513, 1518, 4096, 8192, 9018, 16018, 65536)
 
 def pcix_hold():
     env = Environment()
-    buses = [PciXBus(env, 133), PciXBus(env, 100),
+    buses = [PciXBus(env, 133, PE2650.pcix_burst_overhead_s),
+             PciXBus(env, 100, PE2650.pcix_burst_overhead_s),
              PciXBus(env, 66, burst_overhead_s=450e-9)]
     return [[bus.transfer_time(n, m) for n in NBYTES for m in VALID_MMRBC]
             for bus in buses]

@@ -7,6 +7,9 @@ from repro.errors import ConfigError
 from repro.hw.calibration import Calibration, CostModel
 from repro.hw.presets import INTEL_E7505, PE2650
 
+#: The paper's uniprocessor-kernel step at 9000 MTU.
+UP_9000 = TuningConfig(mtu=9000, mmrbc=4096, smp_kernel=False)
+
 
 def cm(config=None, spec=PE2650):
     return CostModel(spec, config or TuningConfig.fully_tuned(9000))
@@ -14,7 +17,7 @@ def cm(config=None, spec=PE2650):
 
 class TestScaling:
     def test_per_packet_scales_inverse_with_clock(self):
-        cfg = TuningConfig.uniprocessor(9000)
+        cfg = UP_9000
         slow = CostModel(PE2650, cfg)       # 2.2 GHz
         fast = CostModel(INTEL_E7505, cfg)  # 2.66 GHz
         assert fast.tx_syscall_s() < slow.tx_syscall_s()
@@ -23,21 +26,19 @@ class TestScaling:
 
     def test_smp_taxes_per_packet_costs(self):
         smp = cm(TuningConfig.with_pcix_burst(9000))
-        up = cm(TuningConfig.uniprocessor(9000))
+        up = cm(UP_9000)
         assert smp.tx_syscall_s() > up.tx_syscall_s()
         assert smp.rx_segment_s(8948) > up.rx_segment_s(8948)
 
     def test_timestamps_add_cost_and_disabled_removes_it(self):
-        with_ts = cm(TuningConfig.uniprocessor(9000))
-        without = cm(TuningConfig.uniprocessor(9000).replace(
-            tcp_timestamps=False))
+        with_ts = cm(UP_9000)
+        without = cm(UP_9000.replace(tcp_timestamps=False))
         assert with_ts.tx_segment_s(8948) > without.tx_segment_s(8948)
         assert with_ts.rx_segment_s(8948) > without.rx_segment_s(8948)
 
     def test_checksum_offload_saves_rx_time(self):
-        offload = cm(TuningConfig.uniprocessor(9000))
-        no_offload = cm(TuningConfig.uniprocessor(9000).replace(
-            checksum_offload=False))
+        offload = cm(UP_9000)
+        no_offload = cm(UP_9000.replace(checksum_offload=False))
         assert no_offload.rx_segment_s(8948) > offload.rx_segment_s(8948)
 
     def test_allocator_order_penalty_visible(self):
@@ -84,7 +85,7 @@ class TestCalibrationValidation:
 
     def test_pktgen_cost_not_smp_taxed(self):
         smp = cm(TuningConfig.stock(9000))
-        up = cm(TuningConfig.uniprocessor(9000))
+        up = cm(UP_9000)
         assert smp.pktgen_loop_s() == up.pktgen_loop_s()
 
     def test_frame_bytes_accounts_for_timestamps(self):

@@ -2,9 +2,12 @@
 
 import pytest
 
+from repro.config import TuningConfig
 from repro.errors import ConfigError
+from repro.hw.calibration import CostModel
 from repro.hw.chipset import CHIPSETS, Chipset
 from repro.hw.memory import MemorySubsystem
+from repro.hw.pcix import pcix_peak_bps
 from repro.hw.presets import (
     GBE_HOST,
     HostSpec,
@@ -54,11 +57,12 @@ class TestHostSpecs:
         assert PE2650.cpu_ghz == 2.2
         assert PE2650.fsb_mhz == 400
         assert PE2650.pcix_mhz == 133
-        assert PE2650.pcix_peak_bps == pytest.approx(Gbps(8.512), rel=0.01)
+        assert pcix_peak_bps(PE2650.pcix_mhz) == pytest.approx(Gbps(8.512),
+                                                              rel=0.01)
 
     def test_pe4600_slower_bus(self):
         assert PE4600.pcix_mhz == 100
-        assert PE4600.pcix_peak_bps == pytest.approx(Gbps(6.4))
+        assert pcix_peak_bps(PE4600.pcix_mhz) == pytest.approx(Gbps(6.4))
 
     def test_e7505_faster_fsb(self):
         assert INTEL_E7505.fsb_mhz == 533
@@ -93,14 +97,12 @@ class TestMemorySubsystem:
         assert mem.stream_benchmark() == PE2650.stream_copy_bps
 
     def test_fsb_touch_scales_with_clock(self):
-        t_400 = MemorySubsystem(PE2650).fsb_touch_time(1000)
-        t_533 = MemorySubsystem(INTEL_E7505).fsb_touch_time(1000)
+        # header splitting leaves only the FSB-limited touch on receive
+        config = TuningConfig.with_header_splitting(8160)
+        t_400 = CostModel(PE2650, config).rx_copy_s(1000)
+        t_533 = CostModel(INTEL_E7505, config).rx_copy_s(1000)
         assert t_533 < t_400
         assert t_400 / t_533 == pytest.approx(533 / 400, rel=0.01)
-
-    def test_fsb_touch_negative_rejected(self):
-        with pytest.raises(ConfigError):
-            MemorySubsystem(PE2650).fsb_touch_time(-1)
 
     def test_copy_engine_priced_from_stream(self):
         eng = MemorySubsystem(PE2650).copy_engine()

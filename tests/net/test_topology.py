@@ -82,6 +82,8 @@ def test_wan_testbed_rtt():
     env = Environment()
     tb = build_wan_path(env, TuningConfig.wan_tuned(buf=1 << 25))
     # 180 ms RTT by construction (paper's measured value)
-    assert tb.rtt_s == pytest.approx(0.180, rel=0.02)
+    rtt = sum(circuit.propagation_s for path in (tb.forward, tb.reverse)
+              for circuit in (path.oc192, path.oc48))
+    assert rtt == pytest.approx(0.180, rel=0.02)
     assert tb.sunnyvale.name == "sunnyvale"
-    assert tb.forward.bottleneck_bps < tb.forward.oc192.payload_bps
+    assert tb.forward.oc48.payload_bps < tb.forward.oc192.payload_bps

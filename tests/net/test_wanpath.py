@@ -87,13 +87,15 @@ def test_wanpath_end_to_end():
     assert len(sink.frames) == 1
     # 18000 km at 2e8 m/s = 90 ms one way
     assert sink.times[0] == pytest.approx(0.090, rel=0.02)
-    assert path.propagation_s == pytest.approx(0.090, rel=0.01)
+    assert path.oc192.propagation_s + path.oc48.propagation_s == \
+        pytest.approx(0.090, rel=0.01)
 
 
 def test_wanpath_bottleneck_is_oc48():
     env = Environment()
     path = WanPath(env)
-    assert path.bottleneck_bps == pytest.approx(
+    assert path.oc48.payload_bps < path.oc192.payload_bps
+    assert path.oc48.payload_bps == pytest.approx(
         OC48_BPS * SONET_PAYLOAD_FRACTION)
 
 

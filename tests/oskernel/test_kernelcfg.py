@@ -11,7 +11,8 @@ from repro.oskernel.kernelcfg import (
 def test_from_tuning():
     smp = KernelConfig.from_tuning(TuningConfig.stock())
     assert smp.smp
-    up = KernelConfig.from_tuning(TuningConfig.uniprocessor())
+    up = KernelConfig.from_tuning(
+        TuningConfig(mtu=9000, mmrbc=4096, smp_kernel=False))
     assert not up.smp
 
 
@@ -25,8 +26,3 @@ def test_up_is_tax_free():
     up = KernelConfig(smp=False)
     assert up.per_packet_tax == 1.0
     assert up.irq_tax == 1.0
-
-
-def test_describe():
-    assert KernelConfig(smp=True).describe() == "SMP"
-    assert KernelConfig(smp=False).describe() == "UP"

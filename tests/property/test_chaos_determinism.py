@@ -29,7 +29,7 @@ def _transfer():
     env = Environment()
     bb = BackToBack.create(env, TuningConfig.oversized_windows(MTU))
     conn = TcpConnection(env, bb.a, bb.b)
-    return nttcp_run(env, conn, payload=conn.mss, count=COUNT), env
+    return nttcp_run(env, conn, payload=conn.sender.mss, count=COUNT), env
 
 
 def _run_transfer(plan):

@@ -48,7 +48,7 @@ class TestCostModelProperties:
     def test_pcix_bigger_bursts_never_slower(self, m1, m2, nbytes):
         from repro.hw.pcix import PciXBus
         from repro.sim import Environment
-        bus = PciXBus(Environment(), 133)
+        bus = PciXBus(Environment(), 133, PE2650.pcix_burst_overhead_s)
         small, large = min(m1, m2), max(m1, m2)
         assert bus.transfer_time(nbytes, large) <= \
             bus.transfer_time(nbytes, small)

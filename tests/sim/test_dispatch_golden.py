@@ -102,7 +102,7 @@ def chaos_transfer():
         env = Environment()
         bb = BackToBack.create(env, TuningConfig.oversized_windows(9000))
         conn = TcpConnection(env, bb.a, bb.b)
-        r = nttcp_run(env, conn, payload=conn.mss, count=64)
+        r = nttcp_run(env, conn, payload=conn.sender.mss, count=64)
         rows = session.injector_for(env).summary()
     return {"result": dataclasses.asdict(r), "faults": rows, "now": env.now,
             "counters": _counters(env)}

@@ -38,13 +38,6 @@ class TestRngStreams:
         b = s2.get("y").random(3)
         assert (a == b).all()
 
-    def test_reset(self):
-        s = RngStreams(seed=1)
-        a = s.get("x").random(3)
-        s.reset()
-        b = s.get("x").random(3)
-        assert (a == b).all()
-
 
 class TestTraceBuffer:
     def test_disabled_by_default(self):

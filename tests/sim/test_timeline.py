@@ -19,7 +19,6 @@ def test_single_server_serializes_in_fifo_order():
     assert line.charge(2.0) == (0.0, 2.0)
     assert line.charge(1.0) == (2.0, 3.0)
     assert line.charge(0.5) == (3.0, 3.5)
-    assert line.busy_until == 3.5
 
 
 def test_two_servers_grant_fifo_to_the_earliest_free():
@@ -32,7 +31,6 @@ def test_two_servers_grant_fifo_to_the_earliest_free():
     assert line.charge(1.0) == (5.0, 6.0)   # server 1
     assert line.charge_count == 5
     assert line.committed_time == 12.0
-    assert line.busy_until == 6.0
     env.run(until=10.0)
     # both servers idle: the grant is now, not the old busy-until
     assert line.charge(1.0) == (10.0, 11.0)

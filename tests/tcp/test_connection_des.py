@@ -35,7 +35,7 @@ def test_mss_negotiated_from_path_minimum():
     bb = BackToBack.create(env, TuningConfig.stock(9000),
                            config_b=TuningConfig.stock(1500))
     conn = TcpConnection(env, bb.a, bb.b)
-    assert conn.mss == 1448  # limited by the 1500 end
+    assert conn.sender.mss == 1448  # limited by the 1500 end
 
 
 def test_segments_cut_at_mss():
@@ -78,7 +78,7 @@ def test_rtt_estimated():
 
 def test_goodput_positive_and_sane():
     env, conn = transfer(TuningConfig.fully_tuned(8160), 8108, 128)
-    g = conn.goodput_bps()
+    g = conn.receiver.goodput_bps()
     assert 1e9 < g < 8.5e9  # between GbE and the PCI-X ceiling
 
 
@@ -94,7 +94,7 @@ def test_invalid_write_rejected():
 
 def test_retransmission_rate_zero_without_loss():
     env, conn = transfer(TuningConfig.fully_tuned(9000), 8948, 64)
-    assert conn.retransmission_rate() == 0.0
+    assert conn.sender.retransmitted == 0
 
 
 def test_two_connections_share_host_independently():

@@ -73,7 +73,7 @@ def test_met_target_schedules_nothing():
 
 def test_waiters_wake_in_target_order():
     env, conn = connection()
-    mss = conn.mss
+    mss = conn.sender.mss
     woke = []
 
     def waiter(target):

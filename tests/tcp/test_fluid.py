@@ -95,7 +95,7 @@ def test_slow_start_ramp_visible():
 
 def test_bytes_transferred_consistent():
     result = simulate_fluid(wan_params(), duration_s=60.0)
-    total = result.bytes_transferred()
+    total = np.dot(result.throughput_bps[:-1], np.diff(result.time_s)) / 8.0
     approx = result.mean_throughput_bps * 60.0 / 8.0
     assert total == pytest.approx(approx, rel=0.3)
 

@@ -33,7 +33,7 @@ def test_multistream_fills_pipe_with_small_buffers():
     multi = simulate_fluid_multiflow(p, n_flows=8, duration_s=300.0,
                                      warmup_s=60.0)
     assert single.mean_throughput_bps < Gbps(0.4)
-    assert multi.mean_aggregate_gbps == pytest.approx(2.38, rel=0.03)
+    assert multi.mean_aggregate_bps == pytest.approx(Gbps(2.38), rel=0.03)
 
 
 def test_aggregate_never_exceeds_capacity():
@@ -55,7 +55,7 @@ def test_losses_hit_largest_flow():
                                      warmup_s=50.0)
     assert multi.losses >= 1
     # aggregate stays much closer to capacity than a single lossy flow
-    assert multi.mean_aggregate_gbps > 1.8
+    assert multi.mean_aggregate_bps > Gbps(1.8)
 
 
 def test_window_series_shape():

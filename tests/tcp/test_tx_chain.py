@@ -39,7 +39,7 @@ def loss_run(drops):
             "acks_received": snd.acks_received, "acks_sent": rcv.acks_sent,
             "delivered": rcv.bytes_delivered,
             "last_delivery": repr(rcv.last_delivery_time),
-            "goodput": repr(conn.goodput_bps())}
+            "goodput": repr(conn.receiver.goodput_bps())}
 
 
 def test_fast_retransmit_matches_the_process_pump():

@@ -141,7 +141,7 @@ class TestEngineProfiling:
                    for key in prof.callback_counts)
 
     def test_component_of_strips_instances(self):
-        assert component_of("conn1.synack") == "synack"
+        assert component_of("netpipe.ping") == "ping"
         assert component_of("oc192#17") == "oc192"
         assert component_of("pktgen") == "pktgen"
 
@@ -153,7 +153,7 @@ class TestEngineProfiling:
         b.event_counts["Timeout"] = 2
         b.events_total = 2
         b.heap_hwm = 9
-        a.merge(b)
+        a.merge_snapshot(b.snapshot())
         assert a.event_counts["Timeout"] == 5
         assert a.events_total == 5
         assert a.heap_hwm == 9

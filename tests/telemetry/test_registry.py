@@ -75,7 +75,6 @@ class TestHistogram:
             h.observe(v)
         assert h.counts == [1, 1, 1, 1]  # last is the overflow bucket
         assert h.count == 4 and h.sum == 120
-        assert h.mean == 30.0
 
     def test_default_buckets_power_of_two(self):
         h = MetricsRegistry().histogram("h")
@@ -84,9 +83,6 @@ class TestHistogram:
     def test_unsorted_buckets_rejected(self):
         with pytest.raises(MeasurementError, match="sorted"):
             MetricsRegistry().histogram("h", buckets=(4, 1))
-
-    def test_empty_mean_is_zero(self):
-        assert MetricsRegistry().histogram("h").mean == 0.0
 
 
 class TestSnapshotAndMerge:

@@ -294,13 +294,6 @@ class TestRecorder:
         assert bundle.event_count == 2
         assert load_bundle(bundle.path).event_count == 2
 
-    def test_context_manager(self, tmp_path):
-        bus = TelemetryBus()
-        with RunRecorder(bus, tmp_path / "cm.reprorun") as rec:
-            bus.publish("meta", {"event": "x"})
-        assert load_bundle(tmp_path / "cm.reprorun").event_count == 1
-        assert rec.event_count == 1
-
     def test_invalid_segment_bound_rejected(self, tmp_path):
         with pytest.raises(MeasurementError, match="segment_events"):
             RunRecorder(TelemetryBus(), tmp_path / "x.reprorun",
@@ -313,16 +306,6 @@ class TestRecorder:
         assert bundle.replay(first.append) == 7
         assert bundle.replay(second.append) == 7
         assert first == second
-
-    def test_replay_onto_bus_restamps_seq(self, tmp_path):
-        bus, rec = self._record(tmp_path, n=3)
-        bundle = rec.close()
-        target = TelemetryBus()
-        sub = target.subscribe()
-        assert bundle.replay_onto(target) == 3
-        replayed = sub.drain()
-        assert [ev["seq"] for ev in replayed] == [1, 2, 3]
-        assert [ev["i"] for ev in replayed] == [0, 1, 2]
 
     def test_summary_counts(self, tmp_path):
         bus = TelemetryBus()

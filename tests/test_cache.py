@@ -104,7 +104,6 @@ class TestResultCache:
         assert stats.entries == 1
         assert stats.size_bytes > 0
         assert (stats.hits, stats.misses, stats.stores) == (1, 1, 1)
-        assert stats.hit_rate == 0.5
 
 
 class TestActivation:

@@ -81,15 +81,10 @@ def test_describe_matches_paper_legend_style():
 def test_named_ladder_configs():
     assert TuningConfig.stock(9000).mmrbc == 512
     assert TuningConfig.with_pcix_burst().mmrbc == 4096
-    assert TuningConfig.uniprocessor().smp_kernel is False
     big = TuningConfig.oversized_windows()
     assert big.tcp_rmem == KB(256) and big.tcp_wmem == KB(256)
     tuned = TuningConfig.fully_tuned()
     assert tuned.mtu == 8160 and not tuned.smp_kernel
-
-
-def test_low_latency_disables_coalescing():
-    assert TuningConfig.low_latency().interrupt_coalescing_us == 0.0
 
 
 def test_wan_tuned_sets_paper_recipe():
@@ -98,13 +93,6 @@ def test_wan_tuned_sets_paper_recipe():
     assert cfg.txqueuelen == 10000
     assert cfg.window_scaling
     assert cfg.tcp_rmem == 32 * 1024 * 1024
-
-
-def test_as_dict_roundtrip():
-    cfg = TuningConfig.fully_tuned()
-    d = cfg.as_dict()
-    assert d["mtu"] == 8160
-    assert TuningConfig(**d) == cfg
 
 
 def _attributes_read_outside_config():

@@ -70,7 +70,7 @@ class TestMchLink:
         from repro.hw.pcix import PciXBus
         env = Environment()
         mch = MchLink(env)
-        pcix = PciXBus(env, 133)
+        pcix = PciXBus(env, 133, PE2650.pcix_burst_overhead_s)
         assert mch.transfer_time(9018) < pcix.transfer_time(9018, 4096)
 
     def test_validation(self):

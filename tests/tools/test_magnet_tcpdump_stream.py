@@ -57,7 +57,8 @@ class TestMagnet:
 
     def test_disabled_magnet_records_nothing(self):
         _, conn, magnet, _ = run_traffic(with_magnet=True)
-        magnet.clear()
+        for host in magnet.hosts:
+            host.trace.clear()
         magnet.stop()
         assert magnet.path_histogram() == {}
 
@@ -70,7 +71,8 @@ class TestMagnet:
     def test_profile_counts_requeued_and_unmatched_exactly(self):
         _, _, magnet, _ = run_traffic(with_magnet=True)
         host = magnet.hosts[0]
-        magnet.clear()
+        for host in magnet.hosts:
+            host.trace.clear()
         buf = host.trace
         buf.post(0.0, "src", 1)
         buf.post(1.0, "src", 2)
@@ -142,8 +144,8 @@ class TestTcpdump:
             yield from conn.wait_delivered(8948 * 32)
 
         env.run(until=env.process(app()))
-        assert len(dump.data()) == 32
-        assert "data" in dump.data()[0].summary()
+        data = [r for r in dump.records if r.kind == "data"]
+        assert len(data) == 32
 
     def test_attach_before_connect_rejected(self):
         env = Environment()
@@ -162,4 +164,5 @@ class TestStream:
         assert r4600.copy_bps / r2650.copy_bps == pytest.approx(1.5, rel=0.05)
 
     def test_efficiency_below_one(self):
-        assert 0 < stream_bench(PE2650).efficiency < 1
+        r = stream_bench(PE2650)
+        assert 0 < r.copy_bps / r.theoretical_bps < 1
