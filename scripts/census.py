@@ -196,7 +196,10 @@ KEEP: Dict[str, str] = {
         "counts the records a full trace ring dropped",
     "repro.tcp.congestion.RenoCongestion.exit_recovery":
         "ends NewReno recovery on a full ACK; the loss-recovery property "
-        "tests drive it",
+        "tests drive it.  The census enters recovery once, in "
+        "examples/chaos_storm.py act three, whose 50%-drop burst also "
+        "drops the fast retransmission, so that recovery gets no partial "
+        "or full ACK and ends by RTO",
     "repro.core.knobs.parse_on_flag":
         "parses a REPRO_* knob when it is set; the census sets none",
     "repro.core.knobs.parse_truthy_flag":

@@ -456,11 +456,10 @@ def _anecdotal(quick: bool = True) -> ExperimentOutput:
     """§3.4: E7505 out-of-box; Itanium-II aggregated flows."""
     from repro.analysis.tables import format_kv
     from repro.core.casestudy import CaseStudy
-    from repro.hw.presets import GBE_HOST, INTEL_E7505, ITANIUM2
+    from repro.hw.presets import INTEL_E7505, ITANIUM2
     from repro.net.topology import MultiFlow
     from repro.sim.engine import Environment
-    from repro.tcp.connection import TcpConnection
-    from repro.tools.nttcp import nttcp_run
+    from repro.tcp.connection import TcpConnection, steady_goodput_bps
 
     # E7505: as shipped by Intel for evaluation — MMRBC already raised,
     # jumbo frames and generous socket buffers preconfigured; §3.4 notes
@@ -480,22 +479,9 @@ def _anecdotal(quick: bool = True) -> ExperimentOutput:
                             client_spec=INTEL_E7505,
                             client_rate_bps=Gbps(10))
     conns = [TcpConnection(env, c, topo.server) for c in topo.clients]
-    stop = {"flag": False}
-
-    def src(conn):
-        while not stop["flag"]:
-            yield from conn.write(65536)
-
-    for conn in conns:
-        env.process(src(conn))
     horizon = 0.01 if quick else 0.04
-    env.run(until=horizon / 2)
-    base = [c.receiver.bytes_delivered for c in conns]
-    t0 = env.now
-    env.run(until=t0 + horizon)
-    stop["flag"] = True
-    agg = sum((c.receiver.bytes_delivered - b) * 8.0 / (env.now - t0)
-              for c, b in zip(conns, base))
+    agg = sum(steady_goodput_bps(env, conns, 65536, warmup_s=horizon / 2,
+                                 window_s=horizon))
     summary = {
         "e7505_peak_gbps (paper 4.64)": e_curve.peak_gbps,
         "itanium2_aggregate_gbps (paper 7.2)": agg / 1e9,
@@ -769,8 +755,8 @@ def _wan(quick: bool = True) -> ExperimentOutput:
     sweep = run.buffer_sweep(duration_s=120.0 if quick else 600.0)
     des = run.run_des_scaled(scale=0.02 if quick else 0.1,
                              duration_s=2.0 if quick else 6.0)
-    multi = run.run_fluid_multiflow(n_flows=8,
-                                    duration_s=300.0 if quick else 600.0)
+    multi = run.run_fluid(n_flows=8, duration_s=300.0 if quick else 600.0,
+                          label="8 streams")
     summary = {
         "tuned_gbps (paper 2.38)": tuned.throughput_gbps,
         "payload_efficiency (paper ~0.99)": tuned.payload_efficiency,

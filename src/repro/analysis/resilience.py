@@ -26,8 +26,7 @@ from repro.chaos.analyzer import (FaultRecovery, FaultWindow,
                                   analyze_goodput, render_scorecard)
 from repro.core.wanrecord import RTT_S, WanRecordRun
 from repro.tcp.analytic import recovery_time_s
-from repro.tcp.fluid import FluidParams, simulate_fluid
-from repro.tcp.window import window_from_space
+from repro.tcp.fluid import simulate_fluid
 
 __all__ = ["ResilienceReport", "wan_loss_report"]
 
@@ -59,13 +58,8 @@ def wan_loss_report(mtu: int = 1500, loss_at_s: float = 300.0,
     analytic_delack_s = 2.0 * analytic_s
     if duration_s is None:
         duration_s = loss_at_s + 1.35 * analytic_s
-    params = FluidParams(
-        bottleneck_bps=rate,
-        base_rtt_s=run.rtt_s,
-        mss=run.mss,
-        max_window_bytes=window_from_space(run.bdp_buffer_bytes()),
-        queue_packets=run.queue_frames)
-    result = simulate_fluid(params, duration_s=duration_s,
+    result = simulate_fluid(run.fluid_params(run.bdp_buffer_bytes()),
+                            duration_s=duration_s,
                             warmup_s=min(30.0, loss_at_s / 2.0),
                             force_loss_at_s=loss_at_s)
     fault = FaultWindow(start_s=loss_at_s, end_s=loss_at_s + run.rtt_s,

@@ -28,7 +28,7 @@ from repro.hw.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.hw.presets import GBE_HOST, HostSpec, PE2650, PE4600, INTEL_E7505
 from repro.net.topology import BackToBack, MultiFlow
 from repro.sim.engine import Environment
-from repro.tcp.connection import TcpConnection
+from repro.tcp.connection import TcpConnection, steady_goodput_bps
 from repro.tcp.pktgen import PktgenResult, pktgen_run
 from repro.tools.stream_bench import StreamResult, stream_bench
 from repro.units import Gbps
@@ -84,25 +84,9 @@ class BottleneckStudy:
             else:
                 conns.append(TcpConnection(env, topo.server, client,
                                            src_nic=adapter))
-        stop = {"flag": False}
-
-        def source(conn: TcpConnection):
-            while not stop["flag"]:
-                yield from conn.write(65536)
-
-        for conn in conns:
-            env.process(source(conn), name=f"mf.{conn.name}")
-        warmup = self.duration_s * 0.5
-        env.run(until=warmup)
-        start = [c.receiver.bytes_delivered for c in conns]
-        t0 = env.now
-        env.run(until=t0 + self.duration_s)
-        stop["flag"] = True
-        elapsed = env.now - t0
-        per_flow = [
-            (c.receiver.bytes_delivered - s) * 8.0 / elapsed
-            for c, s in zip(conns, start)
-        ]
+        per_flow = steady_goodput_bps(env, conns, 65536,
+                                      warmup_s=self.duration_s * 0.5,
+                                      window_s=self.duration_s)
         return AggregateResult(direction=direction, n_flows=len(conns),
                                n_adapters=n_adapters,
                                aggregate_bps=float(sum(per_flow)),

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.config import TuningConfig
 from repro.errors import MeasurementError
@@ -31,8 +31,8 @@ from repro.core.landspeed import LSR_2002, LSR_2003, land_speed_record_metric
 from repro.sim.engine import Environment
 from repro.sim.pool import sweep
 from repro.tcp.analytic import bandwidth_delay_product
-from repro.tcp.connection import TcpConnection
-from repro.tcp.fluid import FluidParams, FluidResult, simulate_fluid
+from repro.tcp.connection import TcpConnection, steady_goodput_bps
+from repro.tcp.fluid import FluidParams, simulate_fluid
 from repro.tcp.mss import mss_for_mtu
 from repro.tcp.window import window_from_space
 
@@ -119,50 +119,38 @@ class WanRecordRun:
         return int(math.ceil(buf))
 
     # -- fluid engine --------------------------------------------------------------
+    def fluid_params(self, buffer_bytes: int) -> FluidParams:
+        """The record path as fluid-model inputs, with the window a
+        ``buffer_bytes`` socket buffer allows each flow."""
+        return FluidParams(
+            bottleneck_bps=self.bottleneck_goodput_bps,
+            base_rtt_s=self.rtt_s,
+            mss=self.mss,
+            max_window_bytes=window_from_space(buffer_bytes),
+            queue_packets=self.queue_frames)
+
     def run_fluid(self, buffer_bytes: Optional[int] = None,
                   duration_s: float = 3600.0,
-                  label: str = "tuned") -> WanOutcome:
-        """One configuration through the fluid model."""
-        buf = self.bdp_buffer_bytes() if buffer_bytes is None else buffer_bytes
-        if buf <= 0:
-            raise MeasurementError("buffer must be positive")
-        window_cap = window_from_space(buf)
-        params = FluidParams(
-            bottleneck_bps=self.bottleneck_goodput_bps,
-            base_rtt_s=self.rtt_s,
-            mss=self.mss,
-            max_window_bytes=window_cap,
-            queue_packets=self.queue_frames)
-        result = simulate_fluid(params, duration_s=duration_s,
-                                warmup_s=min(30.0, duration_s / 4.0))
-        return self._outcome(label, buf, result.mean_throughput_bps,
-                             result.losses)
+                  label: str = "tuned", n_flows: int = 1) -> WanOutcome:
+        """One configuration through the fluid model.
 
-    def run_fluid_multiflow(self, n_flows: int,
-                            per_flow_buffer_bytes: Optional[int] = None,
-                            duration_s: float = 600.0) -> WanOutcome:
-        """N parallel streams (the LSR's multi-stream category).
-
-        Default per-flow buffer: an N-th of the tuned single-stream
-        buffer — the practical reason multi-stream transfers were
-        popular before large windows were safe (Table 1 recovery).
+        ``n_flows`` parallel streams make the LSR's multi-stream
+        category; ``buffer_bytes`` is then each flow's buffer, by default
+        an N-th of the tuned single-stream buffer — the practical reason
+        multi-stream transfers were popular before large windows were
+        safe (Table 1 recovery).
         """
-        from repro.tcp.fluid import simulate_fluid_multiflow
         if n_flows < 1:
             raise MeasurementError("need at least one flow")
-        buf = (per_flow_buffer_bytes if per_flow_buffer_bytes is not None
-               else max(4096, self.bdp_buffer_bytes() // n_flows))
-        params = FluidParams(
-            bottleneck_bps=self.bottleneck_goodput_bps,
-            base_rtt_s=self.rtt_s,
-            mss=self.mss,
-            max_window_bytes=window_from_space(buf),
-            queue_packets=self.queue_frames)
-        result = simulate_fluid_multiflow(
-            params, n_flows=n_flows, duration_s=duration_s,
-            warmup_s=min(30.0, duration_s / 4.0))
-        return self._outcome(f"{n_flows} streams", buf,
-                             result.mean_aggregate_bps, result.losses)
+        buf = (max(4096, self.bdp_buffer_bytes() // n_flows)
+               if buffer_bytes is None else buffer_bytes)
+        if buf <= 0:
+            raise MeasurementError("buffer must be positive")
+        result = simulate_fluid(self.fluid_params(buf), duration_s=duration_s,
+                                warmup_s=min(30.0, duration_s / 4.0),
+                                n_flows=n_flows)
+        return self._outcome(label, buf, result.mean_throughput_bps,
+                             result.losses)
 
     def buffer_sweep(self, factors: Sequence[float] = (0.001, 0.25, 0.5,
                                                        1.0, 1.5, 3.0),
@@ -199,24 +187,11 @@ class WanRecordRun:
             path.oc192.propagation_s *= scale
             path.oc48.propagation_s *= scale
         conn = TcpConnection(env, testbed.sunnyvale, testbed.geneva)
-        stop = {"flag": False}
-
-        def source():
-            while not stop["flag"]:
-                yield from conn.write(262144)
-
-        env.process(source(), name="wan.src")
-        warmup = duration_s / 2.0
-        env.run(until=warmup)
-        start_bytes = conn.receiver.bytes_delivered
-        t0 = env.now
-        env.run(until=t0 + duration_s / 2.0)
-        stop["flag"] = True
-        delivered = conn.receiver.bytes_delivered - start_bytes
-        elapsed = env.now - t0
-        if delivered <= 0:
+        throughput = steady_goodput_bps(env, [conn], 262144,
+                                        warmup_s=duration_s / 2.0,
+                                        window_s=duration_s / 2.0)[0]
+        if throughput <= 0:
             raise MeasurementError("WAN DES run saw no deliveries")
-        throughput = delivered * 8.0 / elapsed
         losses = testbed.forward.drops + testbed.reverse.drops
         return self._outcome(f"DES x{scale:g} scale", buf, throughput,
                              losses)

@@ -29,15 +29,17 @@ from random import Random
 
 __all__ = ["QueueCoupling"]
 
+#: Weight of a new fluid reading in the smoothed background state.
+EMA_ALPHA = 0.5
+
 
 class QueueCoupling:
     """Coupling state for one shared queue (see module docstring)."""
 
     __slots__ = ("name", "background_utilization", "background_drop_prob",
-                 "foreground_packets", "foreground_bytes", "coupled_drops",
-                 "_rng", "_ema_alpha")
+                 "foreground_packets", "coupled_drops", "_rng")
 
-    def __init__(self, name: str, seed: int = 0, ema_alpha: float = 0.5):
+    def __init__(self, name: str, seed: int = 0):
         self.name = name
         #: fluid share of the line rate, [0, 0.95]; smoothed via EMA so
         #: the tick-to-tick handoff cannot oscillate
@@ -47,20 +49,16 @@ class QueueCoupling:
         self.background_drop_prob = 0.0
         #: foreground packets serviced since the last coupler drain
         self.foreground_packets = 0
-        #: foreground payload bytes serviced since the last drain
-        self.foreground_bytes = 0
         #: foreground packets lost to background pressure (lifetime)
         self.coupled_drops = 0
         self._rng = Random(zlib.crc32(name.encode()) ^ seed)
-        self._ema_alpha = float(ema_alpha)
 
     # -- fluid -> DES -------------------------------------------------------
     def set_background(self, utilization: float, drop_prob: float) -> None:
         """Install the fluid link state for the next tick (EMA-smoothed)."""
-        a = self._ema_alpha
-        self.background_utilization += a * (
+        self.background_utilization += EMA_ALPHA * (
             min(max(utilization, 0.0), 0.95) - self.background_utilization)
-        self.background_drop_prob += a * (
+        self.background_drop_prob += EMA_ALPHA * (
             min(max(drop_prob, 0.0), 0.95) - self.background_drop_prob)
 
     def admit(self) -> bool:
@@ -77,16 +75,14 @@ class QueueCoupling:
         return 1.0 - self.background_utilization
 
     # -- DES -> fluid -------------------------------------------------------
-    def record_service(self, nbytes: int) -> None:
-        """Account one serviced foreground packet of ``nbytes``."""
+    def record_service(self) -> None:
+        """Account one serviced foreground packet."""
         self.foreground_packets += 1
-        self.foreground_bytes += nbytes
 
     def take_foreground_pps(self, dt: float) -> float:
         """Mean foreground packet rate since the last call; resets."""
         pps = self.foreground_packets / dt if dt > 0 else 0.0
         self.foreground_packets = 0
-        self.foreground_bytes = 0
         return pps
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -148,7 +148,7 @@ class DesLink:
         self._level -= 1
         self.serviced += 1
         if self.coupling is not None:
-            self.coupling.record_service(pkt.payload + HEADER_BYTES)
+            self.coupling.record_service()
 
 
 class FabricFlow:

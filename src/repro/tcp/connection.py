@@ -9,7 +9,7 @@ and exposes the measurement surface the tools use.
 from __future__ import annotations
 
 import itertools
-from typing import Optional
+from typing import List, Optional, Sequence
 
 from repro.errors import ProtocolError
 from repro.oskernel.skbuff import SkBuff
@@ -18,7 +18,7 @@ from repro.tcp.mss import MtuProfile
 from repro.tcp.receiver import TcpReceiver
 from repro.tcp.sender import TcpSender
 
-__all__ = ["TcpConnection"]
+__all__ = ["TcpConnection", "steady_goodput_bps"]
 
 _conn_ids = itertools.count(1)
 
@@ -118,3 +118,29 @@ class TcpConnection:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<TcpConnection {self.name} {self.src_host.name}->"
                 f"{self.dst_host.name} mss={self.sender.mss}>")
+
+
+def steady_goodput_bps(env: Environment, conns: Sequence[TcpConnection],
+                       write_bytes: int, warmup_s: float,
+                       window_s: float) -> List[float]:
+    """Each connection's steady-state goodput under a saturating writer.
+
+    Starts one writer per connection (in ``conns`` order) that issues
+    back-to-back ``write_bytes`` writes, runs ``env`` to ``warmup_s``,
+    then measures the bytes each receiver delivers over the next
+    ``window_s`` — the measurement window of the multi-flow probes and
+    the WAN cross-check.
+    """
+    def writer(conn: TcpConnection):
+        while True:
+            yield from conn.write(write_bytes)
+
+    for conn in conns:
+        env.process(writer(conn), name=f"{conn.name}.src")
+    env.run(until=warmup_s)
+    start = [c.receiver.bytes_delivered for c in conns]
+    t0 = env.now
+    env.run(until=t0 + window_s)
+    elapsed = env.now - t0
+    return [(c.receiver.bytes_delivered - s) * 8.0 / elapsed
+            for c, s in zip(conns, start)]

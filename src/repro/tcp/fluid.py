@@ -8,24 +8,24 @@ captured by the classic fluid model iterated per RTT:
 * sending rate = W / RTT_eff, RTT_eff = base RTT + queue/C,
 * queue integrates (rate - C), loss when the queue exceeds its capacity,
 * W: x2 per RTT in slow start, +1 per RTT in avoidance, halved on loss
-  (or, for one flow, FAST TCP's delay law — :class:`FastParams`),
+  (or FAST TCP's delay law — :class:`FastParams`),
 * W capped by the socket-buffer window (the paper's tuning instrument:
   "we turn to the flow-control window to implicitly cap the
   congestion-window size to the bandwidth-delay product").
 
-Three granularities share that arithmetic:
+Two granularities share that arithmetic:
 
-* :func:`simulate_fluid`          — one flow, one bottleneck (the §4 WAN runs),
-* :func:`simulate_fluid_multiflow`— N flows sharing one bottleneck (the
-  LSR multi-stream category),
-* :class:`FluidFabric`            — N flows over a *fabric* of links
+* :func:`simulate_fluid` — one or N flows sharing one bottleneck (the §4
+  WAN runs: the LSR's single-stream and multi-stream categories), a
+  scalar loop over per-flow lists that sums the flows' rates in NumPy's
+  float64 order;
+* :class:`FluidFabric`   — N flows over a *fabric* of links
   (fat-tree / torus), steppable from outside so a discrete-event run
   can advance it tick by tick and exchange traffic with it — the
   background half of the hybrid fluid+DES mode
   (:mod:`repro.net.hybrid`).
 
-Arrays are preallocated and the loops are scalar-light, per the
-HPC-Python guidance; a 10,000-RTT run costs milliseconds.  A
+A 10,000-RTT :func:`simulate_fluid` run costs milliseconds.  A
 :class:`FluidFabric` step spends its NumPy calls where the congestion
 is: route sums read a padded hop table and sum each distinct hop-1..
 suffix once (the 1016 flows of a k=8 fat-tree incast share 390), drop
@@ -45,14 +45,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.errors import ProtocolError
 
 __all__ = ["FluidParams", "FluidResult", "FastParams", "simulate_fluid",
-           "MultiFlowResult", "simulate_fluid_multiflow", "FluidFabric"]
+           "FluidFabric"]
+
+#: Start stagger of :func:`simulate_fluid`'s flows: flow *k* starts at
+#: ``k * STAGGER_S`` seconds.
+STAGGER_S = 0.5
 
 #: Longest route :class:`FluidFabric` sums through its hop table.
 _TABLE_HOPS = 8
@@ -88,7 +92,32 @@ class FluidParams:
 
 @dataclass(frozen=True)
 class FluidResult:
-    """Time series and aggregates of one fluid run."""
+    """Time series and aggregates of one fluid run.
+
+    Attributes
+    ----------
+    time_s:
+        Sample instants, shape ``(steps,)``; the spacing follows the
+        effective RTT (a quarter of it per step).
+    window_segments:
+        Congestion windows in segments: shape ``(steps,)`` for one
+        flow, ``(steps, n_flows)`` for several, with 0.0 for a flow that
+        has not started yet.
+    queue_packets:
+        Bottleneck queue occupancy at each sample.
+    throughput_bps:
+        Aggregate served payload rate at each sample.
+    losses:
+        Loss events over the run (each halves exactly one flow's window:
+        the largest).
+    mean_throughput_bps:
+        Mean of ``throughput_bps`` over the post-``warmup_s`` samples
+        (all samples when the warm-up excludes everything).
+    fairness:
+        Jain's fairness index over the flows' post-warm-up mean windows:
+        1.0 for an even split (and for one flow), ``1/n_flows`` when one
+        flow holds everything.
+    """
 
     time_s: np.ndarray
     window_segments: np.ndarray
@@ -96,6 +125,7 @@ class FluidResult:
     throughput_bps: np.ndarray
     losses: int
     mean_throughput_bps: float
+    fairness: float
 
 
 @dataclass(frozen=True)
@@ -130,10 +160,37 @@ class FastParams:
             raise ProtocolError("gamma must be in (0, 1]")
 
 
+def _pairwise_sum(values: List[float]) -> float:
+    """``values`` summed in the order NumPy's float64 ``sum`` uses, so the
+    aggregate rate rounds exactly as an array sum would: left to right
+    below eight terms, eight interleaved lanes combined as
+    ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))`` up to 128, halves above."""
+    n = len(values)
+    if n < 8:
+        total = 0.0
+        for v in values:
+            total += v
+        return total
+    if n > 128:
+        half = n // 2
+        half -= half % 8
+        return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
+    r = values[:8]
+    whole = n - n % 8
+    for i in range(8, whole, 8):
+        for j in range(8):
+            r[j] += values[i + j]
+    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for v in values[whole:]:
+        total += v
+    return total
+
+
 def simulate_fluid(params: FluidParams, duration_s: float,
                    warmup_s: float = 0.0,
                    force_loss_at_s: Optional[float] = None,
-                   fast: Optional[FastParams] = None) -> FluidResult:
+                   fast: Optional[FastParams] = None,
+                   n_flows: int = 1) -> FluidResult:
     """Iterate the fluid model for ``duration_s``.
 
     ``force_loss_at_s`` injects one loss event at the given time — the
@@ -141,38 +198,62 @@ def simulate_fluid(params: FluidParams, duration_s: float,
     ``warmup_s`` excludes the slow-start ramp from the mean throughput.
     The window follows Reno's AIMD law, or FAST's delay law when
     ``fast`` is given; a loss halves either.
+
+    ``n_flows`` parallel flows share the bottleneck — the Internet2
+    LSR's multi-stream category (the paper's record "smashed both"), the
+    practical workaround for Table 1's recovery times: each flow needs
+    only 1/N of the window, so a loss halves 1/N of the aggregate and
+    regrows N times faster.  ``max_window_bytes`` is then the *per-flow*
+    cap, flow *k* starts at ``k * STAGGER_S`` to desynchronise slow
+    start, and a loss hits the flow with the largest window (the one
+    overdriving the queue; the first of them on a tie).
     """
+    if n_flows < 1:
+        raise ProtocolError("need at least one flow")
     if duration_s <= 0:
         raise ProtocolError("duration must be positive")
+    base_rtt = params.base_rtt_s
     cap_w = params.max_window_bytes / params.mss
     c_pps = params.capacity_pps
+    rate_cap = 4.0 * c_pps
     q_cap = float(params.queue_packets)
+    bps_per_pps = params.mss * 8.0
 
     # time steps of base_rtt / 4 keep queue dynamics smooth
-    max_steps = int(duration_s / (params.base_rtt_s / 4.0)) + 2
-    t = np.zeros(max_steps)
-    w = np.zeros(max_steps)
-    q = np.zeros(max_steps)
-    thr = np.zeros(max_steps)
+    max_steps = int(duration_s / (base_rtt / 4.0)) + 2
+    t: List[float] = []
+    w: List = []
+    q: List[float] = []
+    thr: List[float] = []
 
-    w_now = min(params.initial_window_segments, cap_w)
+    w_now = [min(params.initial_window_segments, cap_w)] * n_flows
+    ssthresh = [params.ssthresh_segments] * n_flows
+    idle = [0.0] * n_flows
+    started = 0
     q_now = 0.0
-    ssthresh = params.ssthresh_segments
     losses = 0
     forced_pending = force_loss_at_s is not None
     now = 0.0
     i = 0
     while now < duration_s and i < max_steps:
-        rtt_eff = params.base_rtt_s + q_now / c_pps
+        while started < n_flows and now >= started * STAGGER_S:
+            started += 1
+        rtt_eff = base_rtt + q_now / c_pps
         dt = rtt_eff / 4.0
-        rate_pps = min(w_now / rtt_eff, 4.0 * c_pps)
+        if n_flows == 1:              # the single-stream runs skip the lists
+            rate_pps = min(w_now[0] / rtt_eff, rate_cap)
+            w.append(w_now[0])
+        else:
+            on = w_now[:started] + idle[started:]
+            rate_pps = min(_pairwise_sum([x / rtt_eff for x in on]),
+                           rate_cap)
+            w.append(on)
         # queue integrates the excess arrival
         q_now = max(0.0, q_now + (rate_pps - c_pps) * dt)
         served_pps = min(rate_pps, c_pps) if q_now <= 0 else c_pps
-        t[i] = now
-        w[i] = w_now
-        q[i] = min(q_now, q_cap)
-        thr[i] = served_pps * params.mss * 8.0
+        t.append(now)
+        q.append(min(q_now, q_cap))
+        thr.append(served_pps * bps_per_pps)
 
         lost = q_now > q_cap
         if forced_pending and now >= force_loss_at_s:
@@ -180,159 +261,52 @@ def simulate_fluid(params: FluidParams, duration_s: float,
             forced_pending = False
         if lost:
             losses += 1
-            ssthresh = max(w_now / 2.0, 2.0)
-            w_now = ssthresh
+            k = max(range(started), key=w_now.__getitem__)
+            ssthresh[k] = max(w_now[k] / 2.0, 2.0)
+            w_now[k] = ssthresh[k]
             q_now = min(q_now, q_cap)
         else:
             # growth per dt, scaled from per-RTT increments
             frac = dt / rtt_eff
-            if fast is not None:
-                # FAST: move toward the delay law's window at its pace
-                target = ((params.base_rtt_s / rtt_eff) * w_now
-                          + fast.alpha_packets)
-                w_next = min(2.0 * w_now, (1.0 - fast.gamma) * w_now
-                             + fast.gamma * target)
-                w_now = w_now + (w_next - w_now) * frac
-            elif w_now < ssthresh:
-                w_now += w_now * frac          # slow start: x2 per RTT
-            else:
-                w_now += 1.0 * frac            # avoidance: +1 per RTT
-            w_now = min(w_now, cap_w)
+            for k in range(started):
+                wk = w_now[k]
+                if fast is not None:
+                    # FAST: move toward the delay law's window at its pace
+                    target = (base_rtt / rtt_eff) * wk + fast.alpha_packets
+                    w_next = min(2.0 * wk, (1.0 - fast.gamma) * wk
+                                 + fast.gamma * target)
+                    wk = wk + (w_next - wk) * frac
+                elif wk < ssthresh[k]:
+                    wk += wk * frac            # slow start: x2 per RTT
+                else:
+                    wk += 1.0 * frac           # avoidance: +1 per RTT
+                w_now[k] = min(wk, cap_w)
         now += dt
         i += 1
 
-    t, w, q, thr = t[:i], w[:i], q[:i], thr[:i]
-    mask = t >= warmup_s
-    mean = float(thr[mask].mean()) if mask.any() else float(thr.mean())
-    return FluidResult(time_s=t, window_segments=w, queue_packets=q,
-                       throughput_bps=thr, losses=losses,
-                       mean_throughput_bps=mean)
-
-
-@dataclass(frozen=True)
-class MultiFlowResult:
-    """Aggregates of an N-flow fluid run.
-
-    Attributes
-    ----------
-    n_flows:
-        Number of simulated flows (>= 1).
-    time_s:
-        Sample instants, shape ``(steps,)``; spacing adapts to the
-        effective RTT like :class:`FluidResult`'s.
-    windows_segments:
-        Per-flow congestion windows in segments, shape
-        ``(steps, n_flows)``; 0.0 for a flow that has not started yet
-        (the ``stagger_s`` ramp).
-    aggregate_throughput_bps:
-        Aggregate served payload rate at each sample, shape
-        ``(steps,)``.
-    losses:
-        Total drop-tail loss events over the run (each event halves
-        exactly one flow — the one with the largest window).
-    mean_aggregate_bps:
-        Mean of ``aggregate_throughput_bps`` over the post-``warmup_s``
-        samples (all samples when the warmup excludes everything).
-    fairness:
-        Jain's fairness index over the flows' post-warmup mean windows:
-        1.0 for a perfectly even split, ``1/n_flows`` when one flow
-        holds everything.
-    """
-
-    n_flows: int
-    time_s: np.ndarray
-    windows_segments: np.ndarray        # shape (steps, n_flows)
-    aggregate_throughput_bps: np.ndarray
-    losses: int
-    mean_aggregate_bps: float
-    fairness: float                      # Jain's index over mean windows
-
-
-def simulate_fluid_multiflow(params: FluidParams, n_flows: int,
-                             duration_s: float,
-                             warmup_s: float = 0.0,
-                             stagger_s: float = 0.5) -> MultiFlowResult:
-    """N parallel AIMD flows sharing the bottleneck (fluid model).
-
-    The Internet2 LSR had single- and multi-stream categories (the
-    paper's record "smashed both"); multi-stream transfers were the
-    practical workaround for Table 1's recovery times — each flow only
-    needs 1/N of the window, so a loss halves 1/N of the aggregate and
-    regrows N times faster.
-
-    ``max_window_bytes`` in ``params`` is the *per-flow* cap.
-    ``stagger_s`` desynchronises slow-start (flow *i* starts at
-    ``i * stagger_s``); a drop-tail loss hits the flow with the largest
-    window (the one overdriving the queue).
-    """
-    if n_flows < 1:
-        raise ProtocolError("need at least one flow")
-    if duration_s <= 0:
-        raise ProtocolError("duration must be positive")
-    cap_w = params.max_window_bytes / params.mss
-    c_pps = params.capacity_pps
-    q_cap = float(params.queue_packets)
-
-    dt_base = params.base_rtt_s / 4.0
-    max_steps = int(duration_s / dt_base) + 2
-    t = np.zeros(max_steps)
-    w = np.zeros((max_steps, n_flows))
-    agg = np.zeros(max_steps)
-
-    w_now = np.full(n_flows, float(params.initial_window_segments))
-    started = np.zeros(n_flows, dtype=bool)
-    ssthresh = np.full(n_flows, params.ssthresh_segments)
-    q_now = 0.0
-    losses = 0
-    now = 0.0
-    i = 0
-    while now < duration_s and i < max_steps:
-        started |= now >= stagger_s * np.arange(n_flows)
-        active = started
-        rtt_eff = params.base_rtt_s + q_now / c_pps
-        dt = rtt_eff / 4.0
-        rates = np.where(active, w_now / rtt_eff, 0.0)
-        total_rate = min(float(rates.sum()), 4.0 * c_pps)
-        q_now = max(0.0, q_now + (total_rate - c_pps) * dt)
-        served = min(total_rate, c_pps) if q_now <= 0 else c_pps
-        t[i] = now
-        w[i] = np.where(active, w_now, 0.0)
-        agg[i] = served * params.mss * 8.0
-
-        if q_now > q_cap:
-            losses += 1
-            victim = int(np.argmax(np.where(active, w_now, -1.0)))
-            ssthresh[victim] = max(w_now[victim] / 2.0, 2.0)
-            w_now[victim] = ssthresh[victim]
-            q_now = min(q_now, q_cap)
-        else:
-            frac = dt / rtt_eff
-            in_ss = w_now < ssthresh
-            grow = np.where(in_ss, w_now * frac, frac)
-            w_now = np.where(active, np.minimum(w_now + grow, cap_w),
-                             w_now)
-        now += dt
-        i += 1
-
-    t, w, agg = t[:i], w[:i], agg[:i]
-    mask = t >= warmup_s
-    mean_agg = float(agg[mask].mean()) if mask.any() else float(agg.mean())
-    mean_w = w[mask].mean(axis=0) if mask.any() else w.mean(axis=0)
-    denom = n_flows * float((mean_w ** 2).sum())
-    fairness = float(mean_w.sum() ** 2 / denom) if denom > 0 else 1.0
-    return MultiFlowResult(n_flows=n_flows, time_s=t,
-                           windows_segments=w,
-                           aggregate_throughput_bps=agg,
-                           losses=losses,
-                           mean_aggregate_bps=mean_agg,
-                           fairness=fairness)
+    time_s, windows = np.array(t), np.array(w)
+    queue, thr_bps = np.array(q), np.array(thr)
+    mask = time_s >= warmup_s
+    if not mask.any():
+        mask[:] = True
+    mean = float(thr_bps[mask].mean())
+    fairness = 1.0
+    if n_flows > 1:
+        mean_w = windows[mask].mean(axis=0)
+        denom = n_flows * float((mean_w ** 2).sum())
+        if denom > 0:
+            fairness = float(mean_w.sum() ** 2 / denom)
+    return FluidResult(time_s=time_s, window_segments=windows,
+                       queue_packets=queue, throughput_bps=thr_bps,
+                       losses=losses, mean_throughput_bps=mean,
+                       fairness=fairness)
 
 
 class FluidFabric:
     """Steppable, vectorised N-flow fluid model over a fabric of links.
 
-    Where :func:`simulate_fluid_multiflow` runs to completion against a
-    single bottleneck, a :class:`FluidFabric` holds *per-link* NumPy
+    Where :func:`simulate_fluid` runs to completion against a single
+    bottleneck, a :class:`FluidFabric` holds *per-link* NumPy
     state (queue occupancy, capacity, drop-tail limit) for an arbitrary
     directed fabric and advances it one :meth:`step` at a time, so a
     discrete-event simulation can interleave with it on a coarse tick

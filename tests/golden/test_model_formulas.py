@@ -5,7 +5,8 @@ PCI-X bus, the memory-hub link) and once in the closed forms that
 price a segment without running the engine
 (:func:`~repro.tcp.analytic.predict_throughput_bps`,
 :meth:`~repro.analysis.stackprofile.StackProfiler.profile`), and it
-iterates one fluid loop under two window laws (Reno and FAST).  Each
+iterates one fluid loop under two window laws (Reno and FAST) for one
+flow or several.  Each
 scenario below hashes the exact ``repr`` of every float it reports, so
 moving a formula to one shared definition must leave every digest
 as it is:
@@ -13,6 +14,11 @@ as it is:
 * ``fluid_*``: single-bottleneck fluid runs, Reno and FAST, with a
   forced loss, a window cap, a warm-up, drop-tail losses and a warm-up
   longer than the run;
+* ``fluid_multi_*``: N flows sharing the bottleneck: the ``wan``
+  experiment's 8-stream run, three flows inside the start stagger,
+  16 flows (a second row of rate lanes in the aggregate sum), and
+  eight flows whose drop-tail losses make the aggregate's summation
+  order show in the mean;
 * ``predict``: the fluid throughput model over the ``validation``
   configurations at three payloads each;
 * ``profile``: the per-stage breakdown of the ``stackprofile``
@@ -36,6 +42,7 @@ import pytest
 
 from repro.analysis.stackprofile import StackProfiler
 from repro.config import VALID_MMRBC, TuningConfig
+from repro.core.wanrecord import WanRecordRun
 from repro.hw.csa import MchLink
 from repro.hw.pcix import PciXBus
 from repro.hw.presets import PE2650
@@ -44,6 +51,7 @@ from repro.tcp.analytic import (bandwidth_delay_product,
                                 predict_throughput_bps)
 from repro.tcp.fluid import FluidParams, simulate_fluid
 from repro.tcp.mss import mss_for_mtu
+from repro.tcp.window import window_from_space
 from repro.units import Gbps
 
 try:
@@ -56,6 +64,34 @@ except ImportError:
     # a function of its own; this lets the file run there unchanged
     from repro.tcp.fast import FastParams
     from repro.tcp.fast import simulate_fluid_fast as simulate_fast
+
+#: What a single-flow run reports (a projection, so a result type that
+#: carries more keeps these digests).
+SINGLE_FIELDS = ("time_s", "window_segments", "queue_packets",
+                 "throughput_bps", "losses", "mean_throughput_bps")
+
+
+def _multi_view(time_s, windows, aggregate_bps, losses, mean_bps, fairness):
+    return {"time_s": time_s, "windows": windows,
+            "aggregate_bps": aggregate_bps, "losses": losses,
+            "mean_aggregate_bps": mean_bps, "fairness": fairness}
+
+
+try:
+    # the multi-flow digests were first recorded on a tree where N flows
+    # ran in a function of their own; this lets the file run there
+    from repro.tcp.fluid import simulate_fluid_multiflow
+
+    def simulate_multi(params, n_flows, duration_s, **kw):
+        r = simulate_fluid_multiflow(params, n_flows, duration_s, **kw)
+        return _multi_view(r.time_s, r.windows_segments,
+                           r.aggregate_throughput_bps, r.losses,
+                           r.mean_aggregate_bps, r.fairness)
+except ImportError:
+    def simulate_multi(params, n_flows, duration_s, **kw):
+        r = simulate_fluid(params, duration_s, n_flows=n_flows, **kw)
+        return _multi_view(r.time_s, r.window_segments, r.throughput_bps,
+                           r.losses, r.mean_throughput_bps, r.fairness)
 
 
 def _canon(value):
@@ -89,14 +125,30 @@ def _wan(window_bdps=4.0, queue=1024, **kw):
                        queue_packets=queue, **kw)
 
 
+def _single(result):
+    return {name: getattr(result, name) for name in SINGLE_FIELDS}
+
+
 def reno(params, duration_s, **kw):
-    return simulate_fluid(params, duration_s, **kw)
+    return _single(simulate_fluid(params, duration_s, **kw))
 
 
 def fast(params, duration_s, alpha=200.0, gamma=0.5, **kw):
-    return simulate_fast(params, duration_s,
-                         fast=FastParams(alpha_packets=alpha, gamma=gamma),
-                         **kw)
+    return _single(simulate_fast(
+        params, duration_s, fast=FastParams(alpha_packets=alpha, gamma=gamma),
+        **kw))
+
+
+def wan_streams():
+    """The ``wan`` experiment's quick 8-stream run: an eighth of the
+    tuned buffer per flow on the record path."""
+    run = WanRecordRun()
+    buf = max(4096, run.bdp_buffer_bytes() // 8)
+    params = FluidParams(bottleneck_bps=run.bottleneck_goodput_bps,
+                         base_rtt_s=run.rtt_s, mss=run.mss,
+                         max_window_bytes=window_from_space(buf),
+                         queue_packets=run.queue_frames)
+    return simulate_multi(params, 8, 300.0, warmup_s=30.0)
 
 
 # -- closed forms ------------------------------------------------------------
@@ -166,6 +218,12 @@ SCENARIOS = {
                                       gamma=0.2, warmup_s=30.0),
     "fluid_fast_forced_loss": lambda: fast(
         _wan(4.0), 150.0, alpha=100.0, warmup_s=20.0, force_loss_at_s=60.0),
+    "fluid_multi_wan_streams": wan_streams,
+    "fluid_multi_stagger": lambda: simulate_multi(_wan(1.0), 3, 1.2),
+    "fluid_multi_16": lambda: simulate_multi(_wan(0.25, queue=128), 16,
+                                             120.0, warmup_s=20.0),
+    "fluid_multi_droptail": lambda: simulate_multi(
+        _wan(2.0, queue=32), 8, 200.0, warmup_s=30.0),
     "predict": predict,
     "profile": profile,
     "pcix_hold": pcix_hold,
@@ -179,6 +237,14 @@ GOLDEN = {
         'a8a4bf95e33d5f7c3d5ea6d4e37a6bfedf2c9af9d1664fce322e65b709ab080c',
     'fluid_fast_forced_loss':
         '61ccaa2d00875a57c4538275028e052574ba36645dd826d900bb5f233884fd4f',
+    'fluid_multi_16':
+        '694b0af0811b3d5660e56d1c1667f07173a6715c3887f006e44e82887c2f3938',
+    'fluid_multi_droptail':
+        '7e30dc2bc6beb75c0aa7b68c7f67eacd1af08ad9abbfbcd7fafb9379f27e2114',
+    'fluid_multi_stagger':
+        'e318bf506c889e2c64f9b5d60e4185987c3a9982c3db3e3327ac1093a3632e83',
+    'fluid_multi_wan_streams':
+        'ad7cf9e40c4e9f864e6233cf5e4925b8acfbccd0f90ebe93bf9daaaf370e7f06',
     'fluid_reno_capped':
         '97372e84a7be5a5f3adcb58b5234cdee49894dc4f139fdd8f4e42572d7d22f23',
     'fluid_reno_droptail':

@@ -179,7 +179,7 @@ class TestQueueCoupling:
         assert c.service_scale() == 1.0
 
     def test_set_background_smooths_and_clips(self):
-        c = QueueCoupling("q", ema_alpha=0.5)
+        c = QueueCoupling("q")
         c.set_background(2.0, 2.0)            # clipped to 0.95
         assert c.background_utilization == pytest.approx(0.475)
         c.set_background(0.95, 0.95)
@@ -187,8 +187,10 @@ class TestQueueCoupling:
         assert c.background_drop_prob <= 0.95
 
     def test_full_drop_pressure_drops_everything(self):
-        c = QueueCoupling("q", ema_alpha=1.0)
-        c.set_background(0.5, 0.95)
+        c = QueueCoupling("q")
+        for _ in range(20):                   # the EMA settles on 0.95
+            c.set_background(0.5, 0.95)
+        assert c.background_drop_prob == pytest.approx(0.95)
         dropped = sum(0 if c.admit() else 1 for _ in range(200))
         assert dropped > 150
         assert c.coupled_drops == dropped
@@ -196,14 +198,14 @@ class TestQueueCoupling:
     def test_foreground_accounting_drains(self):
         c = QueueCoupling("q")
         for _ in range(10):
-            c.record_service(9000)
+            c.record_service()
         assert c.take_foreground_pps(0.1) == pytest.approx(100.0)
         assert c.take_foreground_pps(0.1) == 0.0  # drained
 
     def test_seeded_streams_are_reproducible(self):
-        a = QueueCoupling("q", seed=42, ema_alpha=1.0)
-        b = QueueCoupling("q", seed=42, ema_alpha=1.0)
-        a.set_background(0.0, 0.5)
-        b.set_background(0.0, 0.5)
+        a = QueueCoupling("q", seed=42)
+        b = QueueCoupling("q", seed=42)
+        a.set_background(0.0, 0.9)
+        b.set_background(0.0, 0.9)
         assert [a.admit() for _ in range(64)] == \
             [b.admit() for _ in range(64)]
