@@ -213,10 +213,6 @@ KEEP: Dict[str, str] = {
     # independent oracles the tests read
     "repro.net.fabric.FabricTopology.path_hops":
         "the fabric tests' hop-count oracle for routes",
-    "repro.hw.calibration.CostModel.rx_capacity_bps":
-        "the calibration tests' closed-form receiver ceiling",
-    "repro.hw.calibration.CostModel.tx_capacity_bps":
-        "the calibration tests' closed-form sender ceiling",
     "repro.tcp.receiver.TcpReceiver.goodput_bps":
         "tests cross-check NTTCP's goodput against the receiver's own rate",
     "repro.tcp.fluid.FluidFabric.queue_packets":

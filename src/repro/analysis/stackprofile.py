@@ -7,16 +7,18 @@ unprecedentedly high-resolution picture of the most expensive aspects
 of TCP processing overhead."
 
 :class:`StackProfiler` produces that picture for the simulated stack:
-it decomposes the cost of moving one segment end-to-end into the named
+it decomposes the cost of moving one write end-to-end into the named
 stages of the cost model (syscall, TCP transmit, allocation, copies,
 DMA, wire, interrupt, TCP receive, wakeup) and reports both per-packet
 budgets and their share of the bottleneck — i.e. *where the time goes*
 at each MTU, which is exactly the question §3.5.2 answers informally.
+The binding location's budget is also the capacity of
+:func:`~repro.tcp.analytic.predict_throughput_bps`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import Dict, List
 
 from repro.config import TuningConfig
@@ -26,53 +28,45 @@ from repro.hw.presets import HostSpec, PE2650
 from repro.tcp.mss import mss_for_mtu
 from repro.units import Gbps
 
-__all__ = ["StageCost", "StackProfile", "StackProfiler"]
+__all__ = ["StageCost", "StackProfile", "StackProfiler", "segment_sizes"]
 
 
 @dataclass(frozen=True)
 class StageCost:
-    """One stage's share of a segment's journey."""
+    """One stage's share of a write's journey."""
 
     stage: str
     where: str           # "sender CPU" / "bus" / "wire" / "receiver CPU"
     seconds: float
     overlappable: bool   # pipelined stages do not bind throughput alone
 
-    @property
-    def microseconds(self) -> float:
-        """Cost in µs."""
-        return self.seconds * 1e6
-
 
 @dataclass
 class StackProfile:
-    """The full decomposition for one (platform, config, payload)."""
+    """The full decomposition for one (platform, config, write)."""
 
     spec_name: str
     config_label: str
     payload: int
     stages: List[StageCost]
+    #: serial seconds per location; the stages there are its display
+    #: split (an init-only argument, so not a dataclass field)
+    budgets: InitVar[Dict[str, float]]
 
-    def total_us(self, where: str = "") -> float:
-        """Sum of stage costs, optionally filtered by location."""
-        return sum(s.microseconds for s in self.stages
-                   if not where or s.where == where)
+    def __post_init__(self, budgets: Dict[str, float]) -> None:
+        self._budgets = budgets
 
-    def _by_where(self) -> Dict[str, float]:
-        """Serial seconds per location."""
-        by_where: Dict[str, float] = {}
-        for s in self.stages:
-            by_where[s.where] = by_where.get(s.where, 0.0) + s.seconds
-        return by_where
+    def seconds(self, where: str) -> float:
+        """Serial seconds the write costs at one location."""
+        return self._budgets[where]
 
     def bottleneck(self) -> str:
         """The location whose serial work is largest (what binds)."""
-        by_where = self._by_where()
-        return max(by_where, key=by_where.get)
+        return max(self._budgets, key=self._budgets.get)
 
     def predicted_goodput_bps(self) -> float:
         """Payload rate implied by the binding location."""
-        worst = max(self._by_where().values())
+        worst = max(self._budgets.values())
         if worst <= 0:
             raise MeasurementError("profile has no positive costs")
         return self.payload * 8.0 / worst
@@ -85,14 +79,42 @@ class StackProfile:
             out.append({
                 "stage": s.stage,
                 "where": s.where,
-                "us/segment": round(s.microseconds, 2),
+                "us/segment": round(s.seconds * 1e6, 2),
                 "share": f"{s.seconds / total * 100:.0f}%",
             })
         return out
 
 
+def segment_sizes(payload: int, mss: int) -> List[int]:
+    """Segment sizes of one write (writes are flushed, never coalesced)."""
+    full, rest = divmod(payload, mss)
+    sizes = [mss] * full
+    if rest:
+        sizes.append(rest)
+    return sizes
+
+
+#: (stage, where, overlappable) of every stage charged per segment, in
+#: display order; the write() syscall precedes them, once per write.
+_SEGMENT_STAGES = (
+    ("TCP/IP transmit + descriptor", "sender CPU", False),
+    ("skb allocation (tx)", "sender CPU", False),
+    ("user->kernel copy", "sender CPU", False),
+    ("ACK processing (amortised)", "sender CPU", False),
+    ("DMA to adapter", "sender bus", True),
+    ("wire serialization", "wire", True),
+    ("DMA to host memory", "receiver bus", True),
+    ("interrupt service (amortised)", "receiver CPU", False),
+    ("TCP/IP receive", "receiver CPU", False),
+    ("skb allocation (rx)", "receiver CPU", False),
+    ("data movement (FSB + copy)", "receiver CPU", False),
+    ("ACK generation (amortised)", "receiver CPU", False),
+    ("reader wakeup", "receiver CPU", False),
+)
+
+
 class StackProfiler:
-    """Decompose the per-segment cost of one configuration."""
+    """Decompose the cost of one write of a configuration."""
 
     def __init__(self, spec: HostSpec = PE2650,
                  calibration: Calibration = DEFAULT_CALIBRATION,
@@ -103,11 +125,42 @@ class StackProfiler:
 
     def profile(self, config: TuningConfig,
                 payload: int = 0) -> StackProfile:
-        """Stage costs for one MSS-sized (or given) segment."""
+        """Stage costs for one write of ``payload`` bytes (one MSS when
+        not given), split into segments as the sender sends it: the
+        ``write()`` syscall once, every other stage summed over the
+        segments."""
         costs = CostModel(self.spec, config, self.calibration)
         mss = mss_for_mtu(config.mtu, config.tcp_timestamps)
         if payload <= 0:
             payload = mss
+        sizes = segment_sizes(payload, mss)
+        columns = zip(*(self._segment_stages(costs, size) for size in sizes))
+        stages = [StageCost("write() syscall", "sender CPU",
+                            costs.tx_syscall_s(), False)]
+        stages += [StageCost(stage, where, sum(column), overlappable)
+                   for (stage, where, overlappable), column
+                   in zip(_SEGMENT_STAGES, columns)]
+        # One total per location, in stage order (bottleneck() breaks
+        # ties by it).  The bus and the wire have one stage each.  A
+        # CPU's total adds the cost model's per-segment costs, which
+        # its stages split; their sum can miss it by an ulp.  The
+        # receiver takes one interrupt and one reader wakeup per
+        # segment and sends an ACK every second one.
+        budgets = {s.where: s.seconds for s in stages}
+        budgets["sender CPU"] = costs.tx_syscall_s() + sum(
+            costs.tx_segment_s(size) + 0.5 * costs.tx_ack_rx_s()
+            for size in sizes)
+        budgets["receiver CPU"] = sum(
+            costs.rx_irq_s() + costs.rx_segment_s(size)
+            + 0.5 * costs.rx_ack_gen_s() + costs.rx_wake_s()
+            for size in sizes)
+        return StackProfile(spec_name=self.spec.name,
+                            config_label=config.describe(),
+                            payload=payload, stages=stages, budgets=budgets)
+
+    def _segment_stages(self, costs: CostModel, payload: int):
+        """One segment's cost per entry of :data:`_SEGMENT_STAGES`."""
+        config = costs.config
         frame = costs.frame_bytes(payload)
 
         # decompose tx_segment_s into its documented parts
@@ -128,34 +181,10 @@ class StackProfiler:
         rx_proto = max(0.0, rx_total - rx_alloc - rx_bytes)
         dma = costs.dma_hold_s(frame)
 
-        stages = [
-            StageCost("write() syscall", "sender CPU",
-                      costs.tx_syscall_s(), False),
-            StageCost("TCP/IP transmit + descriptor", "sender CPU",
-                      tx_proto, False),
-            StageCost("skb allocation (tx)", "sender CPU", tx_alloc, False),
-            StageCost("user->kernel copy", "sender CPU", tx_copy, False),
-            StageCost("ACK processing (amortised)", "sender CPU",
-                      0.5 * costs.tx_ack_rx_s(), False),
-            StageCost("DMA to adapter", "sender bus", dma, True),
-            StageCost("wire serialization", "wire",
-                      costs.wire_time_s(frame, self.wire_bps), True),
-            StageCost("DMA to host memory", "receiver bus", dma, True),
-            StageCost("interrupt service (amortised)", "receiver CPU",
-                      costs.rx_irq_s(), False),
-            StageCost("TCP/IP receive", "receiver CPU", rx_proto, False),
-            StageCost("skb allocation (rx)", "receiver CPU", rx_alloc,
-                      False),
-            StageCost("data movement (FSB + copy)", "receiver CPU",
-                      rx_bytes, False),
-            StageCost("ACK generation (amortised)", "receiver CPU",
-                      0.5 * costs.rx_ack_gen_s(), False),
-            StageCost("reader wakeup", "receiver CPU",
-                      costs.rx_wake_s(), False),
-        ]
-        return StackProfile(spec_name=self.spec.name,
-                            config_label=config.describe(),
-                            payload=payload, stages=stages)
+        return (tx_proto, tx_alloc, tx_copy, 0.5 * costs.tx_ack_rx_s(),
+                dma, costs.wire_time_s(frame, self.wire_bps), dma,
+                costs.rx_irq_s(), rx_proto, rx_alloc, rx_bytes,
+                0.5 * costs.rx_ack_gen_s(), costs.rx_wake_s())
 
     def compare(self, configs: Dict[str, TuningConfig]) -> List[Dict[str, object]]:
         """One summary row per configuration: totals + bottleneck."""
@@ -165,9 +194,10 @@ class StackProfiler:
             rows.append({
                 "config": label,
                 "payload": prof.payload,
-                "sender CPU (us)": round(prof.total_us("sender CPU"), 2),
-                "receiver CPU (us)": round(prof.total_us("receiver CPU"), 2),
-                "bus (us)": round(prof.total_us("sender bus"), 2),
+                "sender CPU (us)": round(prof.seconds("sender CPU") * 1e6, 2),
+                "receiver CPU (us)": round(
+                    prof.seconds("receiver CPU") * 1e6, 2),
+                "bus (us)": round(prof.seconds("sender bus") * 1e6, 2),
                 "bottleneck": prof.bottleneck(),
                 "implied Gb/s": round(
                     prof.predicted_goodput_bps() / 1e9, 2),

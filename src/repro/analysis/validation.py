@@ -1,10 +1,10 @@
 """Cross-validation: the analytic model against the packet-level DES.
 
-The repository carries two engines — the packet-level simulator (ground
-truth for this reproduction) and the closed-form/fluid shortcuts used
-for fast full-resolution curves.  This module measures how well the
-shortcuts track the DES, configuration by configuration, so the
-shortcuts can be trusted (and their drift caught by tests).
+The packet-level simulator is ground truth for this reproduction;
+:func:`~repro.tcp.analytic.predict_throughput_bps` is the closed form
+beside it, the §3.5 stack profile's capacity capped by the window.
+This module measures how well the closed form tracks the DES,
+configuration by configuration, so its drift is caught by tests.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ class ValidationReport:
 
     def rank_agreement(self) -> bool:
         """Do the two engines order the configurations identically?
-        (The property the fast figures actually rely on.)"""
+        (The §3.3 ladder's story is the order, not the absolute rates.)"""
         des_order = [p.label for p in
                      sorted(self.points, key=lambda p: p.des_bps)]
         ana_order = [p.label for p in

@@ -343,24 +343,3 @@ class CostModel:
         if self.config.os_bypass or self.config.header_splitting:
             return 256
         return skb.truesize
-
-    # -- diagnostics ----------------------------------------------------------
-    def rx_per_segment_s(self, payload: int) -> float:
-        """Receiver CPU budget per data segment with one interrupt and
-        one reader wakeup each and an ACK every second segment."""
-        return (self.rx_irq_s()
-                + self.rx_segment_s(payload)
-                + 0.5 * self.rx_ack_gen_s()
-                + self.rx_wake_s())
-
-    def rx_capacity_bps(self, mss: int) -> float:
-        """Receiver CPU capacity for MSS-sized segments: the analytic
-        ceiling the DES approaches with ample windows."""
-        return mss * 8.0 / self.rx_per_segment_s(mss)
-
-    def tx_capacity_bps(self, mss: int) -> float:
-        """Sender CPU capacity for MSS-sized segments."""
-        per_seg = (self.tx_syscall_s()
-                   + self.tx_segment_s(mss)
-                   + 0.5 * self.tx_ack_rx_s())
-        return mss * 8.0 / per_seg

@@ -10,8 +10,9 @@ These are the paper's own back-of-envelope models, implemented exactly:
   MSS-aligned window inside an ideal window, and the fraction retained.
 * ``sender_receiver_mismatch`` — the worked example with sender MSS
   8960, receiver MSS 8948 and 33000 bytes of socket memory.
-* ``predict_throughput_bps`` — the fluid bottleneck model used for fast
-  full-resolution curves (cross-validated against the DES in tests).
+* ``predict_throughput_bps`` — the bottleneck model the ``validation``
+  experiment checks the DES against: the stack profile's capacity
+  capped by the window.
 """
 
 from __future__ import annotations
@@ -22,9 +23,8 @@ from repro.config import TuningConfig
 from repro.errors import ProtocolError
 from repro.hw.calibration import Calibration, CostModel, DEFAULT_CALIBRATION
 from repro.hw.presets import HostSpec
-from repro.tcp.mss import mss_for_mtu
+from repro.tcp.mss import advertised_mss, mss_for_mtu
 from repro.tcp.window import sws_aligned, window_from_space
-from repro.units import Gbps
 
 __all__ = [
     "bandwidth_delay_product",
@@ -106,63 +106,48 @@ def sender_receiver_mismatch(available_memory: int = 33000,
 
 
 # ---------------------------------------------------------------------------
-# Fast fluid throughput model (full-resolution curves; DES cross-checks)
+# Throughput model (the ``validation`` experiment's analytic column)
 # ---------------------------------------------------------------------------
-
-def _segment_sizes(payload: int, mss: int):
-    """Per-write segment sizes (writes are flushed, never coalesced)."""
-    full, rest = divmod(payload, mss)
-    sizes = [mss] * full
-    if rest:
-        sizes.append(rest)
-    return sizes
-
 
 def predict_throughput_bps(spec: HostSpec, config: TuningConfig,
                            payload: int,
                            base_rtt_s: float = 45e-6,
-                           wire_bps: float = Gbps(10),
                            calibration: Calibration = DEFAULT_CALIBRATION) -> float:
-    """Steady-state goodput of one NTTCP-style flow (fluid model).
+    """Steady-state goodput of one NTTCP flow of ``payload``-byte writes.
 
-    Takes the minimum of the competing capacities — receiver CPU, both
-    hosts' I/O bus (PCI-X, or the memory hub under CSA), sender CPU,
-    the wire — and applies the window
-    limitation ``W_bytes / RTT_eff`` where the usable window follows the
-    truesize/SWS arithmetic of §3.5.1.  It reproduces curve *shapes*
-    cheaply; absolute accuracy is the DES's job.
+    The capacity is the §3.5 stack profile's binding location for one
+    write (receiver CPU, either host's I/O bus — PCI-X, or the memory
+    hub under CSA — sender CPU, or the 10 Gb/s wire).  The window limitation
+    ``W_bytes / RTT_eff`` caps it, with the usable window following
+    the truesize/SWS arithmetic of §3.5.1.  Only the ``validation``
+    experiment calls it, to check the DES against a closed form.
     """
+    from repro.analysis.stackprofile import StackProfiler, segment_sizes
+    from repro.oskernel.allocator import block_size_for
+
     if payload <= 0:
         raise ProtocolError("payload must be positive")
-    costs = CostModel(spec, config, calibration)
+    profile = StackProfiler(spec, calibration).profile(config, payload)
     mss = mss_for_mtu(config.mtu, config.tcp_timestamps)
-    sizes = _segment_sizes(payload, mss)
-    n_seg = len(sizes)
-    total_payload = payload
+    sizes = segment_sizes(payload, mss)
 
-    # per-write costs along each resource
-    frames = [costs.frame_bytes(s) for s in sizes]
-    rx_cpu = sum(costs.rx_per_segment_s(s) for s in sizes)
-    tx_cpu = costs.tx_syscall_s() + sum(costs.tx_segment_s(s) for s in sizes)
-    bus = sum(costs.dma_hold_s(f) for f in frames)
-    wire = sum(costs.wire_time_s(f, wire_bps) for f in frames)
-    capacity = total_payload * 8.0 / max(rx_cpu, tx_cpu, bus, wire)
-
-    # window limitation: usable bytes in flight
-    from repro.oskernel.allocator import block_size_for
-    truesize = block_size_for(frames[0])
-    usable_space = window_from_space(config.tcp_rmem)
-    advertised = sws_aligned(usable_space, mss + (config.mtu - mss - 40))
+    # window limitation: usable bytes in flight, aligned to the
+    # receiver's estimate of the peer MSS (the §3.5.1 quirk)
+    advertised = sws_aligned(window_from_space(config.tcp_rmem),
+                             advertised_mss(config.mtu))
     if advertised <= 0:
         return 0.0
     # bytes in flight quantized to whole write-sized segments
     seg = sizes[0]
     in_flight = max(1, advertised // seg) * seg
     # sndbuf truesize limit
+    truesize = block_size_for(
+        CostModel(spec, config, calibration).frame_bytes(seg))
     wmem_segments = max(1, config.tcp_wmem // truesize)
     in_flight = min(in_flight, wmem_segments * seg)
-    service = max(rx_cpu, bus) / n_seg
+    service = max(profile.seconds("receiver CPU"),
+                  profile.seconds("receiver bus")) / len(sizes)
     rtt_eff = base_rtt_s + (in_flight / seg) * service * 0.5
     window_limit = in_flight * 8.0 / rtt_eff
 
-    return min(capacity, window_limit)
+    return min(profile.predicted_goodput_bps(), window_limit)

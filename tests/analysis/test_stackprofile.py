@@ -6,6 +6,8 @@ from repro.config import TuningConfig
 from repro.analysis.stackprofile import StackProfiler
 from repro.hw.calibration import DEFAULT_CALIBRATION, CostModel
 from repro.hw.presets import PE2650
+from repro.tcp.mss import mss_for_mtu
+from repro.units import Gbps
 
 
 @pytest.fixture(scope="module")
@@ -57,22 +59,39 @@ def test_implied_goodput_tracks_measured_peaks(profiler):
 ], ids=["stock-1500", "stock-9000", "tuned-9000", "tuned-8160",
         "header-split", "os-bypass"])
 def test_cpu_stages_sum_to_the_cost_model(profiler, config):
-    """Each side's CPU stages split the cost model's per-segment budget
-    and add nothing to it (OS-bypass allocates no skb on either side)."""
-    prof = profiler.profile(config)
+    """Each location's stages split the cost model's budgets over the
+    write's segments and add nothing to them (OS-bypass allocates no
+    skb on either side); the write() syscall is charged once.  Checked
+    for a one-MSS write and a four-segment one."""
     costs = CostModel(PE2650, config)
-    sender = (costs.tx_syscall_s() + costs.tx_segment_s(prof.payload)
-              + 0.5 * costs.tx_ack_rx_s())
-    assert all(s.seconds >= 0 for s in prof.stages)
-    assert prof.total_us("sender CPU") * 1e-6 == pytest.approx(sender,
-                                                               rel=1e-12)
-    assert prof.total_us("receiver CPU") * 1e-6 == pytest.approx(
-        costs.rx_per_segment_s(prof.payload), rel=1e-12)
+    mss = mss_for_mtu(config.mtu, config.tcp_timestamps)
+    for sizes in ([mss], [mss] * 3 + [100]):
+        prof = profiler.profile(config, sum(sizes))
+        frames = [costs.frame_bytes(size) for size in sizes]
+        bus = sum(costs.dma_hold_s(f) for f in frames)
+        budgets = {
+            "sender CPU": costs.tx_syscall_s() + sum(
+                costs.tx_segment_s(size) + 0.5 * costs.tx_ack_rx_s()
+                for size in sizes),
+            "sender bus": bus,
+            "wire": sum(costs.wire_time_s(f, Gbps(10)) for f in frames),
+            "receiver bus": bus,
+            "receiver CPU": sum(
+                costs.rx_irq_s() + costs.rx_segment_s(size)
+                + 0.5 * costs.rx_ack_gen_s() + costs.rx_wake_s()
+                for size in sizes),
+        }
+        assert len(prof.stages) == 14
+        assert all(s.seconds >= 0 for s in prof.stages)
+        for where, budget in budgets.items():
+            split = sum(s.seconds for s in prof.stages if s.where == where)
+            assert split == pytest.approx(budget, rel=1e-12), where
+            assert prof.seconds(where) == budget, where
 
 
 def test_os_bypass_strips_cpu_stages(profiler):
     prof = profiler.profile(TuningConfig.os_bypass_projection(9000))
-    assert prof.total_us("receiver CPU") < 1.0
+    assert prof.seconds("receiver CPU") < 1e-6
     assert prof.bottleneck() in ("sender bus", "receiver bus")
 
 
@@ -91,7 +110,7 @@ def test_os_bypass_moves_bytes_without_the_smp_tax(profiler):
 
 def test_header_split_moves_bottleneck_to_sender(profiler):
     prof = profiler.profile(TuningConfig.with_header_splitting(8160))
-    assert prof.total_us("receiver CPU") < prof.total_us("sender CPU")
+    assert prof.seconds("receiver CPU") < prof.seconds("sender CPU")
 
 
 def test_rows_sorted_and_share_sums(profiler):

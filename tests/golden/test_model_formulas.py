@@ -19,8 +19,11 @@ as it is:
   16 flows (a second row of rate lanes in the aggregate sum), and
   eight flows whose drop-tail losses make the aggregate's summation
   order show in the mean;
-* ``predict``: the fluid throughput model over the ``validation``
+* ``predict``: the closed-form throughput model over the ``validation``
   configurations at three payloads each;
+* ``predict_wide``: the same model on the PE2650, PE4600 and E7505
+  at payloads from one byte to a 64 KiB write, none of them bound by
+  the sender CPU;
 * ``profile``: the per-stage breakdown of the ``stackprofile``
   configurations (all but the OS-bypass row, which
   ``tests/analysis/test_stackprofile.py`` checks by its sums) plus one
@@ -45,7 +48,7 @@ from repro.config import VALID_MMRBC, TuningConfig
 from repro.core.wanrecord import WanRecordRun
 from repro.hw.csa import MchLink
 from repro.hw.pcix import PciXBus
-from repro.hw.presets import PE2650
+from repro.hw.presets import INTEL_E7505, PE2650, PE4600
 from repro.sim import Environment
 from repro.tcp.analytic import (bandwidth_delay_product,
                                 predict_throughput_bps)
@@ -171,6 +174,19 @@ def predict():
     return out
 
 
+def predict_wide():
+    """The throughput model on three hosts at payloads from one byte to
+    a multi-segment write; no input binds on the sender CPU."""
+    out = []
+    for spec in (PE2650, PE4600, INTEL_E7505):
+        for config in VALIDATION_CONFIGS:
+            mss = mss_for_mtu(config.mtu, config.tcp_timestamps)
+            out.append([predict_throughput_bps(spec, config, payload)
+                        for payload in (1, 1024, mss, 3 * mss + 100,
+                                        65536)])
+    return out
+
+
 PROFILE_CONFIGS = (
     TuningConfig.stock(1500),
     TuningConfig.stock(9000),
@@ -225,6 +241,7 @@ SCENARIOS = {
     "fluid_multi_droptail": lambda: simulate_multi(
         _wan(2.0, queue=32), 8, 200.0, warmup_s=30.0),
     "predict": predict,
+    "predict_wide": predict_wide,
     "profile": profile,
     "pcix_hold": pcix_hold,
     "mch_hold": mch_hold,
@@ -259,6 +276,8 @@ GOLDEN = {
         '029f47948cbc7fb2c2432369cfd2d60233c610ef42801cd5c9ab1e9c8bb6ac30',
     'predict':
         '7ee9556a16aec85d30a68f9a1d2657c015b80870769ea4af83de757a72cf65b9',
+    'predict_wide':
+        '77cd5b0cacefc7209e90f6ffb2487ca2c37fecf6e164ec1455fabddfd171f841',
     'profile':
         'e1f3f57c374924a135b056e28df29bec6f79a50d9569877ff6225e376d88ed85',
 }

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis.stackprofile import StackProfiler
 from repro.config import TuningConfig
 from repro.errors import ConfigError
 from repro.hw.calibration import Calibration, CostModel
@@ -13,6 +14,11 @@ UP_9000 = TuningConfig(mtu=9000, mmrbc=4096, smp_kernel=False)
 
 def cm(config=None, spec=PE2650):
     return CostModel(spec, config or TuningConfig.fully_tuned(9000))
+
+
+def capacity_bps(where, config, mss, spec=PE2650):
+    """The stack profile's ceiling at one CPU for MSS-sized writes."""
+    return mss * 8.0 / StackProfiler(spec).profile(config, mss).seconds(where)
 
 
 class TestScaling:
@@ -48,7 +54,7 @@ class TestScaling:
 
 
 class TestCapacities:
-    """The analytic ceilings the DES approaches (paper peaks)."""
+    """The stack profile's ceilings the DES approaches (paper peaks)."""
 
     def test_tuned_capacities_bracket_paper_peaks(self):
         cases = [
@@ -57,24 +63,26 @@ class TestCapacities:
             (9000, 8948, 3.90),
         ]
         for mtu, mss, paper in cases:
-            model = cm(TuningConfig.fully_tuned(mtu))
-            got = model.rx_capacity_bps(mss) / 1e9
+            got = capacity_bps("receiver CPU", TuningConfig.fully_tuned(mtu),
+                               mss) / 1e9
             assert got == pytest.approx(paper, rel=0.08), (mtu, got)
 
     def test_mtu16000_capacity_above_8160(self):
-        c16 = cm(TuningConfig.fully_tuned(16000)).rx_capacity_bps(15948)
-        c81 = cm(TuningConfig.fully_tuned(8160)).rx_capacity_bps(8108)
+        c16 = capacity_bps("receiver CPU", TuningConfig.fully_tuned(16000),
+                           15948)
+        c81 = capacity_bps("receiver CPU", TuningConfig.fully_tuned(8160),
+                           8108)
         assert c16 > c81
 
     def test_tx_cheaper_than_rx(self):
-        model = cm(TuningConfig.fully_tuned(9000))
-        assert model.tx_capacity_bps(8948) > model.rx_capacity_bps(8948)
+        cfg = TuningConfig.fully_tuned(9000)
+        assert (capacity_bps("sender CPU", cfg, 8948)
+                > capacity_bps("receiver CPU", cfg, 8948))
 
     def test_e7505_beats_pe2650(self):
         cfg = TuningConfig(mtu=9000, mmrbc=4096, tcp_timestamps=False)
-        e = CostModel(INTEL_E7505, cfg).rx_capacity_bps(8948)
-        p = CostModel(PE2650, TuningConfig.fully_tuned(9000)
-                      ).rx_capacity_bps(8948)
+        e = capacity_bps("receiver CPU", cfg, 8948, spec=INTEL_E7505)
+        p = capacity_bps("receiver CPU", TuningConfig.fully_tuned(9000), 8948)
         assert e > p
 
 

@@ -5,6 +5,7 @@ import dataclasses
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.stackprofile import StackProfiler
 from repro.config import TuningConfig, VALID_MMRBC
 from repro.hw.calibration import CostModel
 from repro.hw.presets import GBE_HOST, INTEL_E7505, ITANIUM2, PE2650, PE4600
@@ -55,8 +56,10 @@ class TestCostModelProperties:
 
     @given(specs)
     def test_capacity_ordering_rx_below_tx(self, spec):
-        cm = CostModel(spec, TuningConfig.fully_tuned(9000))
-        assert cm.rx_capacity_bps(8948) <= cm.tx_capacity_bps(8948)
+        """The receiver CPU binds before the sender CPU on every host."""
+        prof = StackProfiler(spec).profile(TuningConfig.fully_tuned(9000),
+                                           8948)
+        assert prof.seconds("receiver CPU") >= prof.seconds("sender CPU")
 
 
 class TestFluidProperties:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis.stackprofile import StackProfiler
 from repro.config import TuningConfig
 from repro.errors import ProtocolError
 from repro.hw.presets import PE2650
@@ -111,6 +112,17 @@ class TestPredictThroughput:
     def test_invalid_payload(self):
         with pytest.raises(ProtocolError):
             predict_throughput_bps(PE2650, TuningConfig.stock(), 0)
+
+    def test_header_split_binds_on_the_sender_cpu(self):
+        """Header splitting frees the receiver, so the sender's write
+        budget (half an incoming ACK per segment included) binds, and
+        the prediction is the stack profile's capacity."""
+        config = TuningConfig.with_header_splitting(8160)
+        prof = StackProfiler(PE2650).profile(config, 8108)
+        got = predict_throughput_bps(PE2650, config, 8108)
+        assert prof.bottleneck() == "sender CPU"
+        assert got == prof.predicted_goodput_bps()
+        assert got == pytest.approx(5.939e9, rel=1e-3)
 
     def test_csa_lifts_the_mmrbc_512_bus_ceiling(self):
         """With the adapter on the memory hub the 512-byte burst limit no
