@@ -18,62 +18,28 @@ or regenerate a paper artifact directly::
     print(run_experiment("tab1").text)
 """
 
-from repro.cache import ResultCache, cache_context, cache_stats, clear_cache
-from repro.config import TuningConfig
-from repro.errors import ReproError
-from repro.sim.engine import Environment
-from repro.sim.pool import job_context, sweep
-from repro.hw.host import Host
-from repro.hw.presets import (
-    GBE_HOST,
-    HostSpec,
-    INTEL_E7505,
-    ITANIUM2,
-    PE2650,
-    PE4600,
-    WAN_HOST,
-)
-from repro.net.topology import BackToBack, MultiFlow, ThroughSwitch, build_wan_path
-from repro.tcp.connection import TcpConnection
-from repro.sockets import SimSocket, connect
-from repro.core.casestudy import CaseStudy
-from repro.core.latencyreport import LatencyStudy
-from repro.core.bottleneck import BottleneckStudy
-from repro.core.wanrecord import WanRecordRun
-from repro.analysis.experiments import experiment_ids, run_experiment
+from repro.lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "TuningConfig",
-    "ReproError",
-    "Environment",
-    "Host",
-    "HostSpec",
-    "PE2650",
-    "PE4600",
-    "INTEL_E7505",
-    "ITANIUM2",
-    "WAN_HOST",
-    "GBE_HOST",
-    "BackToBack",
-    "ThroughSwitch",
-    "MultiFlow",
-    "build_wan_path",
-    "TcpConnection",
-    "SimSocket",
-    "connect",
-    "CaseStudy",
-    "LatencyStudy",
-    "BottleneckStudy",
-    "WanRecordRun",
-    "run_experiment",
-    "experiment_ids",
-    "sweep",
-    "job_context",
-    "ResultCache",
-    "cache_context",
-    "cache_stats",
-    "clear_cache",
-    "__version__",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    "repro.config": ("TuningConfig",),
+    "repro.errors": ("ReproError",),
+    "repro.sim.engine": ("Environment",),
+    "repro.hw.host": ("Host",),
+    "repro.hw.presets": ("HostSpec", "PE2650", "PE4600", "INTEL_E7505",
+                         "ITANIUM2", "WAN_HOST", "GBE_HOST"),
+    "repro.net.topology": ("BackToBack", "ThroughSwitch", "MultiFlow",
+                           "build_wan_path"),
+    "repro.tcp.connection": ("TcpConnection",),
+    "repro.sockets": ("SimSocket", "connect"),
+    "repro.core.casestudy": ("CaseStudy",),
+    "repro.core.latencyreport": ("LatencyStudy",),
+    "repro.core.bottleneck": ("BottleneckStudy",),
+    "repro.core.wanrecord": ("WanRecordRun",),
+    "repro.analysis.experiments": ("run_experiment", "experiment_ids"),
+    "repro.sim.pool": ("sweep", "job_context"),
+    "repro.cache": ("ResultCache", "cache_context", "cache_stats",
+                    "clear_cache"),
+})
+__all__.append("__version__")

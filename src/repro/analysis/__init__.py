@@ -1,15 +1,1 @@
 """Reporting: tables, figure series and the experiment registry."""
-
-from repro.analysis.tables import format_table, format_kv
-from repro.analysis.figures import Series, Figure
-from repro.analysis.experiments import EXPERIMENTS, run_experiment, experiment_ids
-
-__all__ = [
-    "format_table",
-    "format_kv",
-    "Series",
-    "Figure",
-    "EXPERIMENTS",
-    "run_experiment",
-    "experiment_ids",
-]

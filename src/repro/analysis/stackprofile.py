@@ -94,6 +94,9 @@ def segment_sizes(payload: int, mss: int) -> List[int]:
     return sizes
 
 
+#: Line rate of the profiled wire stage: the 10GbE adapter's.
+WIRE_BPS = Gbps(10)
+
 #: (stage, where, overlappable) of every stage charged per segment, in
 #: display order; the write() syscall precedes them, once per write.
 _SEGMENT_STAGES = (
@@ -117,11 +120,9 @@ class StackProfiler:
     """Decompose the cost of one write of a configuration."""
 
     def __init__(self, spec: HostSpec = PE2650,
-                 calibration: Calibration = DEFAULT_CALIBRATION,
-                 wire_bps: float = Gbps(10)):
+                 calibration: Calibration = DEFAULT_CALIBRATION):
         self.spec = spec
         self.calibration = calibration
-        self.wire_bps = wire_bps
 
     def profile(self, config: TuningConfig,
                 payload: int = 0) -> StackProfile:
@@ -182,7 +183,7 @@ class StackProfiler:
         dma = costs.dma_hold_s(frame)
 
         return (tx_proto, tx_alloc, tx_copy, 0.5 * costs.tx_ack_rx_s(),
-                dma, costs.wire_time_s(frame, self.wire_bps), dma,
+                dma, costs.wire_time_s(frame, WIRE_BPS), dma,
                 costs.rx_irq_s(), rx_proto, rx_alloc, rx_bytes,
                 0.5 * costs.rx_ack_gen_s(), costs.rx_wake_s())
 

@@ -18,22 +18,15 @@ import pathlib
 from typing import Any, Dict, Optional
 
 from repro.chaos.hooks import active_plan_fingerprint
+from repro.core import knobs
 
 __all__ = ["ambient_key_material", "code_fingerprint", "default_cache_dir",
            "stable_key"]
 
 
-def _knobs():
-    # Lazy: repro.core.__init__ transitively imports repro.cache, so a
-    # module-level import here would be circular.  First call pays the
-    # package import; sys.modules caches the rest.
-    from repro.core import knobs
-    return knobs
-
-
 def default_cache_dir() -> pathlib.Path:
     """The cache directory: ``$REPRO_CACHE_DIR`` or ``./.repro-cache``."""
-    env = _knobs().env_value("REPRO_CACHE_DIR")
+    env = knobs.env_value("REPRO_CACHE_DIR")
     return pathlib.Path(env) if env else pathlib.Path.cwd() / ".repro-cache"
 
 
@@ -46,7 +39,7 @@ def ambient_key_material() -> Dict[str, str]:
     ambient knobs) and so lint rule RPR006 can check the wiring
     statically.
     """
-    return _knobs().ambient_key_material()
+    return knobs.ambient_key_material()
 
 
 # ---------------------------------------------------------------------------
@@ -66,7 +59,7 @@ def code_fingerprint() -> str:
     ``REPRO_CODE_FINGERPRINT`` so no worker ever repeats the source
     walk.
     """
-    override = _knobs().env_value("REPRO_CODE_FINGERPRINT")
+    override = knobs.env_value("REPRO_CODE_FINGERPRINT")
     if override:
         return override
     global _fingerprint

@@ -46,6 +46,7 @@ from dataclasses import dataclass
 from typing import Any, Iterator, List, Optional, Tuple
 
 from repro.cache.keys import default_cache_dir, stable_key
+from repro.core.knobs import env_value
 
 __all__ = ["ResultCache", "CacheStats", "SHARDS", "cache_max_bytes"]
 
@@ -75,7 +76,6 @@ _HOT_BYTES = 128 * 1024 * 1024
 
 def cache_max_bytes() -> Optional[int]:
     """The on-disk size cap from ``REPRO_CACHE_MAX_BYTES`` (None = off)."""
-    from repro.core.knobs import env_value  # lazy: core imports cache
     cap = env_value("REPRO_CACHE_MAX_BYTES")
     if cap is None:
         return None

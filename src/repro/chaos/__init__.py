@@ -15,49 +15,19 @@ every run.
 
 This module is import-light on purpose — ``sim/engine.py`` and
 ``cache.py`` import :mod:`repro.chaos.hooks` on their own hot import
-paths, which executes this ``__init__`` first; everything heavier loads
-lazily through PEP 562.
+paths, which executes this ``__init__`` first; every public name loads
+on first use through :func:`repro.lazy.lazy_exports`.
 """
 
-from __future__ import annotations
+from repro.lazy import lazy_exports
 
-from typing import Any
-
-__all__ = [
-    "FAULT_KINDS", "FaultSpec", "FaultPlan",
-    "ChaosSession", "ChaosInjector", "ArmedFault", "chaos_session",
-    "FaultWindow", "FaultRecovery", "analyze_goodput", "render_scorecard",
-    "LossTap", "DuplicateTap", "ReorderTap", "SinkTap",
-    "CHAOS_ENV", "active_chaos", "active_plan_fingerprint",
-]
-
-_LAZY = {
-    "FAULT_KINDS": "repro.chaos.plan",
-    "FaultSpec": "repro.chaos.plan",
-    "FaultPlan": "repro.chaos.plan",
-    "ChaosSession": "repro.chaos.injector",
-    "ChaosInjector": "repro.chaos.injector",
-    "ArmedFault": "repro.chaos.injector",
-    "chaos_session": "repro.chaos.injector",
-    "FaultWindow": "repro.chaos.analyzer",
-    "FaultRecovery": "repro.chaos.analyzer",
-    "analyze_goodput": "repro.chaos.analyzer",
-    "render_scorecard": "repro.chaos.analyzer",
-    "LossTap": "repro.chaos.taps",
-    "DuplicateTap": "repro.chaos.taps",
-    "ReorderTap": "repro.chaos.taps",
-    "SinkTap": "repro.chaos.taps",
-    "CHAOS_ENV": "repro.chaos.hooks",
-    "active_chaos": "repro.chaos.hooks",
-    "active_plan_fingerprint": "repro.chaos.hooks",
-}
-
-
-def __getattr__(name: str) -> Any:
-    module_name = _LAZY.get(name)
-    if module_name is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-    value = getattr(importlib.import_module(module_name), name)
-    globals()[name] = value
-    return value
+__getattr__, __all__ = lazy_exports(__name__, {
+    "repro.chaos.plan": ("FAULT_KINDS", "FaultSpec", "FaultPlan"),
+    "repro.chaos.injector": ("ChaosSession", "ChaosInjector", "ArmedFault",
+                             "chaos_session"),
+    "repro.chaos.analyzer": ("FaultWindow", "FaultRecovery",
+                             "analyze_goodput", "render_scorecard"),
+    "repro.chaos.taps": ("LossTap", "DuplicateTap", "ReorderTap", "SinkTap"),
+    "repro.chaos.hooks": ("CHAOS_ENV", "active_chaos",
+                          "active_plan_fingerprint"),
+})

@@ -1,9 +1,10 @@
 """Ambient chaos hooks: how the simulator discovers an active plan.
 
 This module is the only chaos entry point the core simulator imports,
-and it is deliberately import-light (stdlib only at module scope) so
-``sim/engine.py`` and ``cache.py`` can depend on it without cycles or
-startup cost.  It mirrors :mod:`repro.telemetry.session`: the active
+and it is deliberately import-light (the stdlib and the knob registry
+only at module scope) so ``sim/engine.py`` and ``cache.py`` can depend
+on it without cycles or startup cost.  It mirrors
+:mod:`repro.telemetry.session`: the active
 :class:`~repro.chaos.injector.ChaosSession` lives in a module global,
 and every hook degrades to a single ``is None`` test when no plan is
 loaded.  That degenerate path is what keeps no-plan runs bit-identical
@@ -34,6 +35,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional
 
+from repro.core.knobs import env_value
+
 __all__ = ["CHAOS_ENV", "active_chaos", "register_target",
            "attach_environment", "active_plan_fingerprint"]
 
@@ -52,20 +55,6 @@ _ENV_SESSIONS: Dict[str, Any] = {}
 #: measure the pre-chaos baseline.
 _BYPASS = False
 
-#: Memoized :func:`repro.core.knobs.env_value` — bound on first hook
-#: use so this module stays import-light (repro.core transitively
-#: imports the simulator) without re-paying the import machinery on
-#: every no-plan hook call.
-_ENV_VALUE: Optional[Any] = None
-
-
-def _env_value(name: str) -> Any:
-    global _ENV_VALUE
-    if _ENV_VALUE is None:
-        from repro.core.knobs import env_value
-        _ENV_VALUE = env_value
-    return _ENV_VALUE(name)
-
 
 def active_chaos() -> Optional[Any]:
     """The active :class:`~repro.chaos.injector.ChaosSession`, or ``None``.
@@ -78,7 +67,7 @@ def active_chaos() -> Optional[Any]:
         return None
     if _ACTIVE is not None:
         return _ACTIVE
-    path = _env_value(CHAOS_ENV)
+    path = env_value(CHAOS_ENV)
     if not path:
         return None
     session = _ENV_SESSIONS.get(path)

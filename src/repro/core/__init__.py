@@ -10,28 +10,3 @@
 * :mod:`repro.core.wanrecord` — the §4 Internet2 Land Speed Record run.
 * :mod:`repro.core.landspeed` — the LSR metric itself.
 """
-
-from repro.core.optimizations import OptimizationStep, LAN_OPTIMIZATION_LADDER
-from repro.core.casestudy import CaseStudy, StepResult, SweepCurve
-from repro.core.latencyreport import LatencyStudy, LatencyCurve
-from repro.core.bottleneck import BottleneckStudy
-from repro.core.comparison import InterconnectComparison, INTERCONNECTS
-from repro.core.wanrecord import WanRecordRun, WanOutcome
-from repro.core.landspeed import land_speed_record_metric, LSR_2003
-
-__all__ = [
-    "OptimizationStep",
-    "LAN_OPTIMIZATION_LADDER",
-    "CaseStudy",
-    "StepResult",
-    "SweepCurve",
-    "LatencyStudy",
-    "LatencyCurve",
-    "BottleneckStudy",
-    "InterconnectComparison",
-    "INTERCONNECTS",
-    "WanRecordRun",
-    "WanOutcome",
-    "land_speed_record_metric",
-    "LSR_2003",
-]

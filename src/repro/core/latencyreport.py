@@ -11,9 +11,7 @@ down to 14 µs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, List, Sequence
 
 from repro.config import TuningConfig
 from repro.errors import MeasurementError
@@ -24,6 +22,9 @@ from repro.sim.engine import Environment
 from repro.sim.pool import sweep
 from repro.tcp.connection import TcpConnection
 from repro.tools.netpipe import NetpipeResult, netpipe_latency
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["LatencyStudy", "LatencyCurve", "DEFAULT_LATENCY_PAYLOADS"]
 
@@ -58,13 +59,15 @@ class LatencyCurve:
     points: List[NetpipeResult] = field(default_factory=list)
 
     @property
-    def payloads(self) -> np.ndarray:
+    def payloads(self) -> "np.ndarray":
         """Payload sizes."""
+        import numpy as np
         return np.array([p.payload for p in self.points])
 
     @property
-    def latencies_us(self) -> np.ndarray:
+    def latencies_us(self) -> "np.ndarray":
         """One-way latencies (µs)."""
+        import numpy as np
         return np.array([p.latency_us for p in self.points])
 
     @property

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from repro.config import TuningConfig
 from repro.errors import MeasurementError
@@ -32,9 +32,11 @@ from repro.sim.engine import Environment
 from repro.sim.pool import sweep
 from repro.tcp.analytic import bandwidth_delay_product
 from repro.tcp.connection import TcpConnection, steady_goodput_bps
-from repro.tcp.fluid import FluidParams, simulate_fluid
 from repro.tcp.mss import mss_for_mtu
 from repro.tcp.window import window_from_space
+
+if TYPE_CHECKING:
+    from repro.tcp.fluid import FluidParams
 
 __all__ = ["WanRecordRun", "WanOutcome"]
 
@@ -122,6 +124,7 @@ class WanRecordRun:
     def fluid_params(self, buffer_bytes: int) -> FluidParams:
         """The record path as fluid-model inputs, with the window a
         ``buffer_bytes`` socket buffer allows each flow."""
+        from repro.tcp.fluid import FluidParams   # loads NumPy: fluid runs only
         return FluidParams(
             bottleneck_bps=self.bottleneck_goodput_bps,
             base_rtt_s=self.rtt_s,
@@ -146,6 +149,7 @@ class WanRecordRun:
                if buffer_bytes is None else buffer_bytes)
         if buf <= 0:
             raise MeasurementError("buffer must be positive")
+        from repro.tcp.fluid import simulate_fluid
         result = simulate_fluid(self.fluid_params(buf), duration_s=duration_s,
                                 warmup_s=min(30.0, duration_s / 4.0),
                                 n_flows=n_flows)

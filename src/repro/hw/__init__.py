@@ -4,31 +4,3 @@ Models the machines of the paper's testbed — Dell PowerEdge 2650/4600,
 the Intel E7505 evaluation systems, the quad Itanium-II box — and the
 Intel PRO/10GbE LR adapter (82597EX controller) they host.
 """
-
-from repro.hw.presets import HostSpec, PE2650, PE4600, INTEL_E7505, ITANIUM2, WAN_HOST, GBE_HOST
-from repro.hw.pcix import PciXBus
-from repro.hw.memory import MemorySubsystem
-from repro.hw.chipset import Chipset, CHIPSETS
-from repro.hw.cpu import CpuComplex
-from repro.hw.nic import TenGigAdapter, GigAdapter
-from repro.hw.host import Host
-from repro.hw.calibration import CostModel
-
-__all__ = [
-    "HostSpec",
-    "PE2650",
-    "PE4600",
-    "INTEL_E7505",
-    "ITANIUM2",
-    "WAN_HOST",
-    "GBE_HOST",
-    "PciXBus",
-    "MemorySubsystem",
-    "Chipset",
-    "CHIPSETS",
-    "CpuComplex",
-    "TenGigAdapter",
-    "GigAdapter",
-    "Host",
-    "CostModel",
-]

@@ -41,15 +41,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (TYPE_CHECKING, Callable, Dict, List, Optional, Sequence,
+                    Tuple)
 
-import numpy as np
-
+from repro.core.knobs import env_value
 from repro.errors import ProtocolError, TopologyError
 from repro.net.coupling import QueueCoupling
 from repro.net.fabric import FabricTopology
 from repro.sim.engine import Environment
-from repro.tcp.fluid import FluidFabric
+
+if TYPE_CHECKING:
+    from repro.tcp.fluid import FluidFabric
 
 __all__ = ["DesLink", "FabricFlow", "FluidCoupler", "FabricSimulation",
            "FabricResult", "hybrid_enabled", "incast_pairs",
@@ -64,7 +66,6 @@ HEADER_BYTES = 66
 
 def hybrid_enabled() -> bool:
     """True when ``REPRO_HYBRID`` permits hybrid mode (the default)."""
-    from repro.core.knobs import env_value  # lazy: core imports net
     return env_value(HYBRID_ENV)
 
 
@@ -261,6 +262,7 @@ class FluidCoupler:
         self.shared_links = shared_links
         self.tick_s = tick_s
         self.ticks = 0
+        import numpy as np   # NumPy loads only for a hybrid run
         self._cross = np.zeros(fluid.n_links)
         self._handle = env.every(tick_s, self._tick)
 
@@ -427,6 +429,7 @@ class FabricSimulation:
         coupler: Optional[FluidCoupler] = None
         n_background = self.n_flows - n_des
         if self.mode == "hybrid" and n_background > 0:
+            from repro.tcp.fluid import FluidFabric
             cap_pps = [spec.rate_bps / ((self.mss + HEADER_BYTES) * 8.0)
                        for spec in links]
             bg_routes = self.routes[n_des:]

@@ -7,24 +7,13 @@ The engine is deterministic — equal-time events fire in schedule order
 — which makes every experiment in this repository exactly reproducible.
 """
 
-from repro.sim.engine import (Environment, Event, Timeout, Process,
-                              PeriodicCall)
-from repro.sim.monitor import CounterMonitor
-from repro.sim.pool import job_context, resolve_jobs, sweep
-from repro.sim.rng import RngStreams
-from repro.sim.trace import TraceBuffer, TraceEvent
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "Environment",
-    "sweep",
-    "job_context",
-    "resolve_jobs",
-    "Event",
-    "Timeout",
-    "Process",
-    "PeriodicCall",
-    "CounterMonitor",
-    "RngStreams",
-    "TraceBuffer",
-    "TraceEvent",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    "repro.sim.engine": ("Environment", "Event", "Timeout", "Process",
+                         "PeriodicCall"),
+    "repro.sim.pool": ("sweep", "job_context", "resolve_jobs"),
+    "repro.sim.monitor": ("CounterMonitor",),
+    "repro.sim.rng": ("RngStreams",),
+    "repro.sim.trace": ("TraceBuffer", "TraceEvent"),
+})

@@ -67,6 +67,7 @@ from typing import (Any, Callable, Dict, Iterator, List, Optional, Sequence,
 
 from repro.cache import active_cache, code_fingerprint, stable_key
 from repro.chaos import hooks as chaos_hooks
+from repro.core.knobs import env_value
 from repro.errors import ConfigError, SweepError
 from repro.telemetry.session import (active_metrics, active_session,
                                      nested_session)
@@ -92,7 +93,6 @@ def resolve_jobs(jobs: Any = None) -> int:
     if jobs is None:
         jobs = _active_jobs.get()
     if jobs is None:
-        from repro.core.knobs import env_value  # lazy: core imports sim
         jobs = env_value("REPRO_JOBS") or 1
     if isinstance(jobs, str):
         if jobs.lower() in ("auto", "all"):

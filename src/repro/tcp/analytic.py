@@ -109,9 +109,12 @@ def sender_receiver_mismatch(available_memory: int = 33000,
 # Throughput model (the ``validation`` experiment's analytic column)
 # ---------------------------------------------------------------------------
 
+#: Unloaded back-to-back round trip the window limit's queueing adds to.
+LAN_BASE_RTT_S = 45e-6
+
+
 def predict_throughput_bps(spec: HostSpec, config: TuningConfig,
                            payload: int,
-                           base_rtt_s: float = 45e-6,
                            calibration: Calibration = DEFAULT_CALIBRATION) -> float:
     """Steady-state goodput of one NTTCP flow of ``payload``-byte writes.
 
@@ -147,7 +150,7 @@ def predict_throughput_bps(spec: HostSpec, config: TuningConfig,
     in_flight = min(in_flight, wmem_segments * seg)
     service = max(profile.seconds("receiver CPU"),
                   profile.seconds("receiver bus")) / len(sizes)
-    rtt_eff = base_rtt_s + (in_flight / seg) * service * 0.5
+    rtt_eff = LAN_BASE_RTT_S + (in_flight / seg) * service * 0.5
     window_limit = in_flight * 8.0 / rtt_eff
 
     return min(profile.predicted_goodput_bps(), window_limit)

@@ -50,6 +50,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.errors import ProtocolError
+from repro.numeric import pairwise_sum
 
 __all__ = ["FluidParams", "FluidResult", "FastParams", "simulate_fluid",
            "FluidFabric"]
@@ -160,32 +161,6 @@ class FastParams:
             raise ProtocolError("gamma must be in (0, 1]")
 
 
-def _pairwise_sum(values: List[float]) -> float:
-    """``values`` summed in the order NumPy's float64 ``sum`` uses, so the
-    aggregate rate rounds exactly as an array sum would: left to right
-    below eight terms, eight interleaved lanes combined as
-    ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))`` up to 128, halves above."""
-    n = len(values)
-    if n < 8:
-        total = 0.0
-        for v in values:
-            total += v
-        return total
-    if n > 128:
-        half = n // 2
-        half -= half % 8
-        return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
-    r = values[:8]
-    whole = n - n % 8
-    for i in range(8, whole, 8):
-        for j in range(8):
-            r[j] += values[i + j]
-    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    for v in values[whole:]:
-        total += v
-    return total
-
-
 def simulate_fluid(params: FluidParams, duration_s: float,
                    warmup_s: float = 0.0,
                    force_loss_at_s: Optional[float] = None,
@@ -245,7 +220,7 @@ def simulate_fluid(params: FluidParams, duration_s: float,
             w.append(w_now[0])
         else:
             on = w_now[:started] + idle[started:]
-            rate_pps = min(_pairwise_sum([x / rtt_eff for x in on]),
+            rate_pps = min(pairwise_sum([x / rtt_eff for x in on]),
                            rate_cap)
             w.append(on)
         # queue integrates the excess arrival

@@ -26,34 +26,24 @@ See ``docs/OBSERVABILITY.md`` for the instrumentation-point catalog
 and a Perfetto walkthrough.
 """
 
-from repro.telemetry.exporters import (chrome_trace_dict, read_jsonl,
-                                       write_chrome_trace, write_jsonl)
-from repro.telemetry.points import (CATALOG, InstrumentationPoint, layer_of,
-                                    render_catalog_markdown)
-from repro.telemetry.profiling import EngineProfiler
-from repro.telemetry.registry import (Counter, Gauge, Histogram,
-                                      MetricsRegistry, diff_snapshots,
-                                      format_metrics_table, merge_snapshots)
-from repro.telemetry.session import (TelemetrySession, active_bus,
-                                     active_metrics, active_session,
-                                     attach_environment, nested_session,
-                                     register_trace, telemetry_session)
-from repro.telemetry.stream import (BUNDLE_FORMAT, RunBundle, RunRecorder,
-                                    StreamTap, Subscription, TelemetryBus,
-                                    load_bundle)
-from repro.telemetry.timeline import (TimelineFolder, build_timelines,
-                                      write_timeline)
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "CATALOG", "InstrumentationPoint", "layer_of", "render_catalog_markdown",
-    "Counter", "Gauge", "Histogram", "MetricsRegistry",
-    "format_metrics_table", "merge_snapshots", "diff_snapshots",
-    "EngineProfiler",
-    "TelemetrySession", "telemetry_session", "nested_session",
-    "active_session", "active_metrics", "active_bus", "register_trace",
-    "attach_environment",
-    "TelemetryBus", "Subscription", "StreamTap", "RunRecorder", "RunBundle",
-    "load_bundle", "BUNDLE_FORMAT",
-    "write_jsonl", "read_jsonl", "chrome_trace_dict", "write_chrome_trace",
-    "build_timelines", "write_timeline", "TimelineFolder",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    "repro.telemetry.points": ("CATALOG", "InstrumentationPoint", "layer_of",
+                               "render_catalog_markdown"),
+    "repro.telemetry.registry": ("Counter", "Gauge", "Histogram",
+                                 "MetricsRegistry", "format_metrics_table",
+                                 "merge_snapshots", "diff_snapshots"),
+    "repro.telemetry.profiling": ("EngineProfiler",),
+    "repro.telemetry.session": ("TelemetrySession", "telemetry_session",
+                                "nested_session", "active_session",
+                                "active_metrics", "active_bus",
+                                "register_trace", "attach_environment"),
+    "repro.telemetry.stream": ("TelemetryBus", "Subscription", "StreamTap",
+                               "RunRecorder", "RunBundle", "load_bundle",
+                               "BUNDLE_FORMAT"),
+    "repro.telemetry.exporters": ("write_jsonl", "read_jsonl",
+                                  "chrome_trace_dict", "write_chrome_trace"),
+    "repro.telemetry.timeline": ("build_timelines", "write_timeline",
+                                 "TimelineFolder"),
+})

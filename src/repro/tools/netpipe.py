@@ -14,9 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
-import numpy as np
-
 from repro.errors import MeasurementError
+from repro.numeric import pairwise_sum
 from repro.sim.engine import Environment
 from repro.tcp.connection import TcpConnection
 
@@ -72,7 +71,7 @@ def netpipe_latency(env: Environment, forward: TcpConnection,
     # First iteration pays slow-start/cold costs; NetPipe averages the
     # steady repetitions.
     steady = rtts[1:] if len(rtts) > 1 else rtts
-    rtt = float(np.mean(steady))
+    rtt = pairwise_sum(steady) / len(steady)   # np.mean, to the bit
     return NetpipeResult(payload=payload, iterations=iterations,
                          rtt_s=rtt, latency_s=rtt / 2.0)
 

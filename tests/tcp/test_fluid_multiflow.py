@@ -5,8 +5,8 @@ import pytest
 
 from repro.errors import MeasurementError, ProtocolError
 from repro.core.wanrecord import WanRecordRun
-from repro.tcp.fluid import (STAGGER_S, FluidParams, _pairwise_sum,
-                              simulate_fluid)
+from repro.numeric import pairwise_sum
+from repro.tcp.fluid import STAGGER_S, FluidParams, simulate_fluid
 from repro.units import Gbps
 
 
@@ -31,12 +31,14 @@ def test_single_flow_special_case_matches_scalar_model():
     assert single.fairness == 1.0
 
 
-@pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 16, 17, 128, 129, 300])
+@pytest.mark.parametrize("n", range(1, 301))
 def test_rate_sum_rounds_like_numpy(n):
-    # The aggregate rate is summed in NumPy's order, to the float bit.
+    # The fluid model sums its flows' rates in NumPy's order, and netpipe
+    # averages its round trips as pairwise_sum / len: both to the float bit.
     rng = np.random.default_rng(n)
     values = (rng.random(n) * 10.0 ** rng.integers(-5, 16, n)).tolist()
-    assert _pairwise_sum(values) == float(np.array(values).sum())
+    assert pairwise_sum(values) == float(np.array(values).sum())
+    assert pairwise_sum(values) / n == float(np.mean(values))
 
 
 def test_multistream_fills_pipe_with_small_buffers():
